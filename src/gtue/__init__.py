@@ -27,17 +27,14 @@ from .constructions import (
     doob_transform,
     levy_bound_checks,
     levy_transform,
-    upcrossings,
 )
 from .credal import (
-    AssessmentSet,
     CredalSet,
     LocalVariable,
     StateSpace,
     expectation,
     local_lower,
     local_upper,
-    natural_extension,
     vacuous,
 )
 from .evaluate import (

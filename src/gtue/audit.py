@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .credal import LocalVariable, StateSpace
-from .xreal import XR, POS_INF, add, close_within, le_within, neg, scale, xr
+from .xreal import XR, POS_INF, abs_diff, add, close_within, le_within, neg, scale, xr
 
 INF_CELL_PROBABILITY = 0.1
 GAMBLE_LOW, GAMBLE_HIGH = -10, 10
@@ -222,15 +222,6 @@ def _probe_once(F, n, rng, tol, report: AuditReport):
                 f"prefix length {k}: F(sum)={xr(F(partial)).to_text()} > "
                 f"sum of F terms {xr(bound).to_text()}")
             break
-
-
-def abs_diff(a: XR, b: XR) -> XR:
-    a, b = xr(a), xr(b)
-    if a == b:
-        return XR(0)
-    if not (a.is_finite and b.is_finite):
-        return POS_INF
-    return XR(abs(a.v - b.v))
 
 
 def _probe_e10(F, n, rng, tol, report: AuditReport):

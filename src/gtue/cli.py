@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import jsonio
 from .audit import audit_axioms, upper_envelope
@@ -72,14 +73,17 @@ class RunConfig:
 
 def _config_from_args(args) -> RunConfig:
     rational = os.environ.get("GTUE_RATIONAL", "") == "1" or getattr(args, "rational", False)
-    tol = args.tol
-    if tol is None:
+    if args.tol is None:
         tol = 0 if rational else 1e-9
+    else:
+        # Exact inputs get an exact tolerance; a float would make every
+        # comparison against it inexact.
+        tol = Fraction(args.tol) if rational else float(args.tol)
     return RunConfig(tol=tol, budget=args.budget, rational_mode=rational,
                      seed=args.seed, oracle_cap=args.oracle_cap)
 
 
-def _emit(document, rational: bool):
+def _emit(document):
     print(json.dumps(document, indent=2))
 
 
@@ -102,7 +106,7 @@ def cmd_eval(args) -> int:
                   "iterations": result.iterations}
         if result.bound_direction:
             report["bound_direction"] = result.bound_direction
-        _emit(report, rational)
+        _emit(report)
         return EXIT_BUDGET if result.status == STATUS_BUDGET else EXIT_OK
 
     assert isinstance(subject, FinitaryVariable)
@@ -125,7 +129,7 @@ def cmd_eval(args) -> int:
         report["oracle_match"] = matches
         if not matches:
             exit_code = EXIT_FAILED_CHECK
-    _emit(report, rational)
+    _emit(report)
     return exit_code
 
 
@@ -156,7 +160,7 @@ def cmd_check(args) -> int:
         for model in tree.distinct_models():
             audit = audit_axioms(upper_envelope(model), tree.space,
                                  trials=args.trials, seed=config.seed,
-                                 tol=float(config.tol))
+                                 tol=config.tol)
             audits.append({
                 "all_passed": audit.all_passed,
                 "alternative_characterisation_consistent":
@@ -166,7 +170,7 @@ def cmd_check(args) -> int:
             ok = ok and audit.all_passed
         report["axioms"] = audits
 
-    _emit(report, rational)
+    _emit(report)
     return EXIT_OK if ok else EXIT_FAILED_CHECK
 
 
@@ -216,13 +220,14 @@ def cmd_certify(args) -> int:
     if args.out_cuts:
         with open(args.out_cuts, "w", encoding="utf-8") as handle:
             json.dump(cuts_doc, handle, indent=2)
-    _emit({"process": process_doc, "cuts": cuts_doc, "summary": summary}, rational)
+    _emit({"process": process_doc, "cuts": cuts_doc, "summary": summary})
     return EXIT_OK if all_ok else EXIT_FAILED_CHECK
 
 
 def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=None,
-                        help="comparison tolerance (default 1e-9, or 0 in rational mode)")
+    parser.add_argument("--tol", default=None,
+                        help="comparison tolerance (default 1e-9, or 0 in rational mode, "
+                             "where it is parsed exactly)")
     parser.add_argument("--budget", type=int, default=64,
                         help="iteration budget for sequence limits")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized audits")

@@ -1,22 +1,26 @@
 """Upcrossing machinery: the Doob transform and the Lévy multiplicative transform.
 
-Both constructions walk the tree once, carrying a per-path crossing
-state.  A path is *idle* until its running quantity first drops below a
-(that node joins the current V cut and the path turns *active*), and
-active until the quantity first exceeds b (that node joins the U cut,
-one upcrossing is complete, and the path turns idle again).  First-hit
-semantics make the cuts pairwise incomparable by construction.
-
-While a path is active the Doob transform mirrors the base increments,
+Both transforms are one walk, ``_crossing_walk``, over the root's subtree
+with a per-path crossing state.  A path is *idle* until its driving
+quantity first drops below a (that node joins the current V cut and the
+path turns *active*), and active until the quantity first exceeds b (that
+node joins the U cut, one upcrossing is complete, and the path turns idle
+again).  First-hit semantics make the cuts pairwise incomparable by
+construction.  Only the update inside an open window differs: the Doob
+transform mirrors the base increments,
 
     M'(child) = M'(s) + (M(child) - M(s)),
 
-and copies its value otherwise; the Levy transform multiplies by the
-certificate ratio E(child)/E(s) instead.  The active region is taken as
+and the Lévy transform multiplies by the certificate ratio E(child)/E(s);
+both copy the parent's value while idle.  The active region is taken as
 "at or after the V member and not at or after any U member", so paths
 that drop below a and never recover to b keep mirroring; the closed
 bracket alone would be empty whenever the U cut is, which contradicts
 the case analysis the bounds rely on.
+
+The realized-bound checkers never read the walker's state: they replay
+the emitted cuts top-down (``CutSystem.realized``, one ``_step`` per
+node), so a certificate whose cuts disagree with its process fails.
 
 Window parameters are rationals and all transform arithmetic runs on
 exact rationals internally (finite floats are converted losslessly), so
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .credal import CredalSet
 from .errors import (
     BadWindow,
     HorizonMismatch,
@@ -39,22 +42,19 @@ from .errors import (
     WindowOutsideRange,
 )
 from .evaluate import TreeModel, backward_levels
-from .process import Process, mix
-from .tree import (
-    Cut,
-    FinitaryVariable,
-    Situation,
-    level_cut,
-    precedes_or_equal,
-    rank,
-    unrank,
-)
+from .process import Process, constant_process, mix
+from .tree import Cut, FinitaryVariable, Situation, level_cut, rank, unrank
 from .xreal import XR, add, neg, scale
 
 
 @dataclass(frozen=True)
 class CutSystem:
-    """Interleaved first-hit cuts (V_k, U_k) for k = 1..K, below a root."""
+    """Interleaved first-hit cuts (V_k, U_k) for k = 1..K, below a root.
+
+    The crossing state of a situation is (hits, open_v): the completed
+    (v_k, u_k) pairs on its chain and the V member of the open window, or
+    None when the path is idle.  ``_step`` is the one transition rule.
+    """
 
     root: Situation
     pairs: tuple[tuple[Cut, Cut], ...]
@@ -63,50 +63,67 @@ class CutSystem:
         object.__setattr__(self, "root", tuple(self.root))
         for k, (v_cut, u_cut) in enumerate(self.pairs, start=1):
             for u in u_cut:
-                if not any(v != u and precedes_or_equal(v, u) for v in v_cut):
+                if not _below_some(u, v_cut):
                     raise ValueError(f"U_{k} member {u} follows no V_{k} member")
             if k > 1:
                 prev_u = self.pairs[k - 2][1]
                 for v in v_cut:
-                    if not any(u != v and precedes_or_equal(u, v) for u in prev_u):
+                    if not _below_some(v, prev_u):
                         raise ValueError(f"V_{k} member {v} follows no U_{k - 1} member")
+
+    def _step(self, state, s: Situation):
+        """The crossing state at s, given the state at its parent."""
+        hits, open_v = state
+        if len(hits) < len(self.pairs):
+            v_cut, u_cut = self.pairs[len(hits)]
+            if open_v is None:
+                if s in v_cut.members:
+                    return hits, s
+            elif s in u_cut.members:
+                return hits + ((open_v, s),), None
+        return state
+
+    def _replay(self, s: Situation):
+        """The crossing state at s, replayed down its chain; None off the subtree."""
+        s = tuple(s)
+        if s[:len(self.root)] != self.root:
+            return None
+        state = ((), None)
+        for depth in range(len(self.root), len(s) + 1):
+            state = self._step(state, s[:depth])
+        return state
 
     def chain_state(self, s: Situation) -> tuple[int, bool] | None:
         """(completed upcrossings, active?) for a situation below the root."""
-        s = tuple(s)
-        if not precedes_or_equal(self.root, s):
-            return None
-        completed, active = 0, False
-        for depth in range(len(self.root), len(s) + 1):
-            prefix = s[:depth]
-            if completed >= len(self.pairs):
-                break
-            v_cut, u_cut = self.pairs[completed]
-            if active:
-                if prefix in u_cut.members:
-                    completed, active = completed + 1, False
-            else:
-                if prefix in v_cut.members:
-                    active = True
-        return completed, active
+        state = self._replay(s)
+        return None if state is None else (len(state[0]), state[1] is not None)
 
     def hits_along(self, s: Situation) -> list[tuple[Situation, Situation]]:
         """Completed (v_k, u_k) pairs on the chain of s, in order."""
-        s = tuple(s)
-        out = []
-        current_v = None
-        completed, active = 0, False
-        for depth in range(len(self.root), len(s) + 1):
-            prefix = s[:depth]
-            if completed >= len(self.pairs):
-                break
-            v_cut, u_cut = self.pairs[completed]
-            if active and prefix in u_cut.members:
-                out.append((current_v, prefix))
-                completed, active = completed + 1, False
-            elif not active and prefix in v_cut.members:
-                current_v, active = prefix, True
-        return out
+        state = self._replay(s)
+        return [] if state is None else list(state[0])
+
+    def realized(self, arity: int, horizon: int):
+        """Replay every situation of the root's subtree, top-down in level order.
+
+        Yields (s, index, hits, active) with index the rank of s at its
+        depth; one ``_step`` per node, so a whole pass is O(nodes).
+        """
+        level = [(self.root, rank(self.root, arity), self._step(((), None), self.root))]
+        for depth in range(len(self.root), horizon + 1):
+            below = []
+            for s, i, state in level:
+                yield s, i, state[0], state[1] is not None
+                if depth < horizon:
+                    for x in range(arity):
+                        child = s + (x,)
+                        below.append((child, i * arity + x, self._step(state, child)))
+            level = below
+
+
+def _below_some(s: Situation, cut: Cut) -> bool:
+    """Whether some member of the cut strictly precedes s."""
+    return any(s[:depth] in cut.members for depth in range(len(s)))
 
 
 @dataclass(frozen=True)
@@ -138,21 +155,50 @@ def _exact(v: XR) -> XR:
     return v
 
 
-def _exact_tree(tree: TreeModel) -> TreeModel:
-    """The same model with every PMF entry lifted to an exact rational."""
+def _crossing_walk(driver, arity: int, root: Situation, root_value: XR, a, b,
+                   terminal_cut: Cut | None, open_at_root: bool, step) -> Transform:
+    """The first-hit walk shared by both transforms.
 
-    def lift_model(model: CredalSet) -> CredalSet:
-        return CredalSet(tuple(tuple(Fraction(mass) for mass in p)
-                               for p in model.extreme_points))
+    ``driver`` holds the level tables of the watched quantity.  Only the
+    root's subtree is walked: at depth d it is the contiguous rank block
+    starting at rank(root) * arity**(d - len(root)), and every other node
+    stays pinned at ``root_value``.  Below the root a node copies its
+    parent's output while idle and takes step(parent_out, driver_here,
+    driver_parent) while active.  With ``open_at_root`` false the root
+    opens no window even when its driver is below a.
+    """
+    horizon = len(driver) - 1
+    out = [[root_value] * arity**d for d in range(horizon + 1)]
+    top, first = len(root), rank(root, arity)
+    opens = open_at_root and driver[top][first] < a
+    v_hits: dict[int, set] = {1: {root}} if opens else {}
+    u_hits: dict[int, set] = {}
+    states = [(0, opens)]  # (completed, active) across the subtree block one level up
+    for depth in range(top + 1, horizon + 1):
+        first *= arity
+        here, out_here = driver[depth], out[depth]
+        above, out_above = driver[depth - 1], out[depth - 1]
+        block = []
+        for j in range(arity ** (depth - top)):
+            i = first + j
+            parent = i // arity
+            completed, active = states[j // arity]
+            if active:
+                out_here[i] = step(out_above[parent], here[i], above[parent])
+                if here[i] > b:
+                    u_hits.setdefault(completed + 1, set()).add(unrank(i, depth, arity))
+                    completed, active = completed + 1, False
+            else:
+                out_here[i] = out_above[parent]
+                if here[i] < a:
+                    v_hits.setdefault(completed + 1, set()).add(unrank(i, depth, arity))
+                    active = True
+            block.append((completed, active))
+        states = block
 
-    space = tree.space
-    if tree.kind == "stationary":
-        return TreeModel.stationary(space, lift_model(tree._assignment), tree.max_depth)
-    if tree.kind == "by_depth":
-        return TreeModel.by_depth(space, [lift_model(m) for m in tree._assignment],
-                                  tree.max_depth)
-    return TreeModel.table(space, {s: lift_model(m) for s, m in tree._assignment.items()},
-                           tree.max_depth)
+    pairs = tuple((Cut(frozenset(v_hits.get(k, ()))), Cut(frozenset(u_hits.get(k, ()))))
+                  for k in range(1, max(v_hits, default=0) + 1))
+    return Transform(Process(arity, horizon, out, terminal_cut), CutSystem(root, pairs), (a, b))
 
 
 def doob_transform(tree: TreeModel, M: Process, t: Situation, a, b) -> Transform:
@@ -178,47 +224,10 @@ def doob_transform(tree: TreeModel, M: Process, t: Situation, a, b) -> Transform
     if M.min_value() < XR(0):
         raise ValueError("the base process must be non-negative")
 
-    arity, horizon = M.arity, M.horizon
     base = [[_exact(v) for v in level] for level in M.levels]
-    out = [[None] * (arity**d) for d in range(horizon + 1)]
-    # Per-node crossing state below t: (completed, active).
-    states = [[None] * (arity**d) for d in range(horizon + 1)]
-    v_hits: dict[int, set] = {}
-    u_hits: dict[int, set] = {}
-
-    for depth in range(horizon + 1):
-        for i in range(arity**depth):
-            s = unrank(i, depth, arity)
-            if not precedes_or_equal(t, s):
-                out[depth][i] = root_value
-                continue
-            if s == t:
-                value = root_value
-                completed, active = 0, False
-            else:
-                parent = i // arity
-                completed, active = states[depth - 1][parent]
-                if active:
-                    increment = add(base[depth][i], neg(base[depth - 1][parent]))
-                    value = add(out[depth - 1][parent], increment)
-                else:
-                    value = out[depth - 1][parent]
-            m_here = base[depth][i]
-            if not active and m_here < a:
-                v_hits.setdefault(completed + 1, set()).add(s)
-                active = True
-            elif active and m_here > b:
-                u_hits.setdefault(completed + 1, set()).add(s)
-                completed, active = completed + 1, False
-            states[depth][i] = (completed, active)
-            out[depth][i] = value
-
-    process = Process(arity, horizon, tuple(tuple(level) for level in out),
-                      terminal_cut=M.terminal_cut)
-    top = max(v_hits, default=0)
-    pairs = tuple((Cut(frozenset(v_hits.get(k, ()))), Cut(frozenset(u_hits.get(k, ()))))
-                  for k in range(1, top + 1))
-    return Transform(process, CutSystem(t, pairs), (a, b))
+    return _crossing_walk(
+        base, M.arity, t, root_value, a, b, M.terminal_cut, open_at_root=True,
+        step=lambda out, child, parent: add(out, add(child, neg(parent))))
 
 
 @dataclass(frozen=True)
@@ -245,41 +254,24 @@ def doob_gain_checks(M: Process, transform: Transform) -> list[GainCheck]:
     width = XR(b - a)
     root_value = _exact(M.value_at(cuts.root))
     checks = []
-    for depth in range(M.horizon + 1):
-        for i in range(M.arity**depth):
-            s = unrank(i, depth, M.arity)
-            state = cuts.chain_state(s)
-            if state is None:
-                continue
-            completed, active = state
-            if completed < 1 or active:
-                continue
-            hits = cuts.hits_along(s)
-            telescoped = XR(0)
-            terms_ok = True
-            for v_node, u_node in hits:
-                term = add(_exact(M.value_at(u_node)), neg(_exact(M.value_at(v_node))))
-                if not term > width:
-                    terms_ok = False
-                telescoped = add(telescoped, term)
-            gain = add(transform.process.value_at(s), neg(root_value))
-            target = scale(completed, width)
-            checks.append(GainCheck(
-                s, completed, gain, telescoped,
-                identity_ok=(gain == telescoped),
-                terms_exceed_width=terms_ok,
-                bound_ok=not (gain < target)))
+    for s, i, hits, active in cuts.realized(M.arity, M.horizon):
+        if active or not hits:
+            continue
+        telescoped = XR(0)
+        terms_ok = True
+        for v_node, u_node in hits:
+            term = add(_exact(M.value_at(u_node)), neg(_exact(M.value_at(v_node))))
+            if not term > width:
+                terms_ok = False
+            telescoped = add(telescoped, term)
+        gain = add(transform.process.levels[len(s)][i], neg(root_value))
+        target = scale(len(hits), width)
+        checks.append(GainCheck(
+            s, len(hits), gain, telescoped,
+            identity_ok=(gain == telescoped),
+            terms_exceed_width=terms_ok,
+            bound_ok=not (gain < target)))
     return checks
-
-
-def upcrossings(M: Process, prefix: Situation, a, b, cuts: CutSystem) -> int:
-    """Completed upcrossings of (a, b) on the chain of ``prefix``."""
-    prefix = tuple(prefix)
-    count = 0
-    for k, (_v, u_cut) in enumerate(cuts.pairs, start=1):
-        if any(precedes_or_equal(u, prefix) for u in u_cut):
-            count = k
-    return count
 
 
 def doob_mixture(tree: TreeModel, M: Process, t: Situation, windows, weights) -> Process:
@@ -344,9 +336,7 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
     if lo == hi:
         # Constant target: the conditional values never move, no window
         # can open, and the transform is identically one.
-        trivial = Process(arity, horizon,
-                          tuple((XR(1),) * arity**d for d in range(horizon + 1)),
-                          terminal_cut=level_cut(arity, horizon))
+        trivial = constant_process(arity, horizon, 1, level_cut(arity, horizon))
         return Transform(trivial, CutSystem(s_prime, ()), (a, b))
     if a <= lo:
         raise WindowOutsideRange(
@@ -357,45 +347,10 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
             f"the certificate can never exceed b={b}: the shifted gamble "
             f"tops out at {hi}")
 
-    levels = backward_levels(_exact_tree(tree), shifted, down_to=0)
-    out = [[None] * (arity**d) for d in range(horizon + 1)]
-    states = [[None] * (arity**d) for d in range(horizon + 1)]
-    v_hits: dict[int, set] = {}
-    u_hits: dict[int, set] = {}
-
-    for depth in range(horizon + 1):
-        for i in range(arity**depth):
-            s = unrank(i, depth, arity)
-            if not precedes_or_equal(s_prime, s):
-                out[depth][i] = XR(1)
-                continue
-            if s == s_prime:
-                out[depth][i] = XR(1)
-                states[depth][i] = (0, False)
-                continue
-            parent = i // arity
-            completed, active = states[depth - 1][parent]
-            if active:
-                ratio = levels[depth][i].v / levels[depth - 1][parent].v
-                value = XR(out[depth - 1][parent].v * ratio)
-            else:
-                value = out[depth - 1][parent]
-            e_here = levels[depth][i]
-            if not active and e_here < a:
-                v_hits.setdefault(completed + 1, set()).add(s)
-                active = True
-            elif active and e_here > b:
-                u_hits.setdefault(completed + 1, set()).add(s)
-                completed, active = completed + 1, False
-            states[depth][i] = (completed, active)
-            out[depth][i] = value
-
-    process = Process(arity, horizon, tuple(tuple(level) for level in out),
-                      terminal_cut=level_cut(arity, horizon))
-    top = max(v_hits, default=0)
-    pairs = tuple((Cut(frozenset(v_hits.get(k, ()))), Cut(frozenset(u_hits.get(k, ()))))
-                  for k in range(1, top + 1))
-    return Transform(process, CutSystem(s_prime, pairs), (a, b))
+    levels = backward_levels(tree.map_masses(Fraction), shifted, down_to=0)
+    return _crossing_walk(
+        levels, arity, s_prime, XR(1), a, b, level_cut(arity, horizon), open_at_root=False,
+        step=lambda out, child, parent: XR(out.v * (child.v / parent.v)))
 
 
 @dataclass(frozen=True)
@@ -416,20 +371,13 @@ class GrowthCheck:
 def levy_bound_checks(transform: Transform) -> list[GrowthCheck]:
     """Check T > (b/a)^k at every realized post-U situation."""
     a, b = transform.window
-    cuts = transform.cuts
     process = transform.process
     checks = []
-    for depth in range(process.horizon + 1):
-        for i in range(process.arity**depth):
-            s = unrank(i, depth, process.arity)
-            state = cuts.chain_state(s)
-            if state is None:
-                continue
-            completed, active = state
-            if completed < 1 or active:
-                continue
-            threshold = XR((b / a) ** completed)
-            value = process.levels[depth][i]
-            checks.append(GrowthCheck(s, completed, value, threshold,
-                                      bound_ok=value > threshold))
+    for s, i, hits, active in transform.cuts.realized(process.arity, process.horizon):
+        if active or not hits:
+            continue
+        threshold = XR((b / a) ** len(hits))
+        value = process.levels[len(s)][i]
+        checks.append(GrowthCheck(s, len(hits), value, threshold,
+                                  bound_ok=value > threshold))
     return checks

@@ -16,16 +16,9 @@ hull dependency for no benefit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import (
-    DimensionCapExceeded,
-    SureLoss,
-    UnboundedAboveInput,
-    UnboundedBelowInput,
-)
+from .errors import UnboundedAboveInput, UnboundedBelowInput
 from .xreal import XR, add, neg, scale, xr
 
 PMF_SUM_TOL = 1e-12
@@ -149,98 +142,3 @@ def local_lower(model: CredalSet, h: LocalVariable) -> XR:
     if not h.bounded_above:
         raise UnboundedAboveInput("local lower expectation needs a bounded-above argument")
     return neg(local_upper(model, h.map(neg)))
-
-
-@dataclass(frozen=True)
-class AssessmentSet:
-    """Upper-bound constraints p . g_i <= b_i on finite-valued gambles g_i."""
-
-    constraints: tuple[tuple[tuple, object], ...]
-
-    def __post_init__(self):
-        cleaned = []
-        for gamble, upper in self.constraints:
-            gamble = tuple(gamble)
-            if any(isinstance(v, float) and v != v for v in gamble):
-                raise ValueError("assessment gambles must be finite")
-            cleaned.append((gamble, upper))
-        object.__setattr__(self, "constraints", tuple(cleaned))
-
-
-def natural_extension(space: StateSpace, assessments: AssessmentSet,
-                      dim_cap: int = 6, tol: float = 1e-9) -> CredalSet:
-    """Vertex list of {p in simplex : p . g_i <= b_i for all i}.
-
-    Enumerates basic feasible points: the simplex equality plus every
-    choice of |X|-1 active constraints from {p_j >= 0} and the assessment
-    half-spaces, solved exactly (Gaussian elimination keeps Fractions as
-    Fractions) and filtered by feasibility of all constraints.
-    """
-    d = space.size
-    if d > dim_cap:
-        raise DimensionCapExceeded(f"|X| = {d} exceeds the cap {dim_cap}")
-    # Inequality rows as (coeffs, bound) meaning coeffs . p <= bound.
-    rows = [(tuple(-1 if j == i else 0 for j in range(d)), 0) for i in range(d)]
-    for gamble, upper in assessments.constraints:
-        if len(gamble) != d:
-            raise ValueError("assessment gamble length does not match the space")
-        rows.append((tuple(gamble), upper))
-    if d == 1:
-        vertex = (1,)
-        if _feasible(vertex, rows, tol):
-            return CredalSet((vertex,))
-        raise SureLoss("the assessments admit no probability mass function")
-
-    vertices = []
-    for active in itertools.combinations(range(len(rows)), d - 1):
-        matrix = [[1] * d] + [list(rows[i][0]) for i in active]
-        rhs = [1] + [rows[i][1] for i in active]
-        point = _solve(matrix, rhs)
-        if point is None:
-            continue
-        if not _feasible(point, rows, tol):
-            continue
-        if not any(_same_point(point, seen, tol) for seen in vertices):
-            vertices.append(tuple(point))
-    if not vertices:
-        raise SureLoss("the assessments admit no probability mass function")
-    return CredalSet(tuple(vertices))
-
-
-def _feasible(point, rows, tol) -> bool:
-    return all(sum(c * x for c, x in zip(coeffs, point)) <= bound + tol
-               for coeffs, bound in rows)
-
-
-def _same_point(a, b, tol) -> bool:
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
-
-
-def _solve(matrix, rhs):
-    """Solve a small square system; None when singular.
-
-    Works over whatever number type the rows carry; exact for Fractions.
-    """
-    n = len(rhs)
-    aug = [[Fraction(x) if isinstance(x, int) else x for x in row] + [rhs[i]]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        best = 0
-        for r in range(col, n):
-            mag = abs(aug[r][col])
-            if mag > best:
-                best, pivot = mag, r
-        if pivot is None or best == 0:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pivot_row = aug[col]
-        inv = pivot_row[col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col] / inv
-            if factor == 0:
-                continue
-            aug[r] = [a - factor * b for a, b in zip(aug[r], pivot_row)]
-    return [aug[i][n] / aug[i][i] for i in range(n)]

@@ -21,14 +21,6 @@ class UnboundedAboveInput(GTUEError):
     """A lower-expectation argument contained +inf."""
 
 
-class SureLoss(GTUEError):
-    """An assessment set admits no compatible probability mass function."""
-
-
-class DimensionCapExceeded(GTUEError):
-    """Vertex enumeration requested above the configured dimension cap."""
-
-
 class HorizonMismatch(GTUEError):
     """A process extends deeper than the tree model can verify."""
 

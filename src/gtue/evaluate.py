@@ -40,7 +40,7 @@ from .tree import (
     rank,
     unrank,
 )
-from .xreal import POS_INF, XR, le_within, neg, xr
+from .xreal import POS_INF, XR, abs_diff, le_within, neg, xr
 
 STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
@@ -110,6 +110,20 @@ class TreeModel:
         if self.kind == "by_depth":
             return self._assignment[len(s)]
         return self._assignment[s]
+
+    def map_masses(self, fn) -> "TreeModel":
+        """The same tree with fn applied to every PMF entry (e.g. Fraction or float)."""
+
+        def lift(model: CredalSet) -> CredalSet:
+            return CredalSet(tuple(tuple(fn(m) for m in p) for p in model.extreme_points))
+
+        if self.kind == "stationary":
+            assignment = lift(self._assignment)
+        elif self.kind == "by_depth":
+            assignment = tuple(lift(m) for m in self._assignment)
+        else:
+            assignment = {s: lift(m) for s, m in self._assignment.items()}
+        return TreeModel(self.space, self.max_depth, self.kind, assignment)
 
     def distinct_models(self):
         if self.kind == "stationary":
@@ -216,7 +230,7 @@ def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT,
             if not ordered:
                 raise MonotonicityViolated(
                     f"iterate {n} broke the declared {seq.monotonicity.value} order")
-            delta = _abs_gap(value, previous)
+            delta = abs_diff(value, previous)
             if not delta > tol_x:
                 return EvalResult(value, STATUS_CONVERGED, n + 1, delta)
         if increasing and value == POS_INF:
@@ -226,14 +240,6 @@ def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT,
         previous = value
     return EvalResult(previous, STATUS_BUDGET, budget, delta,
                       bound_direction="lower" if increasing else "upper")
-
-
-def _abs_gap(a: XR, b: XR) -> XR:
-    if a == b:
-        return XR(0)
-    if not (a.is_finite and b.is_finite):
-        return POS_INF
-    return XR(abs(a.v - b.v))
 
 
 def certificate_bound(tree: TreeModel, M: Process, f: FinitaryVariable,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .credal import AssessmentSet, CredalSet, StateSpace
+from .credal import CredalSet, StateSpace
 from .errors import SchemaError
 from .evaluate import TreeModel
 from .process import Process
@@ -101,20 +101,6 @@ def load_credal(raw, where: str) -> CredalSet:
 
 def dump_credal(model: CredalSet, rational: bool):
     return [[encode_number(XR(m), rational) for m in p] for p in model.extreme_points]
-
-
-def load_assessments(raw, where: str = "assessments") -> AssessmentSet:
-    if not isinstance(raw, list):
-        raise SchemaError(f"{where}: expected an array of constraints")
-    constraints = []
-    for i, item in enumerate(raw):
-        gamble = _require(item, "gamble", f"{where}[{i}]")
-        upper = _require(item, "upper", f"{where}[{i}]")
-        if not isinstance(gamble, list):
-            raise SchemaError(f"{where}[{i}].gamble: expected an array")
-        row = tuple(_plain_mass(g, f"{where}[{i}].gamble[{j}]") for j, g in enumerate(gamble))
-        constraints.append((row, _plain_mass(upper, f"{where}[{i}].upper")))
-    return AssessmentSet(tuple(constraints))
 
 
 def tree_from_obj(obj) -> TreeModel:

@@ -13,7 +13,6 @@ approximates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .credal import LocalVariable, local_upper
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     NotTerminal,
     SpaceMismatch,
 )
-from .tree import Cut, Situation, rank, situations_at, unrank
+from .tree import Cut, Situation, is_complete, rank, situations_at, unrank
 from .xreal import XR, add, le_within, neg, scale, xr
 
 
@@ -51,8 +50,7 @@ class Process:
         cut = self.terminal_cut
         if cut.max_depth() > self.horizon:
             raise ValueError("terminal cut lies beyond the horizon")
-        coverage = sum((Fraction(1, self.arity ** len(m)) for m in cut.members), Fraction(0))
-        if coverage != 1:
+        if not is_complete(cut, self.arity):
             raise ValueError("terminal cut must be complete")
         for member in cut:
             tail = self.value_at(member)

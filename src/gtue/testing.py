@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .credal import CredalSet, StateSpace, local_upper
+from .credal import CredalSet, LocalVariable, StateSpace, local_upper
 from .evaluate import TreeModel
 from .process import Process
 from .tree import FinitaryVariable, level_cut, unrank
@@ -99,8 +99,6 @@ def random_supermartingale(tree: TreeModel, rng: random.Random, horizon: int,
         for i in range(size**depth):
             s = unrank(i, depth, size)
             children = levels[depth + 1][i * size:(i + 1) * size]
-            from .credal import LocalVariable
-
             q = local_upper(tree.local_model_at(s), LocalVariable(children))
             slack = XR(rand_fraction(rng, 0, slack_high)) if rational \
                 else XR(rng.uniform(0, slack_high))
@@ -108,22 +106,6 @@ def random_supermartingale(tree: TreeModel, rng: random.Random, horizon: int,
         levels[depth] = tuple(row)
     cut = level_cut(size, horizon) if terminal else None
     return Process(size, horizon, tuple(levels), cut)
-
-
-def float_tree(tree: TreeModel) -> TreeModel:
-    """The same tree with every PMF entry converted to float."""
-
-    def to_float(model: CredalSet) -> CredalSet:
-        return CredalSet(tuple(tuple(float(m) for m in p) for p in model.extreme_points))
-
-    if tree.kind == "stationary":
-        return TreeModel.stationary(tree.space, to_float(tree._assignment), tree.max_depth)
-    if tree.kind == "by_depth":
-        return TreeModel.by_depth(tree.space, [to_float(m) for m in tree._assignment],
-                                  tree.max_depth)
-    return TreeModel.table(tree.space,
-                           {s: to_float(m) for s, m in tree._assignment.items()},
-                           tree.max_depth)
 
 
 def float_variable(f: FinitaryVariable) -> FinitaryVariable:

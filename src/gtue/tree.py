@@ -13,7 +13,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .credal import StateSpace
 from .errors import MonotonicityViolated, NotBoundedBelow
 from .xreal import POS_INF, XR, xr
 
@@ -101,9 +100,9 @@ def level_cut(arity: int, depth: int) -> Cut:
     return Cut(frozenset(situations_at(depth, arity)))
 
 
-def is_complete(cut: Cut, space: StateSpace) -> bool:
+def is_complete(cut: Cut, arity: int) -> bool:
     """Exact coverage test: the leaf measures of the members sum to one."""
-    total = sum((Fraction(1, space.size ** len(m)) for m in cut.members), Fraction(0))
+    total = sum((Fraction(1, arity ** len(m)) for m in cut.members), Fraction(0))
     return total == 1
 
 

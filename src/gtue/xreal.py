@@ -239,6 +239,16 @@ def le_within(a: XR, b: XR, tol) -> bool:
     return not (xr(a) > add(xr(b), xr(tol)))
 
 
+def abs_diff(a: XR, b: XR) -> XR:
+    """|a - b|; +inf when the two differ and either is infinite."""
+    a, b = xr(a), xr(b)
+    if a == b:
+        return ZERO
+    if not (a.is_finite and b.is_finite):
+        return POS_INF
+    return XR(abs(a.v - b.v))
+
+
 def close_within(a: XR, b: XR, tol) -> bool:
     """True iff a and b agree within tol, treating equal infinities as equal."""
     a, b = xr(a), xr(b)

@@ -46,7 +46,6 @@ from gtue.audit import (
 from gtue.tree import Monotonicity, constant, situations_at
 from gtue.process import constant_process
 from gtue.testing import (
-    float_tree,
     float_variable,
     random_finitary,
     random_gamble,
@@ -94,7 +93,7 @@ def test_oracle_equivalence():
         exact_oracle = brute_force_upper(tree, f)
         assert exact_oracle == exact_engine
 
-        ftree, ff = float_tree(tree), float_variable(f)
+        ftree, ff = tree.map_masses(float), float_variable(f)
         loose_engine = eval_finitary(ftree, ff)
         loose_oracle = brute_force_upper(ftree, ff)
         if loose_engine.is_finite and loose_oracle.is_finite:
@@ -132,7 +131,7 @@ def test_global_properties():
 
     rng = seeded(10_003)
     for _ in range(100):
-        tree = float_tree(random_tree(rng, 2, 3))
+        tree = random_tree(rng, 2, 3).map_masses(float)
         f = float_variable(random_finitary(rng, 2, 2, inf_probability=0.1))
         g = float_variable(random_finitary(rng, 2, 2, inf_probability=0.1))
         s = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 1)))
@@ -239,7 +238,7 @@ def test_monotone_convergence():
 def test_non_increasing_convergence():
     rng = seeded(10_008)
     for _ in range(50):
-        tree = float_tree(random_tree(rng, 2, 3))
+        tree = random_tree(rng, 2, 3).map_masses(float)
         depth = rng.randint(1, 3)
         g = float_variable(random_gamble(rng, 2, depth))
         top = float(g.sup().v)
@@ -327,14 +326,14 @@ def test_lemma_suite():
 def test_fatou_and_lower_cuts():
     rng = seeded(10_012)
     for _ in range(100):
-        tree = float_tree(random_tree(rng, 2, 3))
+        tree = random_tree(rng, 2, 3).map_masses(float)
         g1 = float_variable(random_gamble(rng, 2, 2))
         g2 = float_variable(random_gamble(rng, 2, 2))
         liminf_var = g1.combine(g2, min)
         liminf_vals = min(eval_finitary(tree, g1), eval_finitary(tree, g2))
         assert le_within(eval_finitary(tree, liminf_var), liminf_vals, TOL)
     for _ in range(100):
-        tree = float_tree(random_tree(rng, 2, 3))
+        tree = random_tree(rng, 2, 3).map_masses(float)
         f = float_variable(random_gamble(rng, 2, 2))
         base = eval_finitary(tree, f)
         for alpha in (f.inf(), XR(f.inf().v - 3), XR(f.inf().v - 250)):

@@ -157,6 +157,22 @@ class TestCheckCommand:
         assert code == 0
         assert report["axioms"][0]["all_passed"] is True
 
+    def test_rational_axiom_audit_is_exact(self, files, capsys):
+        # A float tolerance would turn the exact right-hand sides inexact
+        # and fail order-checked axioms on this valid model.
+        code, report, _ = run_cli(
+            ["check", files("t.json", TREE_A), "--axioms", "--trials", "40", "--rational"],
+            capsys)
+        assert code == 0
+        assert report["axioms"][0]["all_passed"] is True
+
+    def test_rational_tol_is_parsed_exactly(self):
+        def tol(*argv):
+            return cli._config_from_args(cli.build_parser().parse_args(argv)).tol
+
+        assert tol("check", "t.json", "--rational", "--tol", "1e-9") == F(1, 10**9)
+        assert tol("check", "t.json", "--tol", "1e-9") == 1e-9
+
     def test_horizon_mismatch_is_input_error(self, files, capsys):
         proc = {"horizon": 3,
                 "values": {"": 1, "0": 1, "1": 1, "0.0": 1, "0.1": 1, "1.0": 1,
@@ -252,24 +268,6 @@ class TestRoundTrips:
         with pytest.raises(Exception) as err:
             jsonio.tree_from_obj(bad)
         assert "extreme_points" in str(err.value) or "model" in str(err.value)
-
-    def test_assessments_schema(self):
-        from gtue import StateSpace, natural_extension
-
-        raw = [{"gamble": [0, 1], "upper": 0.7},
-               {"gamble": [0, -1], "upper": -0.3}]
-        assessments = jsonio.load_assessments(raw)
-        out = natural_extension(StateSpace(("0", "1")), assessments)
-        got = sorted(tuple(float(m) for m in p) for p in out.extreme_points)
-        flat = [m for p in got for m in p]
-        assert flat == pytest.approx([0.3, 0.7, 0.7, 0.3])
-        # Rational mode parses the same constraints exactly.
-        exact = jsonio.load_assessments(
-            [{"gamble": [0, 1], "upper": Fraction(7, 10)},
-             {"gamble": [0, -1], "upper": Fraction(-3, 10)}])
-        out = natural_extension(StateSpace(("0", "1")), exact)
-        assert sorted(out.extreme_points) == [
-            (Fraction(3, 10), Fraction(7, 10)), (Fraction(7, 10), Fraction(3, 10))]
 
     def test_transform_process_reparses_bit_exact(self, tmp_path):
         from gtue import doob_transform, from_values, CredalSet, StateSpace, XR

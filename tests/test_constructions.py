@@ -7,6 +7,7 @@ from gtue import (
     CutSystem,
     POS_INF,
     StateSpace,
+    Transform,
     TreeModel,
     XR,
     check_supermartingale,
@@ -20,10 +21,10 @@ from gtue import (
     level_cut,
     levy_bound_checks,
     levy_transform,
-    upcrossings,
 )
 from gtue.errors import BadWindow, NonFiniteRoot, WindowOutsideRange
 from gtue.testing import random_gamble, random_supermartingale, random_tree
+from gtue.tree import situations_at
 from tests.conftest import seeded
 
 F = Fraction
@@ -159,7 +160,7 @@ class TestUpcrossingCount:
     def test_constant_process_has_none(self, tree_a):
         M = constant_process(2, 3, 1, level_cut(2, 3))
         transform = doob_transform(tree_a, M, (), 1, 2)
-        assert upcrossings(M, (0, 0, 0), 1, 2, transform.cuts) == 0
+        assert transform.cuts.chain_state((0, 0, 0))[0] == 0
 
     def test_single_pass(self, right_copy_tree):
         tree = TreeModel.stationary(StateSpace(("0", "1")), CredalSet([(0, 1)]), 2)
@@ -168,9 +169,9 @@ class TestUpcrossingCount:
             (0, 0): XR(F(5, 2)), (0, 1): XR(F(1, 2)),
             (1, 0): XR(0), (1, 1): XR(F(3, 2))}[s])
         transform = doob_transform(tree, M, (), 1, 2)
-        assert upcrossings(M, (0, 0), 1, 2, transform.cuts) == 1
-        assert upcrossings(M, (0,), 1, 2, transform.cuts) == 0
-        assert upcrossings(M, (1, 1), 1, 2, transform.cuts) == 0
+        assert transform.cuts.chain_state((0, 0))[0] == 1
+        assert transform.cuts.chain_state((0,))[0] == 0
+        assert transform.cuts.chain_state((1, 1))[0] == 0
 
     def test_double_pass_with_mixture(self, right_copy_tree):
         path = [F(3, 2), F(1, 2), F(5, 2), F(4, 5), F(11, 5), F(3, 5), F(3, 5)]
@@ -178,7 +179,7 @@ class TestUpcrossingCount:
         assert check_supermartingale(right_copy_tree, M, 0).is_supermartingale
         transform = doob_transform(right_copy_tree, M, (), 1, 2)
         node = (0, 0, 0, 0)
-        assert upcrossings(M, node, 1, 2, transform.cuts) == 2
+        assert transform.cuts.chain_state(node)[0] == 2
         expected_gain = (F(5, 2) - F(1, 2)) + (F(11, 5) - F(4, 5))
         assert transform.process.value_at(node) == XR(F(3, 2) + expected_gain)
 
@@ -253,6 +254,15 @@ class TestLevyTransform:
         assert check_supermartingale(tree, transform.process, 0).is_supermartingale
         assert transform.process.min_value() > XR(0)
 
+    def test_root_opens_no_window(self, tree_a):
+        # The shifted conditional value at the root is 1.49 < a, but the
+        # transform is pinned at one there: windows open only below it, and
+        # (1, 1), the one node above b, is reached by no open window.
+        f = indicator(2, 2, [(1, 1)])
+        transform = levy_transform(tree_a, f, (), F(8, 5), F(9, 5), 1)
+        assert [v.members for v, _ in transform.cuts.pairs] == [frozenset({(0,), (1, 0)})]
+        assert levy_bound_checks(transform) == []
+
     def test_window_outside_range(self, tree_a):
         f = indicator(2, 2, [(1, 1)])
         with pytest.raises(WindowOutsideRange):
@@ -317,3 +327,67 @@ class TestCutSystem:
 
 def right_copy_tree_model():
     return TreeModel.stationary(StateSpace(("0", "1")), CredalSet([(0, 1)]), 6)
+
+
+class TestReplay:
+    """The top-down replay agrees with the per-situation one at every node."""
+
+    @staticmethod
+    def transforms():
+        rng = seeded(4242)
+        for n in range(16):
+            # A state with zero mass everywhere frees its child's value from
+            # the supermartingale condition, so paths oscillate more.
+            tree = random_tree(rng, 2, 6, zero_state=n % 2 or None)
+            M = random_supermartingale(tree, rng, 6, leaf_high=4, slack_high=F(1, 4))
+            f = random_gamble(rng, 2, 6)
+            for root in ((), (rng.randrange(2),), (rng.randrange(2), rng.randrange(2))):
+                for a, b in ((F(1), F(2)), (F(1, 2), F(3, 2))):
+                    yield M, doob_transform(tree, M, root, a, b)
+                top = f.sup().v - f.inf().v + 1
+                try:
+                    levy = levy_transform(tree, f, root, 1 + top / 4, top * 3 / 4, F(1))
+                except WindowOutsideRange:
+                    continue
+                yield None, levy
+
+    def test_realized_matches_chain_replay(self):
+        seen = {"doob": 0, "levy": 0, "hits": 0, "deep root": 0}
+        for M, transform in self.transforms():
+            cuts, process = transform.cuts, transform.process
+            seen["doob" if M is not None else "levy"] += 1
+            seen["deep root"] += len(cuts.root) > 0
+            visited = []
+            for s, i, hits, active in cuts.realized(process.arity, process.horizon):
+                assert (len(hits), active) == cuts.chain_state(s)
+                assert list(hits) == cuts.hits_along(s)
+                assert process.levels[len(s)][i] == process.value_at(s)
+                seen["hits"] += len(hits)
+                visited.append(s)
+            below = [s for d in range(process.horizon + 1) for s in situations_at(d, 2)
+                     if s[:len(cuts.root)] == cuts.root]
+            assert visited == below
+
+            replayed = [(s, cuts.chain_state(s)[0]) for s in below
+                        if cuts.chain_state(s)[0] >= 1 and not cuts.chain_state(s)[1]]
+            checks = doob_gain_checks(M, transform) if M is not None \
+                else levy_bound_checks(transform)
+            assert [(c.situation, c.upcrossings) for c in checks] == replayed
+            for c in checks:
+                assert c.passed
+        assert all(seen.values()), seen
+
+    def test_cuts_that_disagree_with_the_process_fail(self):
+        """The checkers take the realized nodes from the cuts, not from the process."""
+        forged_checks = 0
+        for M, transform in self.transforms():
+            if M is None:
+                continue
+            root_value = transform.process.value_at(transform.cuts.root)
+            frozen = constant_process(M.arity, M.horizon, root_value)
+            forged = Transform(frozen, transform.cuts, transform.window)
+            checks = doob_gain_checks(M, forged)
+            assert len(checks) == len(doob_gain_checks(M, transform))
+            assert not any(c.passed for c in checks)
+            forged_checks += len(checks)
+        assert forged_checks

@@ -1,10 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from scipy.optimize import linprog
 
 from gtue import (
-    AssessmentSet,
     CredalSet,
     LocalVariable,
     POS_INF,
@@ -13,15 +11,9 @@ from gtue import (
     XR,
     local_lower,
     local_upper,
-    natural_extension,
     vacuous,
 )
-from gtue.errors import (
-    DimensionCapExceeded,
-    SureLoss,
-    UnboundedAboveInput,
-    UnboundedBelowInput,
-)
+from gtue.errors import UnboundedAboveInput, UnboundedBelowInput
 from tests.conftest import seeded
 
 
@@ -65,56 +57,6 @@ class TestLocalEnvelopes:
         h = var(1, -2, 5)
         assert local_upper(model, h) == XR(5)
         assert local_lower(model, h) == XR(-2)
-
-
-class TestNaturalExtension:
-    def test_interval_constraint_endpoints(self, space2):
-        constraints = AssessmentSet((((0, 1), Fraction(7, 10)),
-                                     ((0, -1), Fraction(-3, 10))))
-        out = natural_extension(space2, constraints)
-        assert sorted(out.extreme_points) == [
-            (Fraction(3, 10), Fraction(7, 10)),
-            (Fraction(7, 10), Fraction(3, 10)),
-        ]
-
-    def test_no_constraints_gives_degenerate_pmfs(self, space2):
-        out = natural_extension(space2, AssessmentSet(()))
-        assert sorted(out.extreme_points) == [(0, 1), (1, 0)]
-
-    def test_infeasible_raises_sure_loss(self, space2):
-        with pytest.raises(SureLoss):
-            natural_extension(space2, AssessmentSet((((0, 1), Fraction(-1, 10)),)))
-
-    def test_dimension_cap(self):
-        big = StateSpace(tuple(f"x{i}" for i in range(7)))
-        with pytest.raises(DimensionCapExceeded):
-            natural_extension(big, AssessmentSet(()))
-
-    def test_reproduces_lp_optimum(self):
-        """Vertex maximum == LP maximum over the feasible polytope."""
-        rng = seeded(21)
-        space = StateSpace(("a", "b", "c"))
-        for _ in range(25):
-            constraints = []
-            for _ in range(rng.randint(0, 3)):
-                gamble = tuple(Fraction(rng.randint(-40, 40), 10) for _ in range(3))
-                # Anchor the bound above the uniform value so the simplex
-                # centre stays feasible and the polytope is never empty.
-                centre = sum(gamble, Fraction(0)) / 3
-                constraints.append((gamble, centre + Fraction(rng.randint(0, 20), 10)))
-            model = natural_extension(space, AssessmentSet(tuple(constraints)))
-            for _ in range(4):
-                f = [rng.uniform(-5, 5) for _ in range(3)]
-                vertex_max = max(sum(float(p_i) * f_i for p_i, f_i in zip(p, f))
-                                 for p in model.extreme_points)
-                res = linprog(
-                    c=[-x for x in f],
-                    A_ub=[[float(g) for g in gamble] for gamble, _ in constraints] or None,
-                    b_ub=[float(b) for _, b in constraints] or None,
-                    A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0], bounds=(0, None),
-                    method="highs")
-                assert res.status == 0
-                assert vertex_max == pytest.approx(-res.fun, abs=1e-7)
 
 
 class TestCredalValidation:

@@ -92,13 +92,13 @@ class TestLift:
 
 class TestCuts:
     def test_level_cut_is_complete(self, space2):
-        assert is_complete(Cut(frozenset(situations_at(2, 2))), space2)
+        assert is_complete(Cut(frozenset(situations_at(2, 2))), space2.size)
 
     def test_mixed_depth_complete(self, space2):
-        assert is_complete(Cut(frozenset({(0,), (1, 0), (1, 1)})), space2)
+        assert is_complete(Cut(frozenset({(0,), (1, 0), (1, 1)})), space2.size)
 
     def test_partial_cut(self, space2):
-        assert not is_complete(Cut(frozenset({(0,)})), space2)
+        assert not is_complete(Cut(frozenset({(0,)})), space2.size)
 
     def test_comparable_members_rejected(self):
         with pytest.raises(ValueError):
@@ -110,13 +110,11 @@ class TestCuts:
         assert cut.member_before((1,)) is None
 
     def test_completeness_agrees_with_path_enumeration(self):
-        from gtue import StateSpace
         from tests.conftest import seeded
 
         rng = seeded(13)
         for _ in range(60):
             size = rng.choice((2, 3))
-            space = StateSpace(tuple(str(i) for i in range(size)))
 
             members = []
 
@@ -134,7 +132,7 @@ class TestCuts:
             exhaustive = all(
                 any(path[:len(m)] == m for m in cut.members)
                 for path in situations_at(4, size))
-            assert is_complete(cut, space) == exhaustive
+            assert is_complete(cut, size) == exhaustive
 
 
 class TestSequences:
