@@ -32,9 +32,9 @@ from .credal import (
     CredalSet,
     LocalVariable,
     StateSpace,
-    expectation,
     local_lower,
     local_upper,
+    upper_row,
     vacuous,
 )
 from .evaluate import (

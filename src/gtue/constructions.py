@@ -155,6 +155,17 @@ def _exact(v: XR) -> XR:
     return v
 
 
+def _exact_pmf(pmf) -> tuple:
+    """The PMF in Fractions, renormalised to sum to exactly one.
+
+    Float masses lift losslessly, but their binary values need not sum
+    to exactly one (0.7 + 0.3 does not); exact masses are unchanged.
+    """
+    exact = [Fraction(mass) for mass in pmf]
+    total = sum(exact)
+    return tuple(mass / total for mass in exact)
+
+
 def _crossing_walk(driver, arity: int, root: Situation, root_value: XR, a, b,
                    terminal_cut: Cut | None, open_at_root: bool, step) -> Transform:
     """The first-hit walk shared by both transforms.
@@ -347,9 +358,10 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
             f"the certificate can never exceed b={b}: the shifted gamble "
             f"tops out at {hi}")
 
-    levels = backward_levels(tree.map_masses(Fraction), shifted, down_to=0)
+    levels = backward_levels(tree.map_points(_exact_pmf), shifted, down_to=0)
+    driver = [[XR(v) for v in level] for level in levels]
     return _crossing_walk(
-        levels, arity, s_prime, XR(1), a, b, level_cut(arity, horizon), open_at_root=False,
+        driver, arity, s_prime, XR(1), a, b, level_cut(arity, horizon), open_at_root=False,
         step=lambda out, child, parent: XR(out.v * (child.v / parent.v)))
 
 

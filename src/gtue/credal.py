@@ -5,9 +5,13 @@ list of extreme-point probability mass functions.  Its upper envelope
 
     Q(h) = max over extreme points p of  sum_x p(x) h(x)
 
-is evaluated with the extended-real conventions, so bounded-below
-variables with +inf entries are handled exactly (a zero-mass cell never
-contributes, whatever the payoff there).
+is evaluated in one place, ``upper_row``, on raw payloads (int, Fraction
+or float, with ``math.inf`` for +inf) under the extended-real
+conventions of ``gtue.xreal``: the sum runs over the non-zero masses
+only, so a zero-mass cell never contributes whatever the payoff there,
+and +inf absorbs any sum it enters.  Bounded-below variables with +inf
+entries are thus handled exactly.  ``local_upper`` is the ``XR`` front
+end: validate, unbox, call the kernel, box the result.
 
 Redundant (non-extreme) points are permitted: evaluation is a maximum,
 so they are harmless, and requiring minimality would drag in a convex
@@ -16,12 +20,15 @@ hull dependency for no benefit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import UnboundedAboveInput, UnboundedBelowInput
-from .xreal import XR, add, neg, scale, xr
+from .xreal import XR, neg, xr
 
 PMF_SUM_TOL = 1e-12
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,15 @@ class LocalVariable:
 
 
 class CredalSet:
-    """Finitely generated credal set: a non-empty list of extreme PMFs."""
+    """Finitely generated credal set: a non-empty list of extreme PMFs.
 
-    __slots__ = ("extreme_points",)
+    An extreme point whose masses are all int or Fraction is exact: its
+    masses must be non-negative and sum to exactly one.  Any other point
+    is float: its masses must be non-negative too, and its sum may miss
+    one by PMF_SUM_TOL.
+    """
+
+    __slots__ = ("extreme_points", "support")
 
     def __init__(self, extreme_points):
         points = tuple(tuple(p) for p in extreme_points)
@@ -89,12 +102,19 @@ class CredalSet:
         for p in points:
             if len(p) != size:
                 raise ValueError("extreme points must share one length")
-            if any(mass < -PMF_SUM_TOL for mass in p):
-                raise ValueError(f"negative mass in extreme point {p}")
+            if not all(mass >= 0 for mass in p):
+                raise ValueError(f"negative or NaN mass in extreme point {p}")
             total = sum(p)
-            if abs(total - 1) > PMF_SUM_TOL:
+            if all(isinstance(mass, (int, Fraction)) for mass in p):
+                if total != 1:
+                    raise ValueError(f"exact extreme point {p} sums to {total}, not 1")
+            elif abs(total - 1) > PMF_SUM_TOL:
                 raise ValueError(f"extreme point {p} sums to {total}, not 1")
         self.extreme_points = points
+        # The (state index, mass) pairs of each point with non-zero mass:
+        # skipping the zero masses is how 0 * inf = 0 holds in upper_row.
+        self.support = tuple(tuple((i, mass) for i, mass in enumerate(p) if mass != 0)
+                             for p in points)
 
     @property
     def size(self) -> int:
@@ -115,12 +135,35 @@ def vacuous(size: int) -> CredalSet:
     return CredalSet(tuple(tuple(1 if j == i else 0 for j in range(size)) for i in range(size)))
 
 
-def expectation(pmf, h: LocalVariable) -> XR:
-    """Precise expectation of h under one PMF, convention arithmetic."""
-    total = XR(0)
-    for mass, value in zip(pmf, h.values):
-        total = add(total, scale(mass, value))
-    return total
+def upper_row(model: CredalSet, row) -> list:
+    """Local upper expectations of a row of raw child values, one per block.
+
+    ``row`` holds raw payloads (int, Fraction or float, with ``math.inf``
+    for +inf and no -inf), in consecutive blocks of ``model.size``
+    children.  For each block the result is the maximum over extreme
+    points of the sum of mass * value in index order over the non-zero
+    masses, so a zero-mass +inf cell contributes nothing.  Each sum
+    starts at the int 0 and the first maximiser wins: these are the
+    operations of ``xreal.add`` and ``xreal.scale`` in the same order,
+    so exact inputs give exact results and floats the same bits.
+    """
+    size = model.size
+    support = model.support
+    out = []
+    for base in range(0, len(row), size):
+        best = None
+        for point in support:
+            total = 0
+            for i, mass in point:
+                value = row[base + i]
+                if value is _INF:
+                    total = _INF
+                    break
+                total += mass * value
+            if best is None or total > best:
+                best = total
+        out.append(best)
+    return out
 
 
 def local_upper(model: CredalSet, h: LocalVariable) -> XR:
@@ -129,12 +172,7 @@ def local_upper(model: CredalSet, h: LocalVariable) -> XR:
         raise ValueError("variable length does not match the credal set")
     if not h.bounded_below:
         raise UnboundedBelowInput("local upper expectation needs a bounded-below argument")
-    best = None
-    for p in model.extreme_points:
-        value = expectation(p, h)
-        if best is None or value > best:
-            best = value
-    return best
+    return XR(upper_row(model, [v.v for v in h.values])[0])
 
 
 def local_lower(model: CredalSet, h: LocalVariable) -> XR:

@@ -8,6 +8,12 @@ why the global operator is computed rather than represented as an
 infimum over supermartingales; the infimum enters only through
 certificate_bound and the brute-force oracle.
 
+backward_levels runs on raw payloads: it unboxes the variable's table
+once, applies ``credal.upper_row`` to whole level rows (one model lookup
+per level on stationary and by_depth trees, one per node on table
+trees), and returns raw level tables.  ``XR`` is built only where a
+value leaves through the public API.
+
 Variable sequences are evaluated by iterating the finitary engine.  Only
 declared-monotone sequences are accepted: those are the cases a limit
 theorem licenses, and they make a truncated run still meaningful (the
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .credal import CredalSet, LocalVariable, StateSpace, local_upper
+from .credal import CredalSet, StateSpace, upper_row
 from .errors import (
     DepthExceeded,
     DominanceFailed,
@@ -101,21 +107,32 @@ class TreeModel:
         if model.size != self.space.size:
             raise SpaceMismatch("credal set size does not match the state space")
 
-    def local_model_at(self, s: Situation) -> CredalSet:
-        s = tuple(s)
-        if len(s) >= self.max_depth and self.kind != "stationary":
-            raise DepthExceeded(f"no local model at depth {len(s)}")
+    def level_model(self, depth: int) -> CredalSet | None:
+        """The credal set all situations at this depth share; None on table trees."""
         if self.kind == "stationary":
             return self._assignment
-        if self.kind == "by_depth":
-            return self._assignment[len(s)]
-        return self._assignment[s]
+        if depth >= self.max_depth:
+            raise DepthExceeded(f"no local model at depth {depth}")
+        return self._assignment[depth] if self.kind == "by_depth" else None
+
+    def local_model_at(self, s: Situation) -> CredalSet:
+        s = tuple(s)
+        model = self.level_model(len(s))
+        return self._assignment[s] if model is None else model
 
     def map_masses(self, fn) -> "TreeModel":
-        """The same tree with fn applied to every PMF entry (e.g. Fraction or float)."""
+        """The same tree with fn applied to every PMF entry (e.g. Fraction or float).
+
+        The results must still be PMFs; exact ones must sum to exactly
+        one, which Fraction(0.7) + Fraction(0.3) does not.
+        """
+        return self.map_points(lambda p: tuple(fn(m) for m in p))
+
+    def map_points(self, fn) -> "TreeModel":
+        """The same tree with fn applied to every extreme point (a tuple of masses)."""
 
         def lift(model: CredalSet) -> CredalSet:
-            return CredalSet(tuple(tuple(fn(m) for m in p) for p in model.extreme_points))
+            return CredalSet(tuple(fn(p) for p in model.extreme_points))
 
         if self.kind == "stationary":
             assignment = lift(self._assignment)
@@ -157,22 +174,32 @@ def _check_variable(tree: TreeModel, f: FinitaryVariable):
         raise DepthExceeded(f"variable depth {f.depth} exceeds tree depth {tree.max_depth}")
 
 
+def _upper_level(tree: TreeModel, depth: int, below: list) -> list:
+    """Raw local upper expectations at every node of a depth, from the raw row below."""
+    model = tree.level_model(depth)
+    if model is not None:
+        return upper_row(model, below)
+    arity = tree.space.size
+    row = []
+    for i in range(arity**depth):
+        model = tree.local_model_at(unrank(i, depth, arity))
+        row += upper_row(model, below[i * arity:(i + 1) * arity])
+    return row
+
+
 def backward_levels(tree: TreeModel, f: FinitaryVariable, down_to: int = 0) -> list:
-    """Level tables of the backward recursion, from depth f.depth down."""
+    """Raw level tables of the backward recursion, from depth f.depth down.
+
+    Entries are raw payloads (int, Fraction or float, ``math.inf`` for
+    +inf); levels above ``down_to`` are None.
+    """
     _check_variable(tree, f)
     if not f.bounded_below:
         raise NotBoundedBelow("the upper expectation needs a bounded-below variable")
-    arity = f.arity
     levels: list = [None] * (f.depth + 1)
-    levels[f.depth] = list(f.values)
+    levels[f.depth] = [v.v for v in f.values]
     for depth in range(f.depth - 1, down_to - 1, -1):
-        below = levels[depth + 1]
-        row = []
-        for i in range(arity**depth):
-            s = unrank(i, depth, arity)
-            children = LocalVariable(tuple(below[i * arity:(i + 1) * arity]))
-            row.append(local_upper(tree.local_model_at(s), children))
-        levels[depth] = row
+        levels[depth] = _upper_level(tree, depth, levels[depth + 1])
     return levels
 
 
@@ -182,14 +209,13 @@ def eval_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> 
     if len(s) > f.depth:
         raise ValueError("conditioning situation is deeper than the variable")
     levels = backward_levels(tree, f, down_to=len(s))
-    return levels[len(s)][rank(s, f.arity)]
+    return XR(levels[len(s)][rank(s, f.arity)])
 
 
 def eval_process(tree: TreeModel, f: FinitaryVariable) -> Process:
     """The process s -> upper expectation of f given s, terminal at level f.depth."""
     levels = backward_levels(tree, f, down_to=0)
-    return Process(f.arity, f.depth, tuple(tuple(level) for level in levels),
-                   terminal_cut=level_cut(f.arity, f.depth))
+    return Process(f.arity, f.depth, levels, terminal_cut=level_cut(f.arity, f.depth))
 
 
 def eval_lower_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> XR:
@@ -296,17 +322,11 @@ def compare_models(tree_a: TreeModel, tree_b: TreeModel, f: FinitaryVariable,
     s = tuple(s)
     levels_a = backward_levels(tree_a, f, down_to=len(s))
     levels_b = backward_levels(tree_b, f, down_to=len(s))
-    arity = f.arity
-    held = True
-    for depth in range(len(s), f.depth):
-        below_a = levels_a[depth + 1]
-        for i in range(arity**depth):
-            sit = unrank(i, depth, arity)
-            h_a = LocalVariable(tuple(below_a[i * arity:(i + 1) * arity]))
-            q_a = local_upper(tree_a.local_model_at(sit), h_a)
-            q_b_on_a = local_upper(tree_b.local_model_at(sit), h_a)
-            if q_a > q_b_on_a:
-                held = False
-    value_a = levels_a[len(s)][rank(s, arity)]
-    value_b = levels_b[len(s)][rank(s, arity)]
-    return ComparisonEvidence(value_a, value_b, held)
+    # levels_a[depth] is A's local model on A's own child values; the same
+    # children under B's local model give the spot check.
+    held = all(q_a <= q_b_on_a
+               for depth in range(len(s), f.depth)
+               for q_a, q_b_on_a in zip(levels_a[depth],
+                                        _upper_level(tree_b, depth, levels_a[depth + 1])))
+    i = rank(s, f.arity)
+    return ComparisonEvidence(XR(levels_a[len(s)][i]), XR(levels_b[len(s)][i]), held)

@@ -12,7 +12,13 @@ The whole point of this type is to pin down the non-obvious cases once:
 Finite payloads may be ``int``, ``Fraction`` or ``float``.  Arithmetic
 preserves exactness whenever both operands are exact, which is how the
 library's rational mode works: feed Fractions in, get Fractions out.
-NaN is rejected everywhere.
+NaN is rejected everywhere.  An infinite payload is always one of two
+float objects, ``math.inf`` or this module's ``-math.inf``, so code that
+works on raw payloads (the backward kernel in ``gtue.credal``) can test
+for +inf by identity with ``math.inf``.
+
+``XR`` is the type of the public API and of the JSON edge; inner loops
+run on raw payloads under the same conventions.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from fractions import Fraction
 
 from .errors import UndefinedProduct
 
-_POS = float("inf")
-_NEG = float("-inf")
+_POS = math.inf
+_NEG = -math.inf
 
 
 class XR:
@@ -32,19 +38,12 @@ class XR:
     __slots__ = ("v",)
 
     def __init__(self, value):
-        if isinstance(value, XR):
-            object.__setattr__(self, "v", value.v)
-            return
-        if isinstance(value, str):
-            value = _parse_payload(value)
-        elif isinstance(value, bool):
-            value = int(value)
-        elif isinstance(value, float):
-            if math.isnan(value):
-                raise ValueError("NaN is not an extended real")
-        elif not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot build an extended real from {type(value).__name__}")
-        object.__setattr__(self, "v", value)
+        # Exact ints and Fractions skip every check: JSON decoding and
+        # boxing at the API edge build one XR per number.
+        kind = type(value)
+        if kind is not int and kind is not Fraction:
+            value = _payload(value)
+        _set_payload(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("XR is immutable")
@@ -137,6 +136,27 @@ class XR:
 
     def __repr__(self):
         return f"XR({self.to_text()})"
+
+
+# The slot's own setter: __setattr__ is blocked to keep XR immutable.
+_set_payload = XR.v.__set__
+
+
+def _payload(value):
+    """The payload of anything but an exact int or Fraction; infinities become _POS / _NEG."""
+    if isinstance(value, float):
+        if value != value:
+            raise ValueError("NaN is not an extended real")
+        return _POS if value == _POS else _NEG if value == _NEG else value
+    if isinstance(value, XR):
+        return value.v
+    if isinstance(value, str):
+        return _parse_payload(value)
+    if isinstance(value, bool):
+        return int(value)
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot build an extended real from {type(value).__name__}")
+    return value
 
 
 def _parse_payload(text: str):

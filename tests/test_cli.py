@@ -269,6 +269,22 @@ class TestRoundTrips:
             jsonio.tree_from_obj(bad)
         assert "extreme_points" in str(err.value) or "model" in str(err.value)
 
+    @pytest.mark.parametrize("pmf, flags", [
+        # 1/2 + 10^-13: exact masses get no tolerance on their sum.
+        ([0.5, 0.5000000000001], ["--rational"]),
+        # A negative float mass, however small, is rejected.
+        ([-1e-13, 1.0000000000001], []),
+    ])
+    def test_invalid_pmf_is_input_error(self, files, capsys, pmf, flags):
+        tree = {"states": ["0", "1"], "max_depth": 1,
+                "model": {"type": "stationary", "extreme_points": [pmf]}}
+        variable = {"depth": 1, "values": ["inf", 0]}
+        code, report, err = run_cli(
+            ["eval", files("t.json", tree), files("f.json", variable)] + flags, capsys)
+        assert code == 1
+        assert report is None
+        assert "extreme_points" in err
+
     def test_transform_process_reparses_bit_exact(self, tmp_path):
         from gtue import doob_transform, from_values, CredalSet, StateSpace, XR
         from gtue.evaluate import TreeModel as TM

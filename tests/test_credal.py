@@ -40,6 +40,13 @@ class TestLocalEnvelopes:
         assert local_upper(point, LocalVariable((XR(0), POS_INF))) == XR(0)
         assert local_lower(point, LocalVariable((XR(0), NEG_INF))) == XR(0)
 
+    def test_infinity_next_to_extreme_rationals(self):
+        # Float arithmetic would give tiny * inf = nan and huge + inf = OverflowError.
+        tiny = Fraction(1, 10**400)
+        assert local_upper(CredalSet([(tiny, 1 - tiny)]), var(POS_INF, 0)) == POS_INF
+        half = Fraction(1, 2)
+        assert local_upper(CredalSet([(half, half)]), var(10**400, POS_INF)) == POS_INF
+
     def test_unbounded_inputs_rejected(self, model_a):
         with pytest.raises(UnboundedBelowInput):
             local_upper(model_a, LocalVariable((XR(0), NEG_INF)))
@@ -67,6 +74,24 @@ class TestCredalValidation:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             CredalSet([(0.5, 0.6)])
+
+    def test_exact_masses_must_sum_to_exactly_one(self):
+        with pytest.raises(ValueError):
+            CredalSet([(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**13))])
+        CredalSet([(Fraction(1, 3), Fraction(2, 3)), (1, 0)])
+
+    def test_float_masses_keep_the_sum_tolerance(self):
+        CredalSet([(0.1, 0.2, 0.7)])
+        CredalSet([(0.5, 0.5 + 1e-13)])
+
+    def test_rejects_tiny_negative_float_mass(self):
+        # Accepted, it would give the upper expectation of (inf, 0) as -inf.
+        with pytest.raises(ValueError):
+            CredalSet([(-1e-13, 1 + 1e-13)])
+
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ValueError):
+            CredalSet([(float("nan"), 1.0)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,7 @@ from gtue.errors import (
     SpaceMismatch,
 )
 from gtue.testing import random_finitary, random_gamble, random_tree
+from gtue.tree import unrank
 from tests.conftest import seeded
 
 F = Fraction
@@ -397,3 +398,112 @@ class TestCompareModels:
         other = TreeModel.stationary(StateSpace(("x", "y")), vacuous(2), 4)
         with pytest.raises(SpaceMismatch):
             compare_models(tree_a, other, indicator(2, 1, [(1,)]))
+
+
+def _reference_upper(model, children):
+    """The per-node convention formula on XR: max over points of sum add(scale(m, v))."""
+    best = None
+    for p in model.extreme_points:
+        total = XR(0)
+        for mass, value in zip(p, children):
+            total = add(total, scale(mass, value))
+        if best is None or total > best:
+            best = total
+    return best
+
+
+def _reference_levels(tree, f):
+    arity = f.arity
+    levels = {f.depth: list(f.values)}
+    for depth in range(f.depth - 1, -1, -1):
+        below = levels[depth + 1]
+        levels[depth] = [_reference_upper(tree.local_model_at(unrank(i, depth, arity)),
+                                          below[i * arity:(i + 1) * arity])
+                         for i in range(arity**depth)]
+    return levels
+
+
+def _mixed_pmf(rng, size):
+    """A PMF with int, Fraction or float masses and, often, zero masses."""
+    kind = rng.choice(("int", "fraction", "float"))
+    if kind == "int":
+        state = rng.randrange(size)
+        return tuple(int(i == state) for i in range(size))
+    weights = [0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(size)]
+    if not any(weights):
+        weights[rng.randrange(size)] = 1
+    total = sum(weights)
+    if kind == "fraction":
+        return tuple(F(w, total) for w in weights)
+    return tuple(w / total for w in weights)
+
+
+def _mixed_tree(rng, arity, depth, kind):
+    space = StateSpace(tuple(str(i) for i in range(arity)))
+
+    def credal():
+        return CredalSet([_mixed_pmf(rng, arity) for _ in range(rng.randint(1, 3))])
+
+    if kind == "stationary":
+        return TreeModel.stationary(space, credal(), depth)
+    if kind == "by_depth":
+        return TreeModel.by_depth(space, [credal() for _ in range(depth)], depth)
+    return TreeModel.table(space, {unrank(i, d, arity): credal()
+                                   for d in range(depth) for i in range(arity**d)}, depth)
+
+
+def _mixed_value(rng):
+    kind = rng.choice(("inf", "int", "fraction", "float", "float"))
+    if kind == "inf" and rng.random() < 0.5:
+        return POS_INF
+    if kind == "int":
+        return XR(rng.randint(-5, 5))
+    if kind == "fraction":
+        return XR(F(rng.randint(-50, 50), rng.randint(1, 12)))
+    return XR(rng.uniform(-5, 5))
+
+
+def _same(got, want):
+    """Equal type and repr: exact equality for rationals, bit equality for floats."""
+    return (type(got.v), repr(got.v)) == (type(want.v), repr(want.v))
+
+
+class TestKernelEquivalence:
+    """The raw-payload kernel against the per-node XR formula, on every situation."""
+
+    def test_matches_the_per_node_formula(self):
+        rng = seeded(211)
+        inf_at_zero_mass = inf_at_positive_mass = 0
+        for trial in range(180):
+            arity = rng.choice((2, 3))
+            depth = rng.randint(0, 4)
+            kind = ("stationary", "by_depth", "table")[trial % 3]
+            tree = _mixed_tree(rng, arity, depth, kind)
+            f = FinitaryVariable(arity, depth,
+                                 tuple(_mixed_value(rng) for _ in range(arity**depth)))
+            reference = _reference_levels(tree, f)
+            for d in range(depth + 1):
+                for i in range(arity**d):
+                    s = unrank(i, d, arity)
+                    assert _same(eval_finitary(tree, f, s), reference[d][i]), (trial, s)
+            process = eval_process(tree, f)
+            assert all(_same(got, want) for d in range(depth + 1)
+                       for got, want in zip(process.levels[d], reference[d]))
+            other = _mixed_tree(rng, arity, depth, kind)
+            other_reference = _reference_levels(other, f)
+            held = all(not reference[d][i] > _reference_upper(
+                           other.local_model_at(unrank(i, d, arity)),
+                           reference[d + 1][i * arity:(i + 1) * arity])
+                       for d in range(depth) for i in range(arity**d))
+            evidence = compare_models(tree, other, f)
+            assert evidence.local_dominance_held == held
+            assert _same(evidence.value_a, reference[0][0])
+            assert _same(evidence.value_b, other_reference[0][0])
+            for i, value in enumerate(f.values if depth else ()):
+                if value.is_pos_inf:
+                    masses = [p[i % arity] for p in
+                              tree.local_model_at(unrank(i // arity, depth - 1, arity))
+                              .extreme_points]
+                    inf_at_zero_mass += any(m == 0 for m in masses)
+                    inf_at_positive_mass += any(m > 0 for m in masses)
+        assert inf_at_zero_mass > 20 and inf_at_positive_mass > 20
