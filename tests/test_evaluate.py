@@ -453,8 +453,8 @@ def _mixed_tree(rng, arity, depth, kind):
 
 
 def _mixed_value(rng):
-    kind = rng.choice(("inf", "int", "fraction", "float", "float"))
-    if kind == "inf" and rng.random() < 0.5:
+    kind = rng.choices(("inf", "int", "fraction", "float"), weights=(1, 2, 2, 4))[0]
+    if kind == "inf":
         return POS_INF
     if kind == "int":
         return XR(rng.randint(-5, 5))
