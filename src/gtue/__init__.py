@@ -76,7 +76,6 @@ from .tree import (
     is_complete,
     level_cut,
     lift,
-    normalize_sequence,
     relate,
 )
 from .xreal import NEG_INF, POS_INF, XR, add, neg, scale, xr

@@ -3,8 +3,10 @@
 Subcommands:
 
 * ``eval``              conditional upper (or lower) expectation of a
-                        finitary variable or a monotone sequence template,
-                        with an optional brute-force cross-check;
+                        finitary variable, with an optional brute-force
+                        cross-check, or the limit along a monotone
+                        sequence template (exact by continuity for the
+                        clamp templates, iterated for explicit lists);
 * ``check``             supermartingale verification of a process file,
                         and/or an axiom audit of the tree's local models;
 * ``doob-certificate``  the additive upcrossing transform plus its cuts
@@ -12,8 +14,9 @@ Subcommands:
 * ``levy-certificate``  the multiplicative transform likewise.
 
 Exit codes: 0 success, 1 input or usage error, 2 a verification check
-failed, 3 iteration budget exhausted.  Reports go to stdout as a single
-JSON document; parse failures print only to stderr.
+failed, 3 iteration budget exhausted (explicit sequences only).  Reports
+go to stdout as a single JSON document; parse failures print only to
+stderr.
 
 Setting GTUE_RATIONAL=1 switches to exact rational arithmetic: numeric
 literals in input files are taken exactly and outputs are emitted as
@@ -103,7 +106,7 @@ def cmd_eval(args) -> int:
             raise SchemaError("--lower applies to finitary variables, not sequences")
         result = eval_limit(tree, subject, situation, tol=config.tol, budget=config.budget)
         report = {"value": _encode(result.value, rational), "status": result.status,
-                  "iterations": result.iterations}
+                  "iterations": result.iterations, "method": result.method}
         if result.bound_direction:
             report["bound_direction"] = result.bound_direction
         _emit(report)
@@ -119,7 +122,7 @@ def cmd_eval(args) -> int:
     if args.oracle:
         if args.lower:
             raise SchemaError("--oracle cross-checks the upper expectation only")
-        report["selection_count"] = selection_count(tree, subject.depth)
+        report["selection_count"] = selection_count(tree, subject.depth, situation)
         oracle_value = brute_force_upper(tree, subject, situation, cap=config.oracle_cap)
         if rational or not (oracle_value.is_finite and xr(value).is_finite):
             matches = oracle_value == value
@@ -229,7 +232,7 @@ def _add_common(parser):
                         help="comparison tolerance (default 1e-9, or 0 in rational mode, "
                              "where it is parsed exactly)")
     parser.add_argument("--budget", type=int, default=64,
-                        help="iteration budget for sequence limits")
+                        help="iteration budget for explicit sequence limits")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
     parser.add_argument("--oracle-cap", type=int, default=10**7,
                         help="refusal cap on brute-force selections")

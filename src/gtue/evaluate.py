@@ -14,10 +14,13 @@ per level on stationary and by_depth trees, one per node on table
 trees), and returns raw level tables.  ``XR`` is built only where a
 value leaves through the public API.
 
-Variable sequences are evaluated by iterating the finitary engine.  Only
-declared-monotone sequences are accepted: those are the cases a limit
-theorem licenses, and they make a truncated run still meaningful (the
-last iterate bounds the limit from the declared side).
+Limits of declared-monotone sequences come from the paper's continuity
+theorem where a sequence carries its limit: the clamp ladder min(f, 2^n)
+rises to a bounded-below f, so upward continuity makes the limit f's own
+upper expectation, and one backward pass computes it exactly, +inf
+included.  Only explicit finite lists are iterated; their items are
+verified in the declared order, so a truncated run is still meaningful
+(the last iterate bounds the limit from the declared side).
 """
 
 from __future__ import annotations
@@ -46,14 +49,16 @@ from .tree import (
     rank,
     unrank,
 )
-from .xreal import POS_INF, XR, abs_diff, le_within, neg, xr
+from .xreal import XR, abs_diff, le_within, neg, xr
 
 STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget_exhausted"
 
+METHOD_CONTINUITY = "continuity"
+METHOD_ITERATION = "iteration"
+
 DEFAULT_BUDGET = 64
-DEFAULT_CEILING = 1e12
 
 
 class TreeModel:
@@ -163,7 +168,7 @@ class EvalResult:
     value: XR
     status: str
     iterations: int
-    last_delta: XR | None = None
+    method: str
     bound_direction: str | None = None
 
 
@@ -226,45 +231,38 @@ def eval_lower_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROO
 
 
 def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT,
-               tol=1e-9, budget: int = DEFAULT_BUDGET, ceiling=DEFAULT_CEILING,
-               spot_k: int = 16) -> EvalResult:
-    """Iterate the finitary engine along a declared-monotone sequence.
+               tol=1e-9, budget: int = DEFAULT_BUDGET) -> EvalResult:
+    """Limit of the upper expectations along a declared-monotone sequence.
 
-    Stops when two successive values agree within tol (converged), when a
-    monotonically increasing run passes the divergence ceiling (converged
-    to +inf), or at the budget.  A budget-exhausted value is still a
-    one-sided bound: a lower bound on the limit for non-decreasing
-    sequences, an upper bound for non-increasing ones.
+    A sequence that carries its limit (the clamp templates) is answered
+    by one eval_finitary of it: method "continuity", one iteration.  An
+    explicit list is iterated (method "iteration") until two successive
+    values agree within tol, or until the repeated tail, whose value is
+    the limit exactly, or up to the budget.  Its items were verified in
+    the declared order, so a budget-exhausted value is still a one-sided
+    bound: a lower bound on the limit for non-decreasing sequences, an
+    upper bound for non-increasing ones.
     """
     if seq.monotonicity is Monotonicity.NONE:
         raise MonotonicityViolated(
             "eval_limit needs a declared monotone sequence; no theorem covers the rest")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    seq.spot_check(min(spot_k, budget))
+    if seq.limit is not None:
+        return EvalResult(eval_finitary(tree, seq.limit, s), STATUS_CONVERGED, 1,
+                          METHOD_CONTINUITY)
     tol_x = xr(tol)
-    ceiling_x = xr(ceiling)
-    increasing = seq.monotonicity is Monotonicity.NON_DECREASING
-
     previous: XR | None = None
-    delta: XR | None = None
-    for n in range(budget):
-        value = eval_finitary(tree, seq.element(n), s)
-        if previous is not None:
-            ordered = le_within(previous, value, tol_x) if increasing \
-                else le_within(value, previous, tol_x)
-            if not ordered:
-                raise MonotonicityViolated(
-                    f"iterate {n} broke the declared {seq.monotonicity.value} order")
-            delta = abs_diff(value, previous)
-            if not delta > tol_x:
-                return EvalResult(value, STATUS_CONVERGED, n + 1, delta)
-        if increasing and value == POS_INF:
-            return EvalResult(POS_INF, STATUS_CONVERGED, n + 1, XR(0))
-        if increasing and value > ceiling_x and (previous is None or value > previous):
-            return EvalResult(POS_INF, STATUS_CONVERGED, n + 1, delta)
+    for n, item in enumerate(seq.items[:budget]):
+        value = eval_finitary(tree, item, s)
+        if previous is not None and not abs_diff(value, previous) > tol_x:
+            return EvalResult(value, STATUS_CONVERGED, n + 1, METHOD_ITERATION)
         previous = value
-    return EvalResult(previous, STATUS_BUDGET, budget, delta,
+    if budget > len(seq.items):
+        # Iterate len(items) repeats the last item: its value, the limit, is known.
+        return EvalResult(previous, STATUS_CONVERGED, len(seq.items) + 1, METHOD_ITERATION)
+    increasing = seq.monotonicity is Monotonicity.NON_DECREASING
+    return EvalResult(previous, STATUS_BUDGET, budget, METHOD_ITERATION,
                       bound_direction="lower" if increasing else "upper")
 
 

@@ -23,18 +23,22 @@ oracle exists to check.
 from __future__ import annotations
 
 from .errors import CapExceeded, NotBoundedBelow
-from .tree import FinitaryVariable, ROOT, Situation, unrank
+from .tree import FinitaryVariable, ROOT, Situation, rank, unrank
 from .xreal import XR, add, scale
 
 DEFAULT_CAP = 10**7
 
 
-def selection_count(tree, n: int) -> int:
-    """Number of precise-tree selections for depth-n variables."""
+def selection_count(tree, n: int, s: Situation = ROOT) -> int:
+    """Number of precise-tree selections for depth-n variables in s's subtree."""
+    arity = tree.space.size
+    first = rank(tuple(s), arity)
     total = 1
-    for depth in range(min(n, tree.max_depth)):
-        for i in range(tree.space.size**depth):
-            total *= len(tree.local_model_at(unrank(i, depth, tree.space.size)).extreme_points)
+    for depth in range(len(s), min(n, tree.max_depth)):
+        # s's descendants at this depth are one contiguous rank block.
+        width = arity ** (depth - len(s))
+        for i in range(first * width, (first + 1) * width):
+            total *= len(tree.local_model_at(unrank(i, depth, arity)).extreme_points)
     return total
 
 
@@ -43,7 +47,7 @@ def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
     """Max over selections of the forward expectation of f from s."""
     if not f.bounded_below:
         raise NotBoundedBelow("the oracle needs a bounded-below variable")
-    count = selection_count(tree, f.depth)
+    count = selection_count(tree, f.depth, s)
     if count > cap:
         raise CapExceeded(f"{count} selections exceed the cap {cap}")
     s = tuple(s)

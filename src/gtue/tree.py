@@ -8,13 +8,13 @@ pure index arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
 from .errors import MonotonicityViolated, NotBoundedBelow
-from .xreal import POS_INF, XR, xr
+from .xreal import XR, xr
 
 Situation = tuple[int, ...]
 
@@ -186,132 +186,70 @@ class Monotonicity(Enum):
     NONE = "none"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinitarySequence:
-    """A lazily generated sequence of finitary variables.
+    """A declared-monotone sequence of finitary variables whose limit is known.
 
-    The generator must be a pure function of the index.  A declared
-    monotonicity is spot-verified on a prefix at evaluation time and
-    trusted beyond it; violations observed later abort evaluation.
-    Pointwise limits are never materialized: the limit exists only
-    through evaluation.
+    The generator must be a pure function of the index.  Either ``items``
+    holds a finite list, repeated at its tail, whose declared order is
+    verified here on every consecutive pair; or ``limit`` is a variable
+    whose upper expectation is the limit of the element values, by a
+    continuity theorem the builder relies on (see the clamp templates).
     """
 
     generator: Callable[[int], FinitaryVariable]
     monotonicity: Monotonicity = Monotonicity.NONE
-    uniform_lower_bound: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    limit: FinitaryVariable | None = None
+    items: tuple[FinitaryVariable, ...] | None = None
 
-    def element(self, n: int) -> FinitaryVariable:
-        if n not in self._cache:
-            self._cache[n] = self.generator(n)
-        return self._cache[n]
-
-    def spot_check(self, k: int = 16):
-        """Verify the declared monotonicity on the first k elements."""
-        if self.monotonicity is Monotonicity.NONE:
+    def __post_init__(self):
+        if (self.limit is None) == (self.items is None):
+            raise ValueError("a sequence carries either its exact limit or its finite items")
+        if self.items is None or self.monotonicity is Monotonicity.NONE:
             return
-        for n in range(k - 1):
-            a, b = self.element(n), self.element(n + 1)
-            ordered = pointwise_leq(a, b) if self.monotonicity is Monotonicity.NON_DECREASING \
-                else pointwise_leq(b, a)
-            if not ordered:
+        increasing = self.monotonicity is Monotonicity.NON_DECREASING
+        for n, (a, b) in enumerate(zip(self.items, self.items[1:])):
+            if not (pointwise_leq(a, b) if increasing else pointwise_leq(b, a)):
                 raise MonotonicityViolated(
                     f"declared {self.monotonicity.value} order fails between "
-                    f"elements {n} and {n + 1}")
+                    f"items {n} and {n + 1}")
 
-
-def clamp_levels(n: int) -> int:
-    """Clamp magnitude used by the CLI sequence templates: 2**n.
-
-    Geometric levels reach the divergence ceiling within the iteration
-    budget; linear levels cannot.
-    """
-    return 2**n
+    def element(self, n: int) -> FinitaryVariable:
+        return self.generator(n)
 
 
 def clamp_above_sequence(base: FinitaryVariable) -> FinitarySequence:
-    """min(f, 2**n): non-decreasing gambles converging to f from below."""
+    """min(f, 2**n): non-decreasing gambles converging to f from below.
+
+    f is bounded below, so upward continuity makes f's own upper
+    expectation the limit of theirs, +inf included: f is the limit.
+    """
     if not base.bounded_below:
         raise NotBoundedBelow("clamp-above sequences need a bounded-below base")
 
     def gen(n: int) -> FinitaryVariable:
-        level = XR(clamp_levels(n))
+        level = XR(2**n)
         return base.map(lambda v: v if v < level else level)
 
-    return FinitarySequence(gen, Monotonicity.NON_DECREASING, uniform_lower_bound=base.inf())
+    return FinitarySequence(gen, Monotonicity.NON_DECREASING, limit=base)
 
 
 def clamp_below_sequence(base: FinitaryVariable) -> FinitarySequence:
-    """max(f, -(2**n)): the lower-cut sweep, non-increasing towards f."""
+    """max(f, -(2**n)): the lower-cut sweep, equal to f once 2**n >= -min f."""
     if not base.bounded_below:
         raise NotBoundedBelow("the lower-cut sweep needs a bounded-below base")
 
     def gen(n: int) -> FinitaryVariable:
-        floor = XR(-clamp_levels(n))
+        floor = XR(-(2**n))
         return base.map(lambda v: v if v > floor else floor)
 
-    return FinitarySequence(gen, Monotonicity.NON_INCREASING)
+    return FinitarySequence(gen, Monotonicity.NON_INCREASING, limit=base)
 
 
-def explicit_sequence(items, monotonicity: Monotonicity = Monotonicity.NONE,
-                      uniform_lower_bound=None) -> FinitarySequence:
+def explicit_sequence(items, monotonicity: Monotonicity = Monotonicity.NONE) -> FinitarySequence:
     """A finite list of variables, repeated at the tail (so limits exist)."""
     items = tuple(items)
     if not items:
         raise ValueError("an explicit sequence needs at least one element")
-    return FinitarySequence(lambda n: items[min(n, len(items) - 1)],
-                            monotonicity, uniform_lower_bound)
-
-
-def normalize_sequence(seq: FinitarySequence, sup_f: XR, inf_f: XR) -> FinitarySequence:
-    """Turn a pointwise-convergent sequence into n-measurable clamped gambles.
-
-    Element n of the output has depth at most n: whenever the next input
-    element is too deep, the previous output element is repeated, and
-    once taken, each element is clamped into [inf_f, min(n, sup_f)].
-    The output is uniformly bounded below, and non-decreasing inputs stay
-    non-decreasing (the clamps are monotone and the clamp level rises).
-    """
-    sup_f, inf_f = xr(sup_f), xr(inf_f)
-    if inf_f == POS_INF:
-        # The limit is identically +inf; the increasing constant sequence works.
-        return FinitarySequence(lambda n: constant(seq.element(0).arity, n),
-                                Monotonicity.NON_DECREASING, uniform_lower_bound=XR(0))
-    if not inf_f.is_finite:
-        raise ValueError("inf_f must be finite or +inf")
-
-    state: dict[int, tuple[FinitaryVariable, int]] = {}
-
-    def padded(n: int) -> FinitaryVariable:
-        # Returns the unclamped element h_n together with the input cursor.
-        if n in state:
-            return state[n][0]
-        if n == 0:
-            h, cursor = constant(seq.element(0).arity, inf_f), 0
-        else:
-            prev = padded(n - 1)
-            cursor = state[n - 1][1]
-            candidate = seq.element(cursor)
-            if candidate.depth <= n:
-                h, cursor = candidate, cursor + 1
-            else:
-                h = prev
-        state[n] = (h, cursor)
-        return h
-
-    def gen(n: int) -> FinitaryVariable:
-        h = padded(n)
-        cap = min(XR(n), sup_f)
-
-        def clamp(v: XR) -> XR:
-            if v.is_neg_inf:
-                raise NotBoundedBelow("sequence element contains -inf")
-            v = v if v < cap else cap
-            return v if v > inf_f else inf_f
-
-        return h.map(clamp)
-
-    out_monotone = Monotonicity.NON_DECREASING \
-        if seq.monotonicity is Monotonicity.NON_DECREASING else Monotonicity.NONE
-    return FinitarySequence(gen, out_monotone, uniform_lower_bound=inf_f)
+    return FinitarySequence(lambda n: items[min(n, len(items) - 1)], monotonicity,
+                            items=items)

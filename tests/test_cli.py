@@ -86,6 +86,19 @@ class TestEvalCommand:
         assert report is None
         assert "CapExceeded" in err
 
+    def test_oracle_cap_counts_the_queried_subtree(self, files, capsys):
+        tree = {"states": ["0", "1"],
+                "model": {"type": "stationary",
+                          "extreme_points": [[0.5, 0.5], [0.25, 0.75], [0.125, 0.875]]},
+                "max_depth": 4}
+        f = {"depth": 4, "values": list(range(16))}
+        code, report, _ = run_cli(
+            ["eval", files("t.json", tree), files("f.json", f), "--oracle",
+             "--situation", "0.1.1"], capsys)
+        assert code == 0
+        assert report["value"] == report["oracle_value"] == 6.875
+        assert report["selection_count"] == 3
+
     def test_sequence_convergence(self, files, capsys):
         seq = {"kind": "clamp_above", "base": {"depth": 1, "values": [0, "inf"]}}
         tree_b = {"states": ["0", "1"],
@@ -94,7 +107,8 @@ class TestEvalCommand:
         code, report, _ = run_cli(
             ["eval", files("t.json", tree_b), files("s.json", seq)], capsys)
         assert code == 0
-        assert report == {"value": 0.0, "status": "converged", "iterations": 2}
+        assert report == {"value": 0.0, "status": "converged", "iterations": 1,
+                          "method": "continuity"}
 
     def test_divergent_sequence(self, files, capsys):
         seq = {"kind": "clamp_above", "base": {"depth": 1, "values": [0, "inf"]}}
@@ -113,6 +127,26 @@ class TestEvalCommand:
         assert code == 3
         assert report["status"] == "budget_exhausted"
         assert report["bound_direction"] == "lower"
+
+    def test_order_broken_past_the_budget_exits_one(self, files, capsys):
+        items = [{"depth": 0, "values": [n]} for n in range(20)] + [{"depth": 0, "values": [0]}]
+        seq = {"kind": "explicit", "items": items, "monotonicity": "non_decreasing"}
+        code, report, err = run_cli(
+            ["eval", files("t.json", TREE_A), files("s.json", seq), "--budget", "8"], capsys)
+        assert code == 1
+        assert report is None
+        assert "MonotonicityViolated" in err
+
+    def test_plateau_before_divergence_reports_inf(self, files, capsys):
+        tree = {"states": ["0", "1"],
+                "model": {"type": "stationary", "extreme_points": [[1 - 1e-12, 1e-12]]},
+                "max_depth": 2}
+        seq = {"kind": "clamp_above", "base": {"depth": 2, "values": [0, 0, 0, "inf"]}}
+        code, report, _ = run_cli(
+            ["eval", files("t.json", tree), files("s.json", seq)], capsys)
+        assert code == 0
+        assert report == {"value": "inf", "status": "converged", "iterations": 1,
+                          "method": "continuity"}
 
     def test_parse_error_goes_to_stderr_only(self, files, capsys):
         code, report, err = run_cli(

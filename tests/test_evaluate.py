@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtue import (
     CredalSet,
@@ -207,6 +208,32 @@ class TestIteratedLaw:
             assert eval_finitary(tree, f, s) == local_upper(tree.local_model_at(s), children)
 
 
+@st.composite
+def _limit_instances(draw):
+    """A rational tree with zero masses, a bounded-below base with +inf cells, a situation."""
+    arity = draw(st.integers(2, 3))
+    depth = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(("stationary", "by_depth", "table")))
+    space = StateSpace(tuple(str(i) for i in range(arity)))
+    weights = st.lists(st.integers(0, 3), min_size=arity, max_size=arity).filter(any)
+
+    def credal():
+        points = draw(st.lists(weights, min_size=1, max_size=3))
+        return CredalSet([tuple(F(w, sum(p)) for w in p) for p in points])
+
+    if kind == "stationary":
+        tree = TreeModel.stationary(space, credal(), depth)
+    elif kind == "by_depth":
+        tree = TreeModel.by_depth(space, [credal() for _ in range(depth)], depth)
+    else:
+        tree = TreeModel.table(space, {unrank(i, d, arity): credal()
+                                       for d in range(depth) for i in range(arity**d)}, depth)
+    value = st.one_of(st.just(POS_INF), st.fractions(-20, 20, max_denominator=6).map(XR))
+    values = draw(st.lists(value, min_size=arity**depth, max_size=arity**depth))
+    s = draw(st.lists(st.integers(0, arity - 1), max_size=depth))
+    return tree, FinitaryVariable(arity, depth, tuple(values)), tuple(s)
+
+
 class TestEvalLimit:
     def test_zero_mass_clamp_converges_to_zero(self, tree_b):
         seq = clamp_above_sequence(FinitaryVariable(2, 1, (XR(0), POS_INF)))
@@ -246,9 +273,9 @@ class TestEvalLimit:
 
     def test_lying_generator_caught_mid_run(self, tree_a):
         items = [constant(2, n) for n in range(20)] + [constant(2, 0)]
-        seq = explicit_sequence(items, Monotonicity.NON_DECREASING)
         with pytest.raises(MonotonicityViolated):
-            eval_limit(tree_a, seq, tol=0, budget=40, spot_k=4)
+            seq = explicit_sequence(items, Monotonicity.NON_DECREASING)
+            eval_limit(tree_a, seq, tol=0, budget=40)
 
     def test_up_down_consistency(self):
         rng = seeded(83)
@@ -266,6 +293,53 @@ class TestEvalLimit:
             hi = eval_limit(tree, down, tol=tol)
             assert lo.status == hi.status == "converged"
             assert abs(lo.value.v - hi.value.v) <= 2 * tol
+
+    def test_plateau_before_divergence_is_inf(self):
+        # min(g, 2^n) has upper expectation 2^n * 1e-24, so successive rungs
+        # agree within tol for dozens of rungs although the limit is +inf.
+        tree = TreeModel.stationary(StateSpace(("0", "1")),
+                                    CredalSet([(1 - 1e-12, 1e-12)]), 2)
+        g = FinitaryVariable(2, 2, (XR(0), XR(0), XR(0), POS_INF))
+        out = eval_limit(tree, clamp_above_sequence(g))
+        assert (out.value, out.status, out.iterations, out.method) == \
+            (POS_INF, "converged", 1, "continuity")
+
+    def test_large_constant_is_not_divergent(self, tree_a):
+        out = eval_limit(tree_a, clamp_above_sequence(constant(2, 2e12)))
+        assert out.value == XR(2e12)
+        assert out.status == "converged"
+
+    def test_large_explicit_item_is_not_divergent(self, tree_a):
+        seq = explicit_sequence([constant(2, 0), constant(2, 1e13)],
+                                Monotonicity.NON_DECREASING)
+        out = eval_limit(tree_a, seq)
+        assert (out.value, out.status, out.method) == (XR(1e13), "converged", "iteration")
+
+    def test_order_broken_past_the_budget_is_caught(self, tree_a):
+        items = [constant(2, n) for n in range(20)] + [constant(2, 0)]
+        with pytest.raises(MonotonicityViolated):
+            seq = explicit_sequence(items, Monotonicity.NON_DECREASING)
+            eval_limit(tree_a, seq, budget=8)
+
+    @settings(deadline=None)
+    @given(instance=_limit_instances())
+    def test_templates_answer_by_continuity(self, instance):
+        tree, base, s = instance
+        want = eval_finitary(tree, base, s)
+        for seq in (clamp_above_sequence(base), clamp_below_sequence(base)):
+            out = eval_limit(tree, seq, s)
+            assert (out.value, out.status, out.iterations, out.method) == \
+                (want, "converged", 1, "continuity")
+        if want.is_finite:
+            # The rung of the ladder min(base, 2^N) above every finite entry
+            # already has the limit's value: +inf cells it clamps carry no
+            # upper mass.
+            level = XR(1)
+            while any(v.is_finite and not v < level for v in base.values):
+                level = XR(2 * level.v)
+            rung = base.map(lambda v: min(v, level))
+            assert eval_finitary(tree, rung, s) == want
+
 
 
 class TestLowerCuts:

@@ -4,6 +4,7 @@ import pytest
 
 from gtue import (
     CredalSet,
+    FinitaryVariable,
     POS_INF,
     StateSpace,
     TreeModel,
@@ -39,6 +40,15 @@ class TestSelectionCount:
         single = CredalSet([(F(1, 2), F(1, 2))])
         tree = TreeModel.table(space2, {(): model_a, (0,): single, (1,): model_a}, 2)
         assert selection_count(tree, 2) == 4
+
+    def test_deep_query_counts_its_subtree_only(self):
+        model = CredalSet([(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 4), F(3, 4))])
+        tree = TreeModel.stationary(StateSpace(("0", "1")), model, 4)
+        f = FinitaryVariable(2, 4, tuple(XR(i) for i in range(16)))
+        s = (0, 1, 1)
+        assert selection_count(tree, 4) == 3**15
+        assert selection_count(tree, 4, s) == 3
+        assert brute_force_upper(tree, f, s) == eval_finitary(tree, f, s) == XR(F(27, 4))
 
 
 class TestBruteForce:
