@@ -38,11 +38,9 @@ from .credal import (
     vacuous,
 )
 from .evaluate import (
-    ComparisonEvidence,
     EvalResult,
     TreeModel,
     certificate_bound,
-    compare_models,
     eval_finitary,
     eval_limit,
     eval_lower_finitary,

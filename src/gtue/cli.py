@@ -68,7 +68,11 @@ class RunConfig:
     oracle_cap: int = 10**7
 
     def __post_init__(self):
-        if xr(self.tol) < 0:
+        tol = xr(self.tol)
+        if not tol.is_finite:
+            # An infinite tolerance would pass every verification.
+            raise ValueError("tol must be finite")
+        if tol < 0:
             raise ValueError("tol must be non-negative")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
@@ -300,7 +304,9 @@ def main(argv=None) -> int:
     except GTUEError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+        # OverflowError: an exact value too large for the float arithmetic
+        # it meets, e.g. a 400-digit integer times a float mass.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

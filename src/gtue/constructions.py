@@ -43,7 +43,7 @@ from .errors import (
 )
 from .evaluate import TreeModel, backward_levels
 from .process import Process, constant_process, mix
-from .tree import Cut, FinitaryVariable, Situation, level_cut, rank, unrank
+from .tree import Cut, FinitaryVariable, Situation, level_cut, rank, subtree_block, unrank
 from .xreal import XR, add, neg, scale
 
 
@@ -171,27 +171,24 @@ def _crossing_walk(driver, arity: int, root: Situation, root_value: XR, a, b,
     """The first-hit walk shared by both transforms.
 
     ``driver`` holds the level tables of the watched quantity.  Only the
-    root's subtree is walked: at depth d it is the contiguous rank block
-    starting at rank(root) * arity**(d - len(root)), and every other node
-    stays pinned at ``root_value``.  Below the root a node copies its
-    parent's output while idle and takes step(parent_out, driver_here,
-    driver_parent) while active.  With ``open_at_root`` false the root
-    opens no window even when its driver is below a.
+    root's subtree is walked, one ``subtree_block`` per depth, and every
+    other node stays pinned at ``root_value``.  Below the root a node
+    copies its parent's output while idle and takes step(parent_out,
+    driver_here, driver_parent) while active.  With ``open_at_root``
+    false the root opens no window even when its driver is below a.
     """
     horizon = len(driver) - 1
     out = [[root_value] * arity**d for d in range(horizon + 1)]
-    top, first = len(root), rank(root, arity)
-    opens = open_at_root and driver[top][first] < a
+    top = len(root)
+    opens = open_at_root and driver[top][rank(root, arity)] < a
     v_hits: dict[int, set] = {1: {root}} if opens else {}
     u_hits: dict[int, set] = {}
     states = [(0, opens)]  # (completed, active) across the subtree block one level up
     for depth in range(top + 1, horizon + 1):
-        first *= arity
         here, out_here = driver[depth], out[depth]
         above, out_above = driver[depth - 1], out[depth - 1]
         block = []
-        for j in range(arity ** (depth - top)):
-            i = first + j
+        for j, i in enumerate(subtree_block(root, depth, arity)):
             parent = i // arity
             completed, active = states[j // arity]
             if active:
@@ -339,9 +336,8 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
     shifted = exact_f.map(lambda v: XR(v.v - low + delta))
 
     arity, horizon = f.arity, f.depth
-    block = arity ** (horizon - len(s_prime))
-    start = rank(s_prime, arity) * block
-    reachable = shifted.values[start:start + block]
+    block = subtree_block(s_prime, horizon, arity)
+    reachable = shifted.values[block.start:block.stop]
     lo = min(v.v for v in reachable)
     hi = max(v.v for v in reachable)
     if lo == hi:
@@ -358,7 +354,7 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
             f"the certificate can never exceed b={b}: the shifted gamble "
             f"tops out at {hi}")
 
-    levels = backward_levels(tree.map_points(_exact_pmf), shifted, down_to=0)
+    levels = backward_levels(tree.map_points(_exact_pmf), shifted)
     driver = [[XR(v) for v in level] for level in levels]
     return _crossing_walk(
         driver, arity, s_prime, XR(1), a, b, level_cut(arity, horizon), open_at_root=False,

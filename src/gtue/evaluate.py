@@ -8,11 +8,16 @@ why the global operator is computed rather than represented as an
 infimum over supermartingales; the infimum enters only through
 certificate_bound and the brute-force oracle.
 
-backward_levels runs on raw payloads: it unboxes the variable's table
-once, applies ``credal.upper_row`` to whole level rows (one model lookup
-per level on stationary and by_depth trees, one per node on table
-trees), and returns raw level tables.  ``XR`` is built only where a
-value leaves through the public API.
+Levels use the tables' rank layout throughout.  A TreeModel holds, per
+depth, either one credal set the whole level shares (stationary and
+by_depth trees) or a tuple of them in rank order (table trees).  The
+value at s depends only on s's subtree, which is one contiguous rank
+block per depth (``tree.subtree_block``), so backward_levels walks that
+block only: the whole levels at the root, nothing above s.  It runs on
+raw payloads: it unboxes the variable's block once, applies
+``credal.upper_row`` to whole rows (one model per level, or a slice of
+the level's tuple), and returns raw level tables.  ``XR`` is built only
+where a value leaves through the public API.
 
 Limits of declared-monotone sequences come from the paper's continuity
 theorem where a sequence carries its limit: the clamp ladder min(f, 2^n)
@@ -47,7 +52,8 @@ from .tree import (
     Situation,
     level_cut,
     rank,
-    unrank,
+    situations_at,
+    subtree_block,
 )
 from .xreal import XR, abs_diff, le_within, neg, xr
 
@@ -62,68 +68,61 @@ DEFAULT_BUDGET = 64
 
 
 class TreeModel:
-    """A state space, a depth bound, and a credal set for every situation."""
+    """A state space, a depth bound, and a credal set for every situation.
 
-    __slots__ = ("space", "max_depth", "kind", "_assignment")
+    The models sit in the tables' rank layout: each depth below
+    ``max_depth`` holds one credal set the whole level shares (stationary
+    and by_depth trees) or a tuple of them in rank order (table trees).
+    A stationary tree keeps its one model in place of the level tuple,
+    so a large ``max_depth`` costs nothing.
+    """
 
-    def __init__(self, space: StateSpace, max_depth: int, kind: str, assignment):
+    __slots__ = ("space", "max_depth", "_levels")
+
+    def __init__(self, space: StateSpace, max_depth: int, levels, models):
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")
+        for model in models:
+            if model.size != space.size:
+                raise SpaceMismatch("credal set size does not match the state space")
         self.space = space
         self.max_depth = max_depth
-        self.kind = kind
-        self._assignment = assignment
-        self._validate()
+        self._levels = levels
 
     @classmethod
     def stationary(cls, space: StateSpace, model: CredalSet, max_depth: int) -> "TreeModel":
-        return cls(space, max_depth, "stationary", model)
+        return cls(space, max_depth, model, (model,))
 
     @classmethod
     def by_depth(cls, space: StateSpace, models, max_depth: int) -> "TreeModel":
-        return cls(space, max_depth, "by_depth", tuple(models))
+        models = tuple(models)
+        if len(models) < max_depth:
+            raise ValueError(
+                f"by_depth assignment needs {max_depth} levels, got {len(models)}")
+        return cls(space, max_depth, models[:max_depth], models)
 
     @classmethod
     def table(cls, space: StateSpace, models: dict, max_depth: int) -> "TreeModel":
-        return cls(space, max_depth, "table", {tuple(k): v for k, v in models.items()})
+        models = {tuple(k): v for k, v in models.items()}
+        try:
+            levels = tuple(tuple(models[s] for s in situations_at(depth, space.size))
+                           for depth in range(max_depth))
+        except KeyError as exc:
+            raise ValueError(f"table assignment misses situation {exc.args[0]}") from None
+        return cls(space, max_depth, levels, models.values())
 
-    def _validate(self):
-        if self.kind == "stationary":
-            self._check_model(self._assignment)
-        elif self.kind == "by_depth":
-            if len(self._assignment) < self.max_depth:
-                raise ValueError(
-                    f"by_depth assignment needs {self.max_depth} levels, "
-                    f"got {len(self._assignment)}")
-            for model in self._assignment:
-                self._check_model(model)
-        elif self.kind == "table":
-            for depth in range(self.max_depth):
-                for i in range(self.space.size**depth):
-                    s = unrank(i, depth, self.space.size)
-                    if s not in self._assignment:
-                        raise ValueError(f"table assignment misses situation {s}")
-            for model in self._assignment.values():
-                self._check_model(model)
-        else:
-            raise ValueError(f"unknown assignment kind {self.kind!r}")
-
-    def _check_model(self, model: CredalSet):
-        if model.size != self.space.size:
-            raise SpaceMismatch("credal set size does not match the state space")
-
-    def level_model(self, depth: int) -> CredalSet | None:
-        """The credal set all situations at this depth share; None on table trees."""
-        if self.kind == "stationary":
-            return self._assignment
+    def level(self, depth: int) -> CredalSet | tuple[CredalSet, ...]:
+        """The credal set a whole depth shares, or the depth's models in rank order."""
+        if isinstance(self._levels, CredalSet):
+            return self._levels
         if depth >= self.max_depth:
             raise DepthExceeded(f"no local model at depth {depth}")
-        return self._assignment[depth] if self.kind == "by_depth" else None
+        return self._levels[depth]
 
     def local_model_at(self, s: Situation) -> CredalSet:
         s = tuple(s)
-        model = self.level_model(len(s))
-        return self._assignment[s] if model is None else model
+        level = self.level(len(s))
+        return level if isinstance(level, CredalSet) else level[rank(s, self.space.size)]
 
     def map_masses(self, fn) -> "TreeModel":
         """The same tree with fn applied to every PMF entry (e.g. Fraction or float).
@@ -135,31 +134,29 @@ class TreeModel:
 
     def map_points(self, fn) -> "TreeModel":
         """The same tree with fn applied to every extreme point (a tuple of masses)."""
+        lifted = []
 
         def lift(model: CredalSet) -> CredalSet:
-            return CredalSet(tuple(fn(p) for p in model.extreme_points))
+            lifted.append(CredalSet(tuple(fn(p) for p in model.extreme_points)))
+            return lifted[-1]
 
-        if self.kind == "stationary":
-            assignment = lift(self._assignment)
-        elif self.kind == "by_depth":
-            assignment = tuple(lift(m) for m in self._assignment)
+        levels = self._levels
+        if isinstance(levels, CredalSet):
+            levels = lift(levels)
         else:
-            assignment = {s: lift(m) for s, m in self._assignment.items()}
-        return TreeModel(self.space, self.max_depth, self.kind, assignment)
+            levels = tuple(lift(level) if isinstance(level, CredalSet)
+                           else tuple(lift(m) for m in level) for level in levels)
+        return TreeModel(self.space, self.max_depth, levels, lifted)
 
     def distinct_models(self):
-        if self.kind == "stationary":
-            return (self._assignment,)
-        if self.kind == "by_depth":
-            seen = []
-            for m in self._assignment[:self.max_depth]:
+        """The distinct local models, depth by depth and then in rank order."""
+        if isinstance(self._levels, CredalSet):
+            return (self._levels,)
+        seen = []
+        for level in self._levels:
+            for m in (level,) if isinstance(level, CredalSet) else level:
                 if m not in seen:
                     seen.append(m)
-            return tuple(seen)
-        seen = []
-        for m in self._assignment.values():
-            if m not in seen:
-                seen.append(m)
         return tuple(seen)
 
 
@@ -179,32 +176,40 @@ def _check_variable(tree: TreeModel, f: FinitaryVariable):
         raise DepthExceeded(f"variable depth {f.depth} exceeds tree depth {tree.max_depth}")
 
 
-def _upper_level(tree: TreeModel, depth: int, below: list) -> list:
-    """Raw local upper expectations at every node of a depth, from the raw row below."""
-    model = tree.level_model(depth)
-    if model is not None:
-        return upper_row(model, below)
+def _upper_level(tree: TreeModel, depth: int, below: list, first: int) -> list:
+    """Raw local upper expectations at a rank block of a depth, from the raw row below.
+
+    The block starts at rank ``first`` and has one node per ``arity``
+    children in ``below``.
+    """
+    level = tree.level(depth)
+    if isinstance(level, CredalSet):
+        return upper_row(level, below)
     arity = tree.space.size
     row = []
-    for i in range(arity**depth):
-        model = tree.local_model_at(unrank(i, depth, arity))
-        row += upper_row(model, below[i * arity:(i + 1) * arity])
+    for j, model in enumerate(level[first:first + len(below) // arity]):
+        row += upper_row(model, below[j * arity:(j + 1) * arity])
     return row
 
 
-def backward_levels(tree: TreeModel, f: FinitaryVariable, down_to: int = 0) -> list:
-    """Raw level tables of the backward recursion, from depth f.depth down.
+def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> list:
+    """Raw level tables of the backward recursion over s's subtree.
 
-    Entries are raw payloads (int, Fraction or float, ``math.inf`` for
-    +inf); levels above ``down_to`` are None.
+    For every depth d from len(s) to f.depth, ``levels[d]`` holds the
+    values at s's descendants of depth d, in rank order (the whole level
+    when s is the root).  Entries are raw payloads (int, Fraction or
+    float, ``math.inf`` for +inf); levels above s are None.
     """
     _check_variable(tree, f)
     if not f.bounded_below:
         raise NotBoundedBelow("the upper expectation needs a bounded-below variable")
+    s = tuple(s)
     levels: list = [None] * (f.depth + 1)
-    levels[f.depth] = [v.v for v in f.values]
-    for depth in range(f.depth - 1, down_to - 1, -1):
-        levels[depth] = _upper_level(tree, depth, levels[depth + 1])
+    block = subtree_block(s, f.depth, f.arity)
+    levels[f.depth] = [v.v for v in f.values[block.start:block.stop]]
+    for depth in range(f.depth - 1, len(s) - 1, -1):
+        first = subtree_block(s, depth, f.arity).start
+        levels[depth] = _upper_level(tree, depth, levels[depth + 1], first)
     return levels
 
 
@@ -213,13 +218,12 @@ def eval_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> 
     s = tuple(s)
     if len(s) > f.depth:
         raise ValueError("conditioning situation is deeper than the variable")
-    levels = backward_levels(tree, f, down_to=len(s))
-    return XR(levels[len(s)][rank(s, f.arity)])
+    return XR(backward_levels(tree, f, s=s)[len(s)][0])
 
 
 def eval_process(tree: TreeModel, f: FinitaryVariable) -> Process:
     """The process s -> upper expectation of f given s, terminal at level f.depth."""
-    levels = backward_levels(tree, f, down_to=0)
+    levels = backward_levels(tree, f)
     return Process(f.arity, f.depth, levels, terminal_cut=level_cut(f.arity, f.depth))
 
 
@@ -293,38 +297,3 @@ def certificate_bound(tree: TreeModel, M: Process, f: FinitaryVariable,
                 f"tail value {tail.to_text()} at {member} does not dominate "
                 f"f = {needed.to_text()}", witness=member)
     return M.value_at(tuple(s))
-
-
-@dataclass
-class ComparisonEvidence:
-    value_a: XR
-    value_b: XR
-    local_dominance_held: bool
-
-
-def compare_models(tree_a: TreeModel, tree_b: TreeModel, f: FinitaryVariable,
-                   s: Situation = ROOT) -> ComparisonEvidence:
-    """Evidence for two-tree dominance on one variable.
-
-    Runs both recursions and spot-checks, at every node, that B's local
-    model dominates A's on A's own recursion values.  When those checks
-    all hold, the A-value at s cannot exceed the B-value (monotonicity
-    closes the induction), and the pair of values is returned as
-    evidence.  This is a property check, not a decision procedure for
-    dominance in general.
-    """
-    if tree_a.space.labels != tree_b.space.labels:
-        raise SpaceMismatch("compared trees must share the state space")
-    if tree_a.max_depth != tree_b.max_depth:
-        raise SpaceMismatch("compared trees must share the depth bound")
-    s = tuple(s)
-    levels_a = backward_levels(tree_a, f, down_to=len(s))
-    levels_b = backward_levels(tree_b, f, down_to=len(s))
-    # levels_a[depth] is A's local model on A's own child values; the same
-    # children under B's local model give the spot check.
-    held = all(q_a <= q_b_on_a
-               for depth in range(len(s), f.depth)
-               for q_a, q_b_on_a in zip(levels_a[depth],
-                                        _upper_level(tree_b, depth, levels_a[depth + 1])))
-    i = rank(s, f.arity)
-    return ComparisonEvidence(XR(levels_a[len(s)][i]), XR(levels_b[len(s)][i]), held)

@@ -7,7 +7,8 @@ values are emitted as exact decimal strings, or "p/q" when the value has
 no finite decimal expansion, so round trips are bit-exact.
 
 Situations are dot-separated state labels; the empty string is the
-initial situation.
+initial situation.  A state label is therefore non-empty and contains
+no ".".
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def _require(mapping, key, where: str):
     return mapping[key]
 
 
+def _natural(mapping, key, where: str) -> int:
+    """A required non-negative integer field; a JSON bool is not one."""
+    value = _require(mapping, key, where)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"{where}.{key}: expected a non-negative integer")
+    return value
+
+
 def _plain_mass(raw, where: str):
     value = decode_number(raw, where)
     if not value.is_finite:
@@ -99,21 +108,20 @@ def load_credal(raw, where: str) -> CredalSet:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def dump_credal(model: CredalSet, rational: bool):
-    return [[encode_number(XR(m), rational) for m in p] for p in model.extreme_points]
-
-
 def tree_from_obj(obj) -> TreeModel:
     states = _require(obj, "states", "tree")
     if not isinstance(states, list) or not all(isinstance(x, str) for x in states):
         raise SchemaError("tree.states: expected an array of strings")
+    for i, label in enumerate(states):
+        # Situation text joins labels with ".", so "" or "a.b" would collide.
+        if not label or "." in label:
+            raise SchemaError(f"tree.states[{i}]: a state label must be non-empty "
+                              f"and contain no '.', got {label!r}")
     try:
         space = StateSpace(tuple(states))
     except ValueError as exc:
         raise SchemaError(f"tree.states: {exc}") from None
-    max_depth = _require(obj, "max_depth", "tree")
-    if not isinstance(max_depth, int) or max_depth < 0:
-        raise SchemaError("tree.max_depth: expected a non-negative integer")
+    max_depth = _natural(obj, "max_depth", "tree")
     model = _require(obj, "model", "tree")
     kind = _require(model, "type", "tree.model")
     try:
@@ -146,9 +154,7 @@ def load_tree(path: str, rational: bool) -> TreeModel:
 
 
 def variable_from_obj(obj, space: StateSpace, where: str = "variable") -> FinitaryVariable:
-    depth = _require(obj, "depth", where)
-    if not isinstance(depth, int) or depth < 0:
-        raise SchemaError(f"{where}.depth: expected a non-negative integer")
+    depth = _natural(obj, "depth", where)
     values = _require(obj, "values", where)
     if not isinstance(values, list):
         raise SchemaError(f"{where}.values: expected an array")
@@ -203,9 +209,7 @@ def load_variable_or_sequence(path: str, space: StateSpace, rational: bool):
 
 
 def process_from_obj(obj, space: StateSpace) -> Process:
-    horizon = _require(obj, "horizon", "process")
-    if not isinstance(horizon, int) or horizon < 0:
-        raise SchemaError("process.horizon: expected a non-negative integer")
+    horizon = _natural(obj, "horizon", "process")
     values = _require(obj, "values", "process")
     if not isinstance(values, dict):
         raise SchemaError("process.values: expected an object keyed by situations")

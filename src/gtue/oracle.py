@@ -23,7 +23,8 @@ oracle exists to check.
 from __future__ import annotations
 
 from .errors import CapExceeded, NotBoundedBelow
-from .tree import FinitaryVariable, ROOT, Situation, rank, unrank
+from .credal import CredalSet
+from .tree import FinitaryVariable, ROOT, Situation, subtree_block
 from .xreal import XR, add, scale
 
 DEFAULT_CAP = 10**7
@@ -32,13 +33,15 @@ DEFAULT_CAP = 10**7
 def selection_count(tree, n: int, s: Situation = ROOT) -> int:
     """Number of precise-tree selections for depth-n variables in s's subtree."""
     arity = tree.space.size
-    first = rank(tuple(s), arity)
     total = 1
     for depth in range(len(s), min(n, tree.max_depth)):
-        # s's descendants at this depth are one contiguous rank block.
-        width = arity ** (depth - len(s))
-        for i in range(first * width, (first + 1) * width):
-            total *= len(tree.local_model_at(unrank(i, depth, arity)).extreme_points)
+        block = subtree_block(tuple(s), depth, arity)
+        level = tree.level(depth)
+        if isinstance(level, CredalSet):
+            total *= len(level.extreme_points) ** len(block)
+        else:
+            for model in level[block.start:block.stop]:
+                total *= len(model.extreme_points)
     return total
 
 

@@ -21,7 +21,7 @@ from .errors import (
     NotTerminal,
     SpaceMismatch,
 )
-from .tree import Cut, Situation, is_complete, rank, situations_at, unrank
+from .tree import Cut, Situation, is_complete, rank, situations_at, subtree_block, unrank
 from .xreal import XR, add, le_within, neg, scale, xr
 
 
@@ -54,10 +54,9 @@ class Process:
             raise ValueError("terminal cut must be complete")
         for member in cut:
             tail = self.value_at(member)
-            base = rank(member, self.arity)
             for depth in range(len(member) + 1, self.horizon + 1):
-                block = self.arity ** (depth - len(member))
-                segment = self.levels[depth][base * block:(base + 1) * block]
+                block = subtree_block(member, depth, self.arity)
+                segment = self.levels[depth][block.start:block.stop]
                 if any(v != tail for v in segment):
                     raise ValueError(
                         f"process is not constant beyond terminal member {member}")

@@ -3,7 +3,8 @@
 Rational generators draw small-denominator Fractions so that exact-mode
 runs stay fast; float generators mirror them.  The supermartingale
 generator works leaf-up: draw non-negative leaf values, then set every
-internal value to its local upper expectation plus a uniform slack, which
+internal value to its local upper expectation (level by level, through
+the backward recursion's row kernel) plus a uniform slack, which
 guarantees strict feasibility and exercises non-tight nodes.
 """
 
@@ -12,8 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .credal import CredalSet, LocalVariable, StateSpace, local_upper
-from .evaluate import TreeModel
+from .credal import CredalSet, StateSpace
+from .evaluate import TreeModel, _upper_level
 from .process import Process
 from .tree import FinitaryVariable, level_cut, unrank
 from .xreal import POS_INF, XR
@@ -88,22 +89,15 @@ def random_supermartingale(tree: TreeModel, rng: random.Random, horizon: int,
                            terminal: bool = True) -> Process:
     """Leaf values >= 0, internal value = local upper expectation + slack."""
     size = tree.space.size
-    levels: list[tuple] = [None] * (horizon + 1)
-    if rational:
-        leaves = tuple(XR(rand_fraction(rng, 0, leaf_high)) for _ in range(size**horizon))
-    else:
-        leaves = tuple(XR(rng.uniform(0, leaf_high)) for _ in range(size**horizon))
-    levels[horizon] = leaves
+
+    def draw(high):
+        return rand_fraction(rng, 0, high) if rational else rng.uniform(0, high)
+
+    levels: list = [None] * (horizon + 1)
+    levels[horizon] = [draw(leaf_high) for _ in range(size**horizon)]
     for depth in range(horizon - 1, -1, -1):
-        row = []
-        for i in range(size**depth):
-            s = unrank(i, depth, size)
-            children = levels[depth + 1][i * size:(i + 1) * size]
-            q = local_upper(tree.local_model_at(s), LocalVariable(children))
-            slack = XR(rand_fraction(rng, 0, slack_high)) if rational \
-                else XR(rng.uniform(0, slack_high))
-            row.append(XR(q.v + slack.v))
-        levels[depth] = tuple(row)
+        levels[depth] = [q + draw(slack_high)
+                         for q in _upper_level(tree, depth, levels[depth + 1], 0)]
     cut = level_cut(size, horizon) if terminal else None
     return Process(size, horizon, tuple(levels), cut)
 

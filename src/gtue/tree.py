@@ -2,8 +2,8 @@
 
 Situations are tuples of state indices (not labels); the empty tuple is
 the initial situation.  Tables over X^n are laid out lexicographically,
-so the cylinder block of a prefix is a contiguous slice and lookups are
-pure index arithmetic.
+so the descendants of a situation at any depth are one contiguous rank
+block (``subtree_block``) and lookups are pure index arithmetic.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
-
 from .errors import MonotonicityViolated, NotBoundedBelow
 from .xreal import XR, xr
 
@@ -57,6 +55,15 @@ def unrank(index: int, depth: int, arity: int) -> Situation:
         index, x = divmod(index, arity)
         out.append(x)
     return tuple(reversed(out))
+
+
+def subtree_block(s: Situation, depth: int, arity: int) -> range:
+    """The ranks, at depth, of s's descendants: one contiguous block."""
+    if depth < len(s):
+        raise ValueError(f"situation {s} is deeper than depth {depth}")
+    width = arity ** (depth - len(s))
+    first = rank(s, arity) * width
+    return range(first, first + width)
 
 
 def situations_at(depth: int, arity: int):
@@ -190,14 +197,13 @@ class Monotonicity(Enum):
 class FinitarySequence:
     """A declared-monotone sequence of finitary variables whose limit is known.
 
-    The generator must be a pure function of the index.  Either ``items``
-    holds a finite list, repeated at its tail, whose declared order is
-    verified here on every consecutive pair; or ``limit`` is a variable
-    whose upper expectation is the limit of the element values, by a
-    continuity theorem the builder relies on (see the clamp templates).
+    Either ``items`` holds a finite list, repeated at its tail, whose
+    declared order is verified here on every consecutive pair; or
+    ``limit`` is a variable whose upper expectation is the limit of the
+    element values, by a continuity theorem the builder relies on (see
+    the clamp templates).
     """
 
-    generator: Callable[[int], FinitaryVariable]
     monotonicity: Monotonicity = Monotonicity.NONE
     limit: FinitaryVariable | None = None
     items: tuple[FinitaryVariable, ...] | None = None
@@ -214,9 +220,6 @@ class FinitarySequence:
                     f"declared {self.monotonicity.value} order fails between "
                     f"items {n} and {n + 1}")
 
-    def element(self, n: int) -> FinitaryVariable:
-        return self.generator(n)
-
 
 def clamp_above_sequence(base: FinitaryVariable) -> FinitarySequence:
     """min(f, 2**n): non-decreasing gambles converging to f from below.
@@ -226,24 +229,14 @@ def clamp_above_sequence(base: FinitaryVariable) -> FinitarySequence:
     """
     if not base.bounded_below:
         raise NotBoundedBelow("clamp-above sequences need a bounded-below base")
-
-    def gen(n: int) -> FinitaryVariable:
-        level = XR(2**n)
-        return base.map(lambda v: v if v < level else level)
-
-    return FinitarySequence(gen, Monotonicity.NON_DECREASING, limit=base)
+    return FinitarySequence(Monotonicity.NON_DECREASING, limit=base)
 
 
 def clamp_below_sequence(base: FinitaryVariable) -> FinitarySequence:
     """max(f, -(2**n)): the lower-cut sweep, equal to f once 2**n >= -min f."""
     if not base.bounded_below:
         raise NotBoundedBelow("the lower-cut sweep needs a bounded-below base")
-
-    def gen(n: int) -> FinitaryVariable:
-        floor = XR(-(2**n))
-        return base.map(lambda v: v if v > floor else floor)
-
-    return FinitarySequence(gen, Monotonicity.NON_INCREASING, limit=base)
+    return FinitarySequence(Monotonicity.NON_INCREASING, limit=base)
 
 
 def explicit_sequence(items, monotonicity: Monotonicity = Monotonicity.NONE) -> FinitarySequence:
@@ -251,5 +244,4 @@ def explicit_sequence(items, monotonicity: Monotonicity = Monotonicity.NONE) -> 
     items = tuple(items)
     if not items:
         raise ValueError("an explicit sequence needs at least one element")
-    return FinitarySequence(lambda n: items[min(n, len(items) - 1)], monotonicity,
-                            items=items)
+    return FinitarySequence(monotonicity, items=items)

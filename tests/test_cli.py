@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gtue import cli, jsonio
+from gtue import cli, eval_process, jsonio, neg
 from gtue.evaluate import TreeModel
 
 F = Fraction
@@ -332,6 +336,159 @@ class TestRoundTrips:
         path.write_text(json.dumps(doc))
         back = jsonio.load_process(str(path), tree.space, rational=True)
         assert back.levels == transform.process.levels
+
+
+TREE_HALF = {"states": ["0", "1"],
+             "model": {"type": "stationary", "extreme_points": [[0.5, 0.5]]},
+             "max_depth": 2}
+RISING = {"horizon": 1, "values": {"": 0, "0": 5, "1": 7}}
+
+
+class TestInputEdge:
+    def test_infinite_tol_is_rejected(self, files, capsys):
+        # With tol = inf every verification would pass: RISING is no supermartingale.
+        tree, proc = files("t.json", TREE_HALF), files("p.json", RISING)
+        for argv in (["check", tree, proc],
+                     ["doob-certificate", tree, proc, "--a", "1", "--b", "2"]):
+            code, report, err = run_cli(argv + ["--tol", "inf"], capsys)
+            assert (code, report) == (1, None)
+            assert "tol must be finite" in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ("tree", "tree.max_depth"), ("variable", "variable.depth"),
+        ("process", "process.horizon")])
+    def test_bool_is_not_an_integer_field(self, files, capsys, doc, field):
+        tree = dict(TREE_HALF, max_depth=True) if doc == "tree" else TREE_HALF
+        if doc == "process":
+            argv = ["check", files("t.json", tree),
+                    files("p.json", {"horizon": True, "values": {"": 0, "0": 0, "1": 0}})]
+        else:
+            variable = {"depth": True if doc == "variable" else 1, "values": [0, 1]}
+            argv = ["eval", files("t.json", tree), files("f.json", variable)]
+        code, report, err = run_cli(argv, capsys)
+        assert (code, report) == (1, None)
+        assert field in err
+
+    @pytest.mark.parametrize("states, bad", [(["", "x"], 0), (["a", "b.c"], 1)])
+    def test_state_labels_cannot_collide_with_situation_text(self, files, capsys,
+                                                              states, bad):
+        tree = files("t.json", dict(TREE_HALF, states=states))
+        code, report, err = run_cli(
+            ["levy-certificate", tree, files("f.json", {"depth": 1, "values": [0, 1]}),
+             "--a", "5/4", "--b", "7/4"], capsys)
+        assert (code, report) == (1, None)
+        assert f"tree.states[{bad}]" in err
+
+    def test_value_too_large_for_floats_is_input_error(self, files, capsys):
+        # Exact 10^400 times the float mass 0.5 overflows float arithmetic.
+        code, report, err = run_cli(
+            ["eval", files("t.json", TREE_HALF),
+             files("f.json", {"depth": 1, "values": ["1e400", 0]})], capsys)
+        assert (code, report) == (1, None)
+        assert "too large" in err
+
+
+_HUGE = 10**40
+_ODD = st.sampled_from((True, float("nan"), "-inf", -0.25))  # never valid as a mass
+_VALUES = st.one_of(
+    st.integers(-5, 5), st.floats(-5, 5), st.sampled_from(("inf", 0, 1, 2)),
+    # Exact values with a huge denominator.
+    st.integers(-5 * _HUGE, 5 * _HUGE).map(lambda n: f"{n}/{_HUGE + 1}"))
+
+
+def _spoil(draw, cells, odd, rate=10):
+    """Replace one cell by an odd value, one time in ``rate``."""
+    # A middle value: Hypothesis favours the bounds of a range.
+    if cells and draw(st.integers(0, rate - 1)) == rate // 2:
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(odd)
+    return cells
+
+
+@st.composite
+def _pmf(draw, arity):
+    cuts = sorted(draw(st.lists(st.integers(0, 20), min_size=arity - 1,
+                                max_size=arity - 1)))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [20])]
+    if draw(st.booleans()):
+        # Twentieths print as exact decimals, so rational mode reads them exactly.
+        pmf = [w / 20 for w in weights]
+    else:
+        # Exact masses with huge denominators: "p/q" strings parse to Fractions.
+        pmf = [f"{w * _HUGE}/{20 * _HUGE}" for w in weights]
+    return _spoil(draw, pmf, _ODD, rate=40)
+
+
+@st.composite
+def _eval_documents(draw):
+    """A tree, a variable and a situation at the JSON edge, valid or not."""
+    arity = draw(st.integers(2, 3))
+    states = _spoil(draw, [f"s{i}" for i in range(arity)], st.sampled_from(("", "s.0")))
+    depth = draw(st.integers(0, 3))
+    max_depth = draw(st.sampled_from((depth, depth + 1) * 5 + (True,)))
+    levels = int(max_depth)
+    kind = draw(st.sampled_from(("stationary", "by_depth", "table")))
+    if kind == "stationary":
+        model = {"type": kind, "extreme_points": draw(st.lists(_pmf(arity), min_size=1,
+                                                               max_size=3))}
+    elif kind == "by_depth":
+        model = {"type": kind, "levels": [draw(st.lists(_pmf(arity), min_size=1,
+                                                        max_size=2))
+                                          for _ in range(levels)]}
+    else:
+        entries = {}
+        for d in range(levels):
+            for i in range(arity**d):
+                path = [states[(i // arity**k) % arity] for k in range(d - 1, -1, -1)]
+                entries[".".join(path)] = draw(st.lists(_pmf(arity), min_size=1,
+                                                        max_size=2))
+        model = {"type": kind, "entries": entries}
+    tree = {"states": states, "model": model, "max_depth": max_depth}
+    values = draw(st.lists(_VALUES, min_size=arity**depth, max_size=arity**depth))
+    variable = {"depth": draw(st.sampled_from((depth,) * 9 + (True,))),
+                "values": _spoil(draw, values, st.sampled_from((True, float("nan"), "-inf")))}
+    # Down to the leaves, and one time in ten one step past them.
+    length = draw(st.integers(0, depth)) + (draw(st.integers(0, 9)) == 5)
+    path = draw(st.lists(st.sampled_from(states), min_size=length, max_size=length))
+    flags = draw(st.lists(st.sampled_from(("--rational", "--rational", "--lower")),
+                          unique=True))
+    return tree, variable, ".".join(path), flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=_eval_documents())
+def test_eval_edge_exits_cleanly_and_agrees_with_whole_levels(document):
+    """main returns 0 or 1 and never raises; every answer matches eval_process.
+
+    eval_process computes whole levels, independently of the subtree walk
+    that answers a conditional query.
+    """
+    tree_doc, variable_doc, situation, flags = document
+    with tempfile.TemporaryDirectory() as workdir:
+        tree_path = os.path.join(workdir, "t.json")
+        variable_path = os.path.join(workdir, "f.json")
+        for path, doc in ((tree_path, tree_doc), (variable_path, variable_doc)):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(["eval", tree_path, variable_path,
+                             "--situation", situation] + flags)
+        assert code in (0, 1)
+        # A JSON bool is no integer, and a label must not collide with situation text.
+        if variable_doc["depth"] is True or tree_doc["max_depth"] is True or \
+                any(not x or "." in x for x in tree_doc["states"]):
+            assert code == 1
+        if code == 1:
+            return
+        rational = "--rational" in flags
+        tree = jsonio.load_tree(tree_path, rational)
+        f = jsonio.load_variable_or_sequence(variable_path, tree.space, rational)
+        s = jsonio.situation_from_text(tree.space, situation)
+        if "--lower" in flags:
+            want = neg(eval_process(tree, f.map(neg)).value_at(s))
+        else:
+            want = eval_process(tree, f).value_at(s)
+    assert json.loads(out.getvalue())["value"] == jsonio.encode_number(want, rational)
 
 
 def test_console_entry_point_runs():

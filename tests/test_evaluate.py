@@ -17,7 +17,6 @@ from gtue import (
     check_supermartingale,
     clamp_above_sequence,
     clamp_below_sequence,
-    compare_models,
     constant,
     eval_finitary,
     eval_limit,
@@ -30,7 +29,6 @@ from gtue import (
     local_upper,
     scale,
     shift,
-    vacuous,
 )
 from gtue.errors import (
     DepthExceeded,
@@ -42,6 +40,7 @@ from gtue.errors import (
     SpaceMismatch,
 )
 from gtue.testing import random_finitary, random_gamble, random_tree
+from gtue.evaluate import backward_levels
 from gtue.tree import unrank
 from tests.conftest import seeded
 
@@ -440,38 +439,57 @@ class TestCertificates:
             certificate_bound(tree_a, M, f)
 
 
-class TestCompareModels:
-    def test_subset_of_extremes_dominated(self, space2, model_a):
-        rng = seeded(103)
-        sub = CredalSet([model_a.extreme_points[0]])
-        tree_small = TreeModel.stationary(space2, sub, 4)
-        tree_big = TreeModel.stationary(space2, model_a, 4)
-        for _ in range(100):
-            f = random_finitary(rng, 2, 2, inf_probability=0.1)
-            evidence = compare_models(tree_small, tree_big, f)
-            assert evidence.local_dominance_held
-            assert evidence.value_a <= evidence.value_b
+class TestTreeLayout:
+    """Rank-ordered model levels and backward levels over the queried subtree."""
 
-    def test_equal_models(self, tree_a):
-        f = indicator(2, 2, [(1, 1)])
-        evidence = compare_models(tree_a, tree_a, f)
-        assert evidence.value_a == evidence.value_b
+    def test_backward_levels_cover_the_subtree_only(self):
+        rng = seeded(223)
+        for trial in range(60):
+            arity = rng.choice((2, 3))
+            depth = rng.randint(0, 4)
+            kind = ("stationary", "by_depth", "table")[trial % 3]
+            tree = _mixed_tree(rng, arity, depth, kind)
+            f = FinitaryVariable(arity, depth,
+                                 tuple(_mixed_value(rng) for _ in range(arity**depth)))
+            s = tuple(rng.randrange(arity) for _ in range(rng.randint(0, depth)))
+            levels = backward_levels(tree, f, s=s)
+            whole = backward_levels(tree, f)
+            for d in range(depth + 1):
+                if d < len(s):
+                    assert levels[d] is None
+                    continue
+                assert len(levels[d]) == arity ** (d - len(s))
+                below = [i for i in range(arity**d) if unrank(i, d, arity)[:len(s)] == s]
+                assert levels[d] == [whole[d][i] for i in below]
 
-    def test_precise_below_vacuous(self, space2):
-        rng = seeded(107)
-        precise = TreeModel.stationary(space2, CredalSet([(F(1, 2), F(1, 2))]), 3)
-        top = TreeModel.stationary(space2, vacuous(2), 3)
-        for _ in range(30):
-            f = random_gamble(rng, 2, 2)
-            evidence = compare_models(precise, top, f)
-            assert evidence.local_dominance_held
-            assert evidence.value_b == f.sup()
-            assert evidence.value_a <= evidence.value_b
-
-    def test_space_mismatch(self, tree_a):
-        other = TreeModel.stationary(StateSpace(("x", "y")), vacuous(2), 4)
+    def test_constructor_errors(self, space2, model_a):
+        with pytest.raises(ValueError, match="max_depth must be non-negative"):
+            TreeModel.stationary(space2, model_a, -1)
+        with pytest.raises(ValueError, match="by_depth assignment needs 3 levels, got 2"):
+            TreeModel.by_depth(space2, [model_a, model_a], 3)
+        with pytest.raises(ValueError, match=r"table assignment misses situation \(1,\)"):
+            TreeModel.table(space2, {(): model_a, (0,): model_a}, 2)
+        wide = CredalSet([(1, 0, 0)])
         with pytest.raises(SpaceMismatch):
-            compare_models(tree_a, other, indicator(2, 1, [(1,)]))
+            TreeModel.by_depth(space2, [model_a, wide], 1)
+        with pytest.raises(SpaceMismatch):
+            TreeModel.table(space2, {(): model_a, (0, 0): wide}, 1)
+
+    def test_local_models_and_distinct_models_in_rank_order(self, space2, model_a):
+        a, b = model_a, CredalSet([(1, 0)])
+        c = CredalSet([(0, 1)])
+        tree = TreeModel.table(space2, {(1,): a, (0,): b, (): c, (0, 0): a}, 2)
+        assert [tree.local_model_at(s) for s in ((), (0,), (1,))] == [c, b, a]
+        assert tree.distinct_models() == (c, b, a)
+        with pytest.raises(DepthExceeded):
+            tree.local_model_at((0, 0))
+        assert TreeModel.by_depth(space2, [b, a, c], 2).distinct_models() == (b, a)
+
+    def test_stationary_depth_is_not_materialised(self, space2, model_a):
+        tree = TreeModel.stationary(space2, model_a, 10**12)
+        assert tree.local_model_at((1,) * 50) == model_a
+        assert tree.map_masses(float).distinct_models() == \
+            (CredalSet([(0.7, 0.3), (0.3, 0.7)]),)
 
 
 def _reference_upper(model, children):
@@ -563,16 +581,6 @@ class TestKernelEquivalence:
             process = eval_process(tree, f)
             assert all(_same(got, want) for d in range(depth + 1)
                        for got, want in zip(process.levels[d], reference[d]))
-            other = _mixed_tree(rng, arity, depth, kind)
-            other_reference = _reference_levels(other, f)
-            held = all(not reference[d][i] > _reference_upper(
-                           other.local_model_at(unrank(i, d, arity)),
-                           reference[d + 1][i * arity:(i + 1) * arity])
-                       for d in range(depth) for i in range(arity**d))
-            evidence = compare_models(tree, other, f)
-            assert evidence.local_dominance_held == held
-            assert _same(evidence.value_a, reference[0][0])
-            assert _same(evidence.value_b, other_reference[0][0])
             for i, value in enumerate(f.values if depth else ()):
                 if value.is_pos_inf:
                     masses = [p[i % arity] for p in

@@ -17,6 +17,7 @@ from gtue import (
 )
 from gtue.errors import CapExceeded
 from gtue.testing import random_finitary, random_tree
+from gtue.tree import situations_at
 from tests.conftest import seeded
 
 F = Fraction
@@ -49,6 +50,20 @@ class TestSelectionCount:
         assert selection_count(tree, 4) == 3**15
         assert selection_count(tree, 4, s) == 3
         assert brute_force_upper(tree, f, s) == eval_finitary(tree, f, s) == XR(F(27, 4))
+
+
+    def test_table_subtree_count_is_the_product_below_s(self):
+        rng = seeded(557)
+        for _ in range(20):
+            size = rng.choice((2, 3))
+            tree = random_tree(rng, size, 4, kind="table")
+            s = tuple(rng.randrange(size) for _ in range(rng.randint(1, 3)))
+            want = 1
+            for depth in range(len(s), 4):
+                for t in situations_at(depth, size):
+                    if t[:len(s)] == s:
+                        want *= len(tree.local_model_at(t).extreme_points)
+            assert selection_count(tree, 4, s) == want
 
 
 class TestBruteForce:

@@ -5,11 +5,8 @@ from gtue import (
     Cut,
     FinitaryVariable,
     Monotonicity,
-    POS_INF,
     Relation,
     XR,
-    clamp_above_sequence,
-    clamp_below_sequence,
     constant,
     explicit_sequence,
     is_complete,
@@ -17,7 +14,7 @@ from gtue import (
     relate,
 )
 from gtue.errors import MonotonicityViolated
-from gtue.tree import pointwise_leq, rank, situations_at, unrank
+from gtue.tree import rank, situations_at, subtree_block, unrank
 
 
 situations = st.lists(st.integers(0, 1), max_size=5).map(tuple)
@@ -59,6 +56,16 @@ class TestRanking:
 
     def test_lexicographic_layout(self):
         assert list(situations_at(2, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @given(arity=st.integers(2, 4), depth=st.integers(0, 5), data=st.data())
+    def test_subtree_block_is_the_prefix_filter(self, arity, depth, data):
+        s = tuple(data.draw(st.lists(st.integers(0, arity - 1), max_size=depth)))
+        below = [i for i, t in enumerate(situations_at(depth, arity)) if t[:len(s)] == s]
+        assert list(subtree_block(s, depth, arity)) == below
+
+    def test_subtree_block_rejects_shallower_depths(self):
+        with pytest.raises(ValueError):
+            subtree_block((0, 1), 1, 2)
 
 
 class TestLift:
@@ -131,28 +138,6 @@ class TestCuts:
 
 
 class TestSequences:
-    def test_clamp_above_levels(self):
-        base = FinitaryVariable(2, 1, (XR(0), POS_INF))
-        seq = clamp_above_sequence(base)
-        assert seq.monotonicity is Monotonicity.NON_DECREASING
-        assert seq.element(3).values == (XR(0), XR(8))
-        assert all(pointwise_leq(seq.element(n), seq.element(n + 1)) for n in range(7))
-
-    def test_clamp_below_sweep(self):
-        base = FinitaryVariable(2, 1, (XR(-20), XR(5)))
-        seq = clamp_below_sequence(base)
-        assert seq.monotonicity is Monotonicity.NON_INCREASING
-        assert seq.element(0).values == (XR(-1), XR(5))
-        assert seq.element(5).values == (XR(-20), XR(5))
-        assert all(pointwise_leq(seq.element(n + 1), seq.element(n)) for n in range(7))
-
-    def test_explicit_sequence_repeats_tail(self):
-        f = constant(2, 1)
-        g = constant(2, 2)
-        seq = explicit_sequence([f, g], Monotonicity.NON_DECREASING)
-        assert seq.element(0) is f
-        assert seq.element(7) is g
-
     def test_spot_check_catches_lies(self):
         f = constant(2, 1)
         g = constant(2, 0)
