@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
 from .errors import MonotonicityViolated, NotBoundedBelow
 from .xreal import XR, xr
 

@@ -39,8 +39,8 @@ from gtue.errors import (
     NotBoundedBelow,
     SpaceMismatch,
 )
-from gtue.testing import random_finitary, random_gamble, random_tree
 from gtue.evaluate import backward_levels
+from gtue.testing import random_finitary, random_gamble, random_tree
 from gtue.tree import unrank
 from tests.conftest import seeded
 
