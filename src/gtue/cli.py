@@ -51,7 +51,7 @@ from .evaluate import (
 from .oracle import brute_force_upper, selection_count
 from .process import check_supermartingale
 from .tree import FinitarySequence, FinitaryVariable
-from .xreal import xr
+from .xreal import close_within, xr
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -94,10 +94,6 @@ def _emit(document):
     print(json.dumps(document, indent=2))
 
 
-def _encode(value, rational: bool):
-    return jsonio.encode_number(xr(value), rational)
-
-
 def cmd_eval(args) -> int:
     config = _config_from_args(args)
     tree = jsonio.load_tree(args.tree, config.rational_mode)
@@ -106,11 +102,12 @@ def cmd_eval(args) -> int:
     rational = config.rational_mode
 
     if isinstance(subject, FinitarySequence):
-        if args.lower:
-            raise SchemaError("--lower applies to finitary variables, not sequences")
+        if args.lower or args.oracle:
+            raise SchemaError("--lower and --oracle apply to finitary variables, not sequences")
         result = eval_limit(tree, subject, situation, tol=config.tol, budget=config.budget)
-        report = {"value": _encode(result.value, rational), "status": result.status,
-                  "iterations": result.iterations, "method": result.method}
+        report = {"value": jsonio.encode_number(result.value, rational),
+                  "status": result.status, "iterations": result.iterations,
+                  "method": result.method}
         if result.bound_direction:
             report["bound_direction"] = result.bound_direction
         _emit(report)
@@ -121,18 +118,16 @@ def cmd_eval(args) -> int:
         value = eval_lower_finitary(tree, subject, situation)
     else:
         value = eval_finitary(tree, subject, situation)
-    report = {"value": _encode(value, rational), "status": STATUS_EXACT, "iterations": 0}
+    report = {"value": jsonio.encode_number(value, rational), "status": STATUS_EXACT,
+              "iterations": 0}
     exit_code = EXIT_OK
     if args.oracle:
         if args.lower:
             raise SchemaError("--oracle cross-checks the upper expectation only")
         report["selection_count"] = selection_count(tree, subject.depth, situation)
         oracle_value = brute_force_upper(tree, subject, situation, cap=config.oracle_cap)
-        if rational or not (oracle_value.is_finite and xr(value).is_finite):
-            matches = oracle_value == value
-        else:
-            matches = abs(oracle_value.as_float() - xr(value).as_float()) <= 1e-9
-        report["oracle_value"] = _encode(oracle_value, rational)
+        matches = close_within(oracle_value, value, config.tol)
+        report["oracle_value"] = jsonio.encode_number(oracle_value, rational)
         report["oracle_match"] = matches
         if not matches:
             exit_code = EXIT_FAILED_CHECK
@@ -156,7 +151,7 @@ def cmd_check(args) -> int:
             situation, gap = verdict.worst_violation
             entry["worst_violation"] = {
                 "situation": jsonio.situation_to_text(tree.space, situation),
-                "gap": _encode(gap, rational)}
+                "gap": jsonio.encode_number(gap, rational)}
         report["supermartingale"] = entry
         ok = ok and verdict.is_supermartingale
     elif not args.axioms:
@@ -194,7 +189,7 @@ def cmd_certify(args) -> int:
         checks = doob_gain_checks(process, transform)
         check_rows = [{"situation": jsonio.situation_to_text(space, c.situation),
                        "upcrossings": c.upcrossings,
-                       "gain": _encode(c.gain, rational),
+                       "gain": jsonio.encode_number(c.gain, rational),
                        "passed": c.passed} for c in checks]
     else:
         variable = jsonio.load_variable_or_sequence(args.subject, space, config.rational_mode)
@@ -204,8 +199,8 @@ def cmd_certify(args) -> int:
         checks = levy_bound_checks(transform)
         check_rows = [{"situation": jsonio.situation_to_text(space, c.situation),
                        "upcrossings": c.upcrossings,
-                       "value": _encode(c.value, rational),
-                       "threshold": _encode(c.threshold, rational),
+                       "value": jsonio.encode_number(c.value, rational),
+                       "threshold": jsonio.encode_number(c.threshold, rational),
                        "passed": c.passed} for c in checks]
 
     verdict = check_supermartingale(tree, transform.process, tol=config.tol)
@@ -217,7 +212,7 @@ def cmd_certify(args) -> int:
         situation, gap = verdict.worst_violation
         summary["worst_violation"] = {
             "situation": jsonio.situation_to_text(space, situation),
-            "gap": _encode(gap, rational)}
+            "gap": jsonio.encode_number(gap, rational)}
 
     process_doc = jsonio.dump_process(transform.process, space, rational)
     cuts_doc = jsonio.dump_cuts(transform.cuts, space)

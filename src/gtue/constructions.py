@@ -224,8 +224,7 @@ def doob_transform(tree: TreeModel, M: Process, t: Situation, a, b) -> Transform
         raise SpaceMismatch("process and tree disagree on the state space")
     if M.horizon > tree.max_depth:
         raise HorizonMismatch("process extends beyond the tree's depth bound")
-    if len(t) > M.horizon:
-        raise ValueError("transform root lies beyond the process horizon")
+    subtree_block(t, M.horizon, M.arity)  # refuses a root beyond the horizon or off the tree
     root_value = _exact(M.value_at(t))
     if root_value.is_pos_inf:
         raise NonFiniteRoot("the base process must be finite at the transform root")
@@ -325,21 +324,19 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
     delta = _rational(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if any(not v.is_finite for v in f.values):
+    if not (f.bounded_below and f.bounded_above):
         raise ValueError("the tracked variable must be a finitary gamble")
     s_prime = tuple(s_prime)
-    if len(s_prime) > f.depth:
-        raise ValueError("the root situation must not be deeper than the variable")
 
-    exact_f = f.map(_exact)
-    low = min(v.v for v in exact_f.values)
-    shifted = exact_f.map(lambda v: XR(v.v - low + delta))
-
+    exact = [Fraction(v) for v in f.values]
+    low = min(exact)
     arity, horizon = f.arity, f.depth
+    shifted = FinitaryVariable(arity, horizon, tuple(v - low + delta for v in exact))
+
     block = subtree_block(s_prime, horizon, arity)
     reachable = shifted.values[block.start:block.stop]
-    lo = min(v.v for v in reachable)
-    hi = max(v.v for v in reachable)
+    lo = min(reachable)
+    hi = max(reachable)
     if lo == hi:
         # Constant target: the conditional values never move, no window
         # can open, and the transform is identically one.
@@ -354,11 +351,10 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
             f"the certificate can never exceed b={b}: the shifted gamble "
             f"tops out at {hi}")
 
-    levels = backward_levels(tree.map_points(_exact_pmf), shifted)
-    driver = [[XR(v) for v in level] for level in levels]
+    driver = backward_levels(tree.map_points(_exact_pmf), shifted)
     return _crossing_walk(
         driver, arity, s_prime, XR(1), a, b, level_cut(arity, horizon), open_at_root=False,
-        step=lambda out, child, parent: XR(out.v * (child.v / parent.v)))
+        step=lambda out, child, parent: XR(out.v * (child / parent)))
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ by_depth trees) or a tuple of them in rank order (table trees).  The
 value at s depends only on s's subtree, which is one contiguous rank
 block per depth (``tree.subtree_block``), so backward_levels walks that
 block only: the whole levels at the root, nothing above s.  It runs on
-raw payloads: it unboxes the variable's block once, applies
-``credal.upper_row`` to whole rows (one model per level, or a slice of
-the level's tuple), and returns raw level tables.  ``XR`` is built only
-where a value leaves through the public API.
+raw payloads: it slices the variable's table, which already holds them,
+applies ``credal.upper_row`` to whole rows (one model per level, or a
+slice of the level's tuple), and returns raw level tables.  ``XR`` is
+built only where a value leaves through the public API.
 
 Limits of declared-monotone sequences come from the paper's continuity
 theorem where a sequence carries its limit: the clamp ladder min(f, 2^n)
@@ -30,6 +30,7 @@ verified in the declared order, so a truncated run is still meaningful
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .credal import CredalSet, StateSpace, upper_row
@@ -55,7 +56,7 @@ from .tree import (
     situations_at,
     subtree_block,
 )
-from .xreal import XR, abs_diff, le_within, neg, xr
+from .xreal import XR, close_within, le_within, neg, xr
 
 STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
@@ -206,7 +207,7 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
     s = tuple(s)
     levels: list = [None] * (f.depth + 1)
     block = subtree_block(s, f.depth, f.arity)
-    levels[f.depth] = [v.v for v in f.values[block.start:block.stop]]
+    levels[f.depth] = list(f.values[block.start:block.stop])
     for depth in range(f.depth - 1, len(s) - 1, -1):
         first = subtree_block(s, depth, f.arity).start
         levels[depth] = _upper_level(tree, depth, levels[depth + 1], first)
@@ -216,8 +217,6 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
 def eval_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> XR:
     """Upper expectation of a bounded-below finitary variable, conditional on s."""
     s = tuple(s)
-    if len(s) > f.depth:
-        raise ValueError("conditioning situation is deeper than the variable")
     return XR(backward_levels(tree, f, s=s)[len(s)][0])
 
 
@@ -231,7 +230,7 @@ def eval_lower_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROO
     """Conjugate lower expectation of a bounded-above finitary variable."""
     if not f.bounded_above:
         raise NotBoundedAbove("the lower expectation needs a bounded-above variable")
-    return neg(eval_finitary(tree, f.map(neg), s))
+    return neg(eval_finitary(tree, f.map(operator.neg), s))
 
 
 def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT,
@@ -255,11 +254,10 @@ def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT,
     if seq.limit is not None:
         return EvalResult(eval_finitary(tree, seq.limit, s), STATUS_CONVERGED, 1,
                           METHOD_CONTINUITY)
-    tol_x = xr(tol)
     previous: XR | None = None
     for n, item in enumerate(seq.items[:budget]):
         value = eval_finitary(tree, item, s)
-        if previous is not None and not abs_diff(value, previous) > tol_x:
+        if previous is not None and close_within(value, previous, tol):
             return EvalResult(value, STATUS_CONVERGED, n + 1, METHOD_ITERATION)
         previous = value
     if budget > len(seq.items):

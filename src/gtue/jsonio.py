@@ -1,10 +1,13 @@
 """JSON schemas for trees, variables, sequences, processes, and transforms.
 
-One file holds one object.  Numbers are decimal; infinities are the
-strings "inf" and "-inf".  In rational mode every numeric literal is
-parsed exactly (the raw decimal text goes straight into a Fraction) and
-values are emitted as exact decimal strings, or "p/q" when the value has
-no finite decimal expansion, so round trips are bit-exact.
+One file holds one object.  Numbers are decimal and decode to raw
+payloads (``xreal.payload``), with no ``XR`` on the way in.  Infinities
+are the strings "inf" and "-inf"; the tokens Infinity and -Infinity read
+as those strings, and a float-mode literal too large for a float is
+refused.  In rational mode every numeric literal is parsed exactly (the
+raw decimal text goes straight into a Fraction) and values are emitted
+as exact decimal strings, or "p/q" when the value has no finite decimal
+expansion, so round trips are bit-exact.
 
 Situations are dot-separated state labels; the empty string is the
 initial situation.  A state label is therefore non-empty and contains
@@ -14,6 +17,7 @@ no ".".
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .credal import CredalSet, StateSpace
@@ -30,14 +34,18 @@ from .tree import (
     explicit_sequence,
     situations_at,
 )
-from .xreal import XR, xr
+from .xreal import XR, payload, xr
+
+# json's non-standard constants.  The infinities read as their strings, so a
+# float infinity reaching decode_number comes from an overflowed literal.
+_CONSTANTS = {"Infinity": "inf", "-Infinity": "-inf", "NaN": math.nan}
+_INFINITIES = (math.inf, -math.inf)
 
 
 def load_json(path: str, rational: bool):
     with open(path, "r", encoding="utf-8") as handle:
-        if rational:
-            return json.load(handle, parse_float=Fraction)
-        return json.load(handle)
+        return json.load(handle, parse_float=Fraction if rational else None,
+                         parse_constant=_CONSTANTS.__getitem__)
 
 
 def situation_from_text(space: StateSpace, text: str) -> Situation:
@@ -50,27 +58,22 @@ def situation_to_text(space: StateSpace, s: Situation) -> str:
     return ".".join(space.labels[x] for x in s)
 
 
-def decode_number(raw, where: str) -> XR:
-    if isinstance(raw, str):
-        try:
-            return XR.parse(raw)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"{where}: cannot parse {raw!r} as a number") from None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction)):
-        raise SchemaError(f"{where}: expected a number, got {type(raw).__name__}")
+def decode_number(raw, where: str):
+    """A JSON number or numeric string as a raw payload (``xreal.payload``)."""
+    kind = type(raw)
+    if kind not in (int, float, str, Fraction):
+        raise SchemaError(f"{where}: expected a number, got {kind.__name__}")
+    if kind is float and raw in _INFINITIES:
+        raise SchemaError(f"{where}: literal overflows a float (infinities are \"inf\", \"-inf\")")
     try:
-        return XR(raw)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        return payload(raw)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"{where}: cannot parse {raw!r} as a number") from None
 
 
 def encode_number(value: XR, rational: bool):
     value = xr(value)
-    if not value.is_finite:
-        return value.to_text()
-    if rational:
-        return value.to_text()
-    return float(value.v)
+    return value.to_text() if rational or not value.is_finite else float(value.v)
 
 
 def _require(mapping, key, where: str):
@@ -89,9 +92,9 @@ def _natural(mapping, key, where: str) -> int:
 
 def _plain_mass(raw, where: str):
     value = decode_number(raw, where)
-    if not value.is_finite:
+    if value in _INFINITIES:
         raise SchemaError(f"{where}: probability masses must be finite")
-    return value.v
+    return value
 
 
 def load_credal(raw, where: str) -> CredalSet:
@@ -161,7 +164,10 @@ def variable_from_obj(obj, space: StateSpace, where: str = "variable") -> Finita
     if len(values) != space.size**depth:
         raise SchemaError(f"{where}.values: expected {space.size ** depth} entries "
                           f"for depth {depth}, got {len(values)}")
-    table = tuple(decode_number(v, f"{where}.values[{i}]") for i, v in enumerate(values))
+    try:
+        table = [decode_number(raw, where) for raw in values]
+    except SchemaError:  # decode again, naming each cell, to report the bad one
+        table = [decode_number(raw, f"{where}.values[{i}]") for i, raw in enumerate(values)]
     return FinitaryVariable(space.size, depth, table)
 
 

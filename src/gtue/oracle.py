@@ -33,9 +33,11 @@ DEFAULT_CAP = 10**7
 def selection_count(tree, n: int, s: Situation = ROOT) -> int:
     """Number of precise-tree selections for depth-n variables in s's subtree."""
     arity = tree.space.size
+    s = tuple(s)
+    subtree_block(s, len(s), arity)  # refuses a situation off the tree
     total = 1
     for depth in range(len(s), min(n, tree.max_depth)):
-        block = subtree_block(tuple(s), depth, arity)
+        block = subtree_block(s, depth, arity)
         level = tree.level(depth)
         if isinstance(level, CredalSet):
             total *= len(level.extreme_points) ** len(block)
@@ -56,8 +58,7 @@ def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
     s = tuple(s)
     if len(s) > f.depth:
         raise ValueError("conditioning situation is deeper than the variable")
-    values = _expectations(tree, f, s)
-    return max(values)
+    return max(_expectations(tree, f, s))
 
 
 def _expectations(tree, f: FinitaryVariable, s: Situation) -> list[XR]:

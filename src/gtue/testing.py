@@ -10,6 +10,7 @@ guarantees strict feasibility and exercises non-tight nodes.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from .credal import CredalSet, StateSpace
 from .evaluate import TreeModel, _upper_level
 from .process import Process
 from .tree import FinitaryVariable, level_cut, unrank
-from .xreal import POS_INF, XR
 
 
 def rand_fraction(rng: random.Random, low, high, denominator: int = 20) -> Fraction:
@@ -68,15 +68,12 @@ def random_tree(rng: random.Random, size: int, depth: int, max_points: int = 3,
 
 def random_finitary(rng: random.Random, size: int, depth: int, low=-5, high=5,
                     inf_probability: float = 0.0, rational: bool = True) -> FinitaryVariable:
-    values = []
-    for _ in range(size**depth):
+    def draw():
         if rng.random() < inf_probability:
-            values.append(POS_INF)
-        elif rational:
-            values.append(XR(rand_fraction(rng, low, high)))
-        else:
-            values.append(XR(rng.uniform(low, high)))
-    return FinitaryVariable(size, depth, tuple(values))
+            return math.inf
+        return rand_fraction(rng, low, high) if rational else rng.uniform(low, high)
+
+    return FinitaryVariable(size, depth, [draw() for _ in range(size**depth)])
 
 
 def random_gamble(rng: random.Random, size: int, depth: int, low=-5, high=5,
@@ -103,4 +100,4 @@ def random_supermartingale(tree: TreeModel, rng: random.Random, horizon: int,
 
 
 def float_variable(f: FinitaryVariable) -> FinitaryVariable:
-    return f.map(lambda v: v if not v.is_finite else XR(float(v.v)))
+    return f.map(float)

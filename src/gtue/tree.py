@@ -3,7 +3,9 @@
 Situations are tuples of state indices (not labels); the empty tuple is
 the initial situation.  Tables over X^n are laid out lexicographically,
 so the descendants of a situation at any depth are one contiguous rank
-block (``subtree_block``) and lookups are pure index arithmetic.
+block (``subtree_block``) and lookups are pure index arithmetic.  A
+finitary variable's table holds raw payloads (``xreal.payload``), the
+form the backward kernel reads; only the scalars it returns are ``XR``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import MonotonicityViolated, NotBoundedBelow
-from .xreal import XR, xr
+from .xreal import NEG_INF, POS_INF, XR, payload
+
+# The canonical infinite payloads, which tables hold by identity.
+_POS, _NEG = POS_INF.v, NEG_INF.v
 
 Situation = tuple[int, ...]
 
@@ -62,6 +67,8 @@ def subtree_block(s: Situation, depth: int, arity: int) -> range:
     """The ranks, at depth, of s's descendants: one contiguous block."""
     if depth < len(s):
         raise ValueError(f"situation {s} is deeper than depth {depth}")
+    if not all(0 <= x < arity for x in s):
+        raise ValueError(f"situation {s} leaves the tree: states run from 0 to {arity - 1}")
     width = arity ** (depth - len(s))
     first = rank(s, arity) * width
     return range(first, first + width)
@@ -116,40 +123,43 @@ def is_complete(cut: Cut, arity: int) -> bool:
 
 @dataclass(frozen=True)
 class FinitaryVariable:
-    """A depth-n table over X^n, standing for an n-measurable global variable."""
+    """A depth-n table over X^n, standing for an n-measurable global variable.
+
+    ``map`` and ``combine`` callbacks get payloads and may return payloads or XR.
+    """
 
     arity: int
     depth: int
-    values: tuple[XR, ...]
+    values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(xr(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(payload, self.values)))
         if len(self.values) != self.arity**self.depth:
             raise ValueError(
                 f"table has {len(self.values)} entries, expected {self.arity ** self.depth}")
 
     @property
     def bounded_below(self) -> bool:
-        return all(not v.is_neg_inf for v in self.values)
+        return all(v is not _NEG for v in self.values)
 
     @property
     def bounded_above(self) -> bool:
-        return all(not v.is_pos_inf for v in self.values)
+        return all(v is not _POS for v in self.values)
 
     def value_at(self, s: Situation) -> XR:
         """Value on the cylinder of s; s must be at least depth long."""
         if len(s) < self.depth:
             raise ValueError(f"situation {s} is shallower than depth {self.depth}")
-        return self.values[rank(s[:self.depth], self.arity)]
+        return XR(self.values[subtree_block(s[:self.depth], self.depth, self.arity).start])
 
     def sup(self) -> XR:
-        return max(self.values)
+        return XR(max(self.values))
 
     def inf(self) -> XR:
-        return min(self.values)
+        return XR(min(self.values))
 
     def map(self, fn) -> "FinitaryVariable":
-        return FinitaryVariable(self.arity, self.depth, tuple(fn(v) for v in self.values))
+        return FinitaryVariable(self.arity, self.depth, tuple(map(fn, self.values)))
 
     def combine(self, other: "FinitaryVariable", fn) -> "FinitaryVariable":
         if other.arity != self.arity:
@@ -161,14 +171,13 @@ class FinitaryVariable:
 
 
 def constant(arity: int, value, depth: int = 0) -> FinitaryVariable:
-    return FinitaryVariable(arity, depth, (xr(value),) * arity**depth)
+    return FinitaryVariable(arity, depth, (payload(value),) * arity**depth)
 
 
 def indicator(arity: int, depth: int, cells) -> FinitaryVariable:
     """Indicator of a set of depth-n cells, given as situations or ranks."""
     hits = {c if isinstance(c, int) else rank(tuple(c), arity) for c in cells}
-    return FinitaryVariable(arity, depth,
-                            tuple(XR(1) if i in hits else XR(0) for i in range(arity**depth)))
+    return FinitaryVariable(arity, depth, tuple(int(i in hits) for i in range(arity**depth)))
 
 
 def lift(f: FinitaryVariable, depth: int) -> FinitaryVariable:

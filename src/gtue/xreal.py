@@ -17,8 +17,10 @@ float objects, ``math.inf`` or this module's ``-math.inf``, so code that
 works on raw payloads (the backward kernel in ``gtue.credal``) can test
 for +inf by identity with ``math.inf``.
 
-``XR`` is the type of the public API and of the JSON edge; inner loops
-run on raw payloads under the same conventions.
+``payload`` is the one place a number is normalised: it turns an int,
+Fraction, float, numeric text or ``XR`` into its raw payload.  Variable
+tables and the backward kernel hold raw payloads under the same
+conventions; ``XR`` boxes the scalars that leave the public API.
 """
 
 from __future__ import annotations
@@ -38,12 +40,9 @@ class XR:
     __slots__ = ("v",)
 
     def __init__(self, value):
-        # Exact ints and Fractions skip every check: JSON decoding and
-        # boxing at the API edge build one XR per number.
+        # payload's int/Fraction fast path, inlined: cheaper than the call.
         kind = type(value)
-        if kind is not int and kind is not Fraction:
-            value = _payload(value)
-        _set_payload(self, value)
+        _set_payload(self, value if kind is int or kind is Fraction else payload(value))
 
     def __setattr__(self, name, value):
         raise AttributeError("XR is immutable")
@@ -127,13 +126,6 @@ class XR:
             return _fraction_text(self.v)
         return repr(self.v)
 
-    @classmethod
-    def parse(cls, text: str) -> "XR":
-        return cls(text)
-
-    def as_float(self) -> float:
-        return float(self.v)
-
     def __repr__(self):
         return f"XR({self.to_text()})"
 
@@ -142,8 +134,15 @@ class XR:
 _set_payload = XR.v.__set__
 
 
-def _payload(value):
-    """The payload of anything but an exact int or Fraction; infinities become _POS / _NEG."""
+def payload(value):
+    """The raw payload of a number, numeric text or XR; NaN is refused.
+
+    Text is parsed exactly, and an infinity becomes the canonical _POS or
+    _NEG object, so callers may test for it by identity.
+    """
+    kind = type(value)
+    if kind is int or kind is Fraction:
+        return value
     if isinstance(value, float):
         if value != value:
             raise ValueError("NaN is not an extended real")
@@ -151,21 +150,16 @@ def _payload(value):
     if isinstance(value, XR):
         return value.v
     if isinstance(value, str):
-        return _parse_payload(value)
+        text = value.strip()
+        # "inf" and "Infinity", either signed; Fraction reads any other text.
+        if text.lstrip("+-") in ("inf", "Infinity"):
+            return payload(float(text))
+        return Fraction(text)
     if isinstance(value, bool):
         return int(value)
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"cannot build an extended real from {type(value).__name__}")
     return value
-
-
-def _parse_payload(text: str):
-    stripped = text.strip()
-    if stripped in ("inf", "+inf", "Infinity", "+Infinity"):
-        return _POS
-    if stripped in ("-inf", "-Infinity"):
-        return _NEG
-    return Fraction(stripped)
 
 
 def _fraction_text(f: Fraction) -> str:

@@ -246,7 +246,7 @@ def test_non_increasing_convergence():
         def element(n, g=g, top=top, depth=depth):
             if n < depth:
                 return constant(2, top + 3 * 2.0**-n)
-            return g.map(lambda v: XR(v.v + 3 * 2.0**-n))
+            return g.map(lambda v: v + 3 * 2.0**-n)
 
         seq = explicit_sequence([element(n) for n in range(45)],
                                 Monotonicity.NON_INCREASING)

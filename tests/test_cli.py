@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,31 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from gtue import cli, eval_process, jsonio, neg
+from gtue import (
+    CredalSet,
+    FinitaryVariable,
+    Monotonicity,
+    Process,
+    StateSpace,
+    XR,
+    add,
+    check_supermartingale,
+    clamp_above_sequence,
+    clamp_below_sequence,
+    cli,
+    eval_finitary,
+    eval_limit,
+    eval_process,
+    explicit_sequence,
+    jsonio,
+    level_cut,
+    neg,
+)
+from gtue.errors import GTUEError
 from gtue.evaluate import TreeModel
+from gtue.tree import situations_at
 
 F = Fraction
 
@@ -102,6 +124,23 @@ class TestEvalCommand:
         assert code == 0
         assert report["value"] == report["oracle_value"] == 6.875
         assert report["selection_count"] == 3
+
+    def test_oracle_on_a_sequence_is_input_error(self, files, capsys):
+        seq = {"kind": "clamp_above", "base": {"depth": 1, "values": [0, 1]}}
+        code, report, err = run_cli(
+            ["eval", files("t.json", TREE_A), files("s.json", seq), "--oracle"], capsys)
+        assert (code, report) == (1, None)
+        assert "--oracle" in err
+
+    def test_oracle_comparison_honours_tol(self, files, capsys, monkeypatch):
+        exact = cli.brute_force_upper
+        monkeypatch.setattr(cli, "brute_force_upper",
+                            lambda *args, **kwargs: add(exact(*args, **kwargs), XR(1e-6)))
+        argv = ["eval", files("t.json", TREE_A), files("f.json", INDICATOR_11), "--oracle"]
+        code, report, _ = run_cli(argv + ["--tol", "1e-5"], capsys)
+        assert (code, report["oracle_match"]) == (0, True)
+        code, report, _ = run_cli(argv, capsys)
+        assert (code, report["oracle_match"]) == (2, False)
 
     def test_sequence_convergence(self, files, capsys):
         seq = {"kind": "clamp_above", "base": {"depth": 1, "values": [0, "inf"]}}
@@ -379,6 +418,57 @@ class TestInputEdge:
         assert (code, report) == (1, None)
         assert f"tree.states[{bad}]" in err
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+    def test_overflowing_variable_literal_is_input_error(self, files, tmp_path, capsys,
+                                                         literal):
+        variable = tmp_path / "f.json"
+        variable.write_text(f'{{"depth": 1, "values": [{literal}, 0]}}')
+        argv = ["eval", files("t.json", TREE_A), str(variable)]
+        code, report, err = run_cli(argv, capsys)
+        assert (code, report) == (1, None)
+        assert "variable.values[0]" in err and "overflows" in err
+        # Rational mode reads the literal exactly.
+        code, report, _ = run_cli(argv + ["--rational"], capsys)
+        assert code == 0
+
+    def test_overflowing_process_literal_is_input_error(self, files, tmp_path, capsys):
+        process = tmp_path / "p.json"
+        process.write_text('{"horizon": 1, "values": {"": 1e400, "0": 0, "1": 0}}')
+        code, report, err = run_cli(["check", files("t.json", TREE_A), str(process)], capsys)
+        assert (code, report) == (1, None)
+        assert "process.values['']" in err and "overflows" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--rational"]])
+    def test_infinity_tokens_read_as_the_documented_strings(self, files, tmp_path, capsys,
+                                                            flags):
+        variable = tmp_path / "f.json"
+        variable.write_text('{"depth": 1, "values": [Infinity, 0]}')
+        code, report, _ = run_cli(["eval", files("t.json", TREE_A), str(variable)] + flags,
+                                  capsys)
+        assert (code, report["value"]) == (0, "inf")
+        variable.write_text('{"depth": 1, "values": [-Infinity, 0]}')
+        code, report, err = run_cli(["eval", files("t.json", TREE_A), str(variable)] + flags,
+                                    capsys)
+        assert (code, report) == (1, None)
+        assert "NotBoundedBelow" in err
+
+    def test_decoding_builds_no_xr_per_cell(self, monkeypatch):
+        tree = jsonio.tree_from_obj(dict(TREE_A, max_depth=10))
+        doc = {"depth": 10, "values": [i % 7 if i % 3 else i / 8 for i in range(2**10)]}
+        built = []
+        init = XR.__init__
+
+        def counting_init(self, value):
+            built.append(value)
+            init(self, value)
+
+        monkeypatch.setattr(XR, "__init__", counting_init)
+        f = jsonio.variable_from_obj(doc, tree.space)
+        value = eval_finitary(tree, f)
+        monkeypatch.undo()
+        assert len(built) <= 2
+        assert value == eval_finitary(tree, f)
+
     def test_value_too_large_for_floats_is_input_error(self, files, capsys):
         # Exact 10^400 times the float mass 0.5 overflows float arithmetic.
         code, report, err = run_cli(
@@ -489,6 +579,172 @@ def test_eval_edge_exits_cleanly_and_agrees_with_whole_levels(document):
         else:
             want = eval_process(tree, f).value_at(s)
     assert json.loads(out.getvalue())["value"] == jsonio.encode_number(want, rational)
+
+
+# Bare literals too large for a float, written into the JSON text by _dump.
+_OVER, _NEG_OVER = "<1e400>", "<-1e400>"
+_CELLS = st.one_of(
+    st.integers(-5, 5), st.floats(-5, 5),
+    st.sampled_from(("1/3", "2.5e-3", "inf", math.inf)),
+    st.integers(-5 * _HUGE, 5 * _HUGE).map(lambda n: f"{n}/{_HUGE + 1}"))
+_ODD_CELLS = st.sampled_from((True, False, math.nan, "-inf", -math.inf, _OVER, _NEG_OVER,
+                              "1/0", "x"))
+
+
+class _Refused(Exception):
+    """A cell that main must refuse with exit code 1."""
+
+
+def _cell(raw, rational: bool):
+    """The test's own reading of one cell: int, Fraction or float."""
+    if isinstance(raw, bool) or raw in ("1/0", "x") or raw != raw:
+        raise _Refused(raw)
+    if raw in (_OVER, _NEG_OVER):
+        if not rational:
+            raise _Refused(raw)
+        return F(10**400) if raw == _OVER else F(-10**400)
+    if raw in ("inf", "-inf") or raw in (math.inf, -math.inf):
+        return float(raw)
+    if isinstance(raw, str):
+        return F(raw)
+    # Rational mode reads a float literal's decimal text exactly.
+    return F(repr(raw)) if rational and isinstance(raw, float) else raw
+
+
+def _dump(path, doc):
+    text = json.dumps(doc).replace(f'"{_OVER}"', "1e400").replace(f'"{_NEG_OVER}"', "-1e400")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+@st.composite
+def _edge_cases(draw):
+    """A valid tree and a sequence template or process whose cells may be odd."""
+    arity = draw(st.integers(2, 3))
+    points = []
+    for _ in range(draw(st.integers(1, 2))):
+        cuts = sorted(draw(st.lists(st.integers(0, 20), min_size=arity - 1,
+                                    max_size=arity - 1)))
+        points.append([b - a for a, b in zip([0] + cuts, cuts + [20])])
+    masses_as_text = draw(st.booleans())
+    rational = draw(st.booleans())
+
+    def cells(count):
+        return _spoil(draw, draw(st.lists(_CELLS, min_size=count, max_size=count)),
+                      _ODD_CELLS, rate=3)
+
+    def variable():
+        depth = draw(st.integers(0, 2))
+        return {"depth": depth, "values": cells(arity**depth)}
+
+    kind = draw(st.sampled_from(("clamp_above", "clamp_below", "explicit") + ("process",) * 3))
+    if kind == "process":
+        horizon = draw(st.integers(0, 2))
+        levels = [[".".join(str(x) for x in s) for s in situations_at(d, arity)]
+                  for d in range(horizon + 1)]
+        labels = [label for level in levels for label in level]
+        subject = {"horizon": horizon, "values": dict(zip(labels, cells(len(labels))))}
+        if draw(st.booleans()):
+            subject["terminal_cut"] = levels[-1]
+    elif kind == "explicit":
+        subject = {"kind": kind,
+                   "items": [variable() for _ in range(draw(st.integers(1, 3)))],
+                   "monotonicity": draw(st.sampled_from(
+                       ("non_decreasing", "non_increasing", "none")))}
+    else:
+        subject = {"kind": kind, "base": variable()}
+    situation = ".".join(str(x) for x in draw(st.lists(st.integers(0, arity - 1),
+                                                       max_size=2)))
+    return arity, points, masses_as_text, rational, subject, situation
+
+
+def _expected(arity, points, masses_as_text, rational, subject, situation):
+    """What main must report, from the test's own reading of every cell.
+
+    Returns ("eval", EvalResult) or ("check", verdict); raises _Refused,
+    a GTUEError, ValueError or OverflowError where main must exit 1.
+    """
+    def mass(w):
+        return F(w, 20) if rational or masses_as_text else w / 20
+
+    tree = TreeModel.stationary(StateSpace(tuple(str(x) for x in range(arity))),
+                                CredalSet([tuple(mass(w) for w in p) for p in points]), 3)
+    tol = 0 if rational else 1e-9  # main's default tolerance
+
+    def variable(doc):
+        return FinitaryVariable(arity, doc["depth"],
+                                [_cell(raw, rational) for raw in doc["values"]])
+
+    if "horizon" in subject:
+        horizon = subject["horizon"]
+        levels = [[_cell(subject["values"][".".join(str(x) for x in s)], rational)
+                   for s in situations_at(d, arity)] for d in range(horizon + 1)]
+        cut = level_cut(arity, horizon) if "terminal_cut" in subject else None
+        return "check", check_supermartingale(tree, Process(arity, horizon, levels, cut), tol)
+    s = tuple(int(x) for x in situation.split(".")) if situation else ()
+    kind = subject["kind"]
+    if kind == "explicit":
+        items = [variable(item) for item in subject["items"]]
+        seq = explicit_sequence(items, Monotonicity(subject["monotonicity"]))
+        result = eval_limit(tree, seq, s, tol)
+        # The value of the item the iteration stopped at (the last one at the tail).
+        stop = items[min(result.iterations, len(items)) - 1]
+        assert result.value == eval_finitary(tree, stop, s)
+        return "eval", result
+    base = variable(subject["base"])
+    seq = (clamp_above_sequence if kind == "clamp_above" else clamp_below_sequence)(base)
+    result = eval_limit(tree, seq, s, tol)
+    assert result.value == eval_finitary(tree, base, s)
+    return "eval", result
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_edge_cases())
+def test_sequence_and_process_cells_decode_like_the_library(case):
+    """main returns a documented code, never raises, and agrees with the library.
+
+    Every cell is also read by the test itself (``_cell``); an exit-0
+    value must equal eval_finitary, and a check verdict
+    check_supermartingale, on objects built from that reading.
+    """
+    arity, points, masses_as_text, rational, subject, situation = case
+    tree_doc = {"states": [str(x) for x in range(arity)], "max_depth": 3,
+                "model": {"type": "stationary", "extreme_points": [
+                    [f"{w}/20" if masses_as_text else w / 20 for w in p] for p in points]}}
+    command = "check" if "horizon" in subject else "eval"
+    with tempfile.TemporaryDirectory() as workdir:
+        tree_path = os.path.join(workdir, "t.json")
+        subject_path = os.path.join(workdir, "s.json")
+        _dump(tree_path, tree_doc)
+        _dump(subject_path, subject)
+        argv = [command, tree_path, subject_path] + (["--rational"] if rational else [])
+        if command == "eval":
+            argv += ["--situation", situation]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    event(f"{command} exit {code}")
+    try:
+        kind, want = _expected(*case)
+    except (_Refused, GTUEError, ValueError, OverflowError):
+        assert code == 1
+        return
+    report = json.loads(out.getvalue())
+    if kind == "eval":
+        assert code == (3 if want.status == "budget_exhausted" else 0)
+        assert (report["value"], report["status"], report["iterations"]) == \
+            (jsonio.encode_number(want.value, rational), want.status, want.iterations)
+    else:
+        entry = report["supermartingale"]
+        assert code == (0 if want.is_supermartingale else 2)
+        assert (entry["is_supermartingale"], entry["is_bounded_below"]) == \
+            (want.is_supermartingale, want.is_bounded_below)
+        if want.worst_violation is not None:
+            s, gap = want.worst_violation
+            assert entry["worst_violation"] == {
+                "situation": ".".join(str(x) for x in s),
+                "gap": jsonio.encode_number(gap, rational)}
 
 
 def test_console_entry_point_runs():

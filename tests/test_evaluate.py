@@ -39,7 +39,9 @@ from gtue.errors import (
     NotBoundedBelow,
     SpaceMismatch,
 )
+from gtue.constructions import doob_transform, levy_transform
 from gtue.evaluate import backward_levels
+from gtue.oracle import brute_force_upper, selection_count
 from gtue.testing import random_finitary, random_gamble, random_tree
 from gtue.tree import unrank
 from tests.conftest import seeded
@@ -85,6 +87,28 @@ class TestEvalFinitary:
             f = random_finitary(rng, 2, rng.randint(0, 2), inf_probability=0.1)
             deeper = lift(f, f.depth + rng.randint(1, 2))
             assert eval_finitary(tree, f) == eval_finitary(tree, deeper)
+
+
+class TestSituationsOffTheTree:
+    """Every subtree walk inherits subtree_block's refusal of a state >= arity or < 0."""
+
+    @pytest.mark.parametrize("s", [(0, 2), (0, 5), (-1,)])
+    def test_every_walk_refuses(self, tree_a, s):
+        # (0, 2) used to read the cell of (1, 0); the others raised IndexError.
+        f = FinitaryVariable(2, 2, (1, 2, 3, 4))
+        walks = [
+            lambda: eval_finitary(tree_a, f, s),
+            lambda: eval_lower_finitary(tree_a, f, s),
+            lambda: eval_limit(tree_a, clamp_above_sequence(f), s),
+            lambda: eval_limit(tree_a, explicit_sequence([f], Monotonicity.NON_DECREASING), s),
+            lambda: selection_count(tree_a, 2, s),
+            lambda: brute_force_upper(tree_a, f, s),
+            lambda: doob_transform(tree_a, eval_process(tree_a, f), s, 1, 2),
+            lambda: levy_transform(tree_a, f, s, "5/4", "7/4", 1),
+        ]
+        for walk in walks:
+            with pytest.raises(ValueError, match="leaves the tree"):
+                walk()
 
 
 class TestEvalProcess:
@@ -334,7 +358,7 @@ class TestEvalLimit:
             # already has the limit's value: +inf cells it clamps carry no
             # upper mass.
             level = XR(1)
-            while any(v.is_finite and not v < level for v in base.values):
+            while any(v != POS_INF and not v < level for v in base.values):
                 level = XR(2 * level.v)
             rung = base.map(lambda v: min(v, level))
             assert eval_finitary(tree, rung, s) == want
@@ -506,7 +530,7 @@ def _reference_upper(model, children):
 
 def _reference_levels(tree, f):
     arity = f.arity
-    levels = {f.depth: list(f.values)}
+    levels = {f.depth: [XR(v) for v in f.values]}
     for depth in range(f.depth - 1, -1, -1):
         below = levels[depth + 1]
         levels[depth] = [_reference_upper(tree.local_model_at(unrank(i, depth, arity)),
@@ -582,7 +606,7 @@ class TestKernelEquivalence:
             assert all(_same(got, want) for d in range(depth + 1)
                        for got, want in zip(process.levels[d], reference[d]))
             for i, value in enumerate(f.values if depth else ()):
-                if value.is_pos_inf:
+                if value == POS_INF:
                     masses = [p[i % arity] for p in
                               tree.local_model_at(unrank(i // arity, depth - 1, arity))
                               .extreme_points]

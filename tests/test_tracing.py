@@ -1,0 +1,60 @@
+"""The benchmark's tracer against the library it patches.
+
+``perfbench/tracing.py`` wraps gtue functions by module attribute name.
+A renamed or removed target would crash a traced benchmark run, so the
+tracer is installed on the imported gtue here, used for one traced op,
+and uninstalled: every name it patches must exist, its hooks must read
+the arguments they expect, and every attribute must come back.
+"""
+
+import importlib.util
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stdout
+
+import gtue.cli
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every attribute of every gtue module, and of CutSystem, by identity."""
+    owners = [module for name, module in sys.modules.items()
+              if name == "gtue" or name.startswith("gtue.")]
+    owners.append(sys.modules["gtue.constructions"].CutSystem)
+    return {(id(owner), attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+def test_tracer_patches_existing_names_and_restores_them(tmp_path):
+    tracing = _load_tracing()
+    before = _bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        installed = _bindings()
+        assert any(installed[key] is not before[key] for key in before)
+        tree = tmp_path / "t.json"
+        tree.write_text(json.dumps({"states": ["0", "1"], "max_depth": 2, "model": {
+            "type": "stationary", "extreme_points": [[0.5, 0.5], [0.25, 0.75]]}}))
+        variable = tmp_path / "f.json"
+        variable.write_text(json.dumps({"depth": 2, "values": [0, 1, 2, "inf"]}))
+        with redirect_stdout(io.StringIO()):
+            code = gtue.cli.main(["eval", str(tree), str(variable), "--situation", "1"])
+        assert code == 0
+        assert tracer.counters["evaluate.nodes"] > 0
+        assert tracer.counters["jsonio.bytes_in"] > 0
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

@@ -67,6 +67,11 @@ class TestRanking:
         with pytest.raises(ValueError):
             subtree_block((0, 1), 1, 2)
 
+    @pytest.mark.parametrize("s", [(0, 2), (0, 5), (-1,), (2,)])
+    def test_subtree_block_rejects_states_off_the_tree(self, s):
+        with pytest.raises(ValueError, match="leaves the tree"):
+            subtree_block(s, 2, 2)
+
 
 class TestLift:
     def test_constant_lift(self):

@@ -85,14 +85,14 @@ def test_order_compatible_with_addition(a, b, c):
 @given(x=st.one_of(st.fractions(-100, 100), st.integers(-10**9, 10**9)))
 def test_text_round_trip_exact(x):
     value = XR(x)
-    assert XR.parse(value.to_text()) == value
+    assert XR(value.to_text()) == value
 
 
 def test_text_infinities_and_ratios():
     assert POS_INF.to_text() == "inf"
     assert NEG_INF.to_text() == "-inf"
     assert XR(Fraction(1, 3)).to_text() == "1/3"
-    assert XR.parse("1/3") == XR(Fraction(1, 3))
+    assert XR("1/3") == XR(Fraction(1, 3))
     assert XR(Fraction(49, 100)).to_text() == "0.49"
 
 
