@@ -56,7 +56,9 @@ from .tree import (
     situations_at,
     subtree_block,
 )
-from .xreal import XR, close_within, le_within, neg, xr
+from .xreal import NEG_INF, POS_INF, XR, close_within, le_within, neg, xr
+
+_POS, _NEG = POS_INF.v, NEG_INF.v
 
 STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
@@ -199,15 +201,15 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
     For every depth d from len(s) to f.depth, ``levels[d]`` holds the
     values at s's descendants of depth d, in rank order (the whole level
     when s is the root).  Entries are raw payloads (int, Fraction or
-    float, ``math.inf`` for +inf); levels above s are None.
+    float, ``math.inf`` for +inf); levels above s are None.  Only the
+    values on s's subtree must be bounded below.
     """
     _check_variable(tree, f)
-    if not f.bounded_below:
-        raise NotBoundedBelow("the upper expectation needs a bounded-below variable")
     s = tuple(s)
     levels: list = [None] * (f.depth + 1)
-    block = subtree_block(s, f.depth, f.arity)
-    levels[f.depth] = list(f.values[block.start:block.stop])
+    levels[f.depth] = list(f.on_subtree(s))
+    if any(v is _NEG for v in levels[f.depth]):
+        raise NotBoundedBelow("the upper expectation needs a bounded-below variable")
     for depth in range(f.depth - 1, len(s) - 1, -1):
         first = subtree_block(s, depth, f.arity).start
         levels[depth] = _upper_level(tree, depth, levels[depth + 1], first)
@@ -215,7 +217,7 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
 
 
 def eval_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> XR:
-    """Upper expectation of a bounded-below finitary variable, conditional on s."""
+    """Upper expectation of a finitary variable bounded below on s's subtree, given s."""
     s = tuple(s)
     return XR(backward_levels(tree, f, s=s)[len(s)][0])
 
@@ -227,8 +229,8 @@ def eval_process(tree: TreeModel, f: FinitaryVariable) -> Process:
 
 
 def eval_lower_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> XR:
-    """Conjugate lower expectation of a bounded-above finitary variable."""
-    if not f.bounded_above:
+    """Conjugate lower expectation of a finitary variable bounded above on s's subtree."""
+    if any(v is _POS for v in f.on_subtree(tuple(s))):
         raise NotBoundedAbove("the lower expectation needs a bounded-above variable")
     return neg(eval_finitary(tree, f.map(operator.neg), s))
 

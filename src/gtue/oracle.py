@@ -25,7 +25,9 @@ from __future__ import annotations
 from .errors import CapExceeded, NotBoundedBelow
 from .credal import CredalSet
 from .tree import FinitaryVariable, ROOT, Situation, subtree_block
-from .xreal import XR, add, scale
+from .xreal import NEG_INF, XR, add, scale
+
+_NEG = NEG_INF.v
 
 DEFAULT_CAP = 10**7
 
@@ -49,15 +51,16 @@ def selection_count(tree, n: int, s: Situation = ROOT) -> int:
 
 def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
                       cap: int = DEFAULT_CAP) -> XR:
-    """Max over selections of the forward expectation of f from s."""
-    if not f.bounded_below:
+    """Max over selections of the forward expectation of f from s.
+
+    Only the values on s's subtree must be bounded below.
+    """
+    s = tuple(s)
+    if any(v is _NEG for v in f.on_subtree(s)):
         raise NotBoundedBelow("the oracle needs a bounded-below variable")
     count = selection_count(tree, f.depth, s)
     if count > cap:
         raise CapExceeded(f"{count} selections exceed the cap {cap}")
-    s = tuple(s)
-    if len(s) > f.depth:
-        raise ValueError("conditioning situation is deeper than the variable")
     return max(_expectations(tree, f, s))
 
 

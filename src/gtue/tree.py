@@ -146,6 +146,11 @@ class FinitaryVariable:
     def bounded_above(self) -> bool:
         return all(v is not _POS for v in self.values)
 
+    def on_subtree(self, s: Situation) -> tuple:
+        """The values at s's descendants of the variable's depth, in rank order."""
+        block = subtree_block(s, self.depth, self.arity)
+        return self.values[block.start:block.stop]
+
     def value_at(self, s: Situation) -> XR:
         """Value on the cylinder of s; s must be at least depth long."""
         if len(s) < self.depth:

@@ -20,7 +20,10 @@ for +inf by identity with ``math.inf``.
 ``payload`` is the one place a number is normalised: it turns an int,
 Fraction, float, numeric text or ``XR`` into its raw payload.  Variable
 tables and the backward kernel hold raw payloads under the same
-conventions; ``XR`` boxes the scalars that leave the public API.
+conventions; ``XR`` boxes the scalars that leave the public API.  The
+``raw_*`` functions are the payload forms of ``add``, ``neg``, ``scale``,
+``le_within`` and ``close_within``: same results, same UndefinedProduct
+cases, infinities tested by identity.
 """
 
 from __future__ import annotations
@@ -162,6 +165,56 @@ def payload(value):
     return value
 
 
+def raw_add(a, b):
+    """``add`` on raw payloads."""
+    if a is _POS or b is _POS:
+        return _POS
+    if a is _NEG or b is _NEG:
+        return _NEG
+    # A float sum can overflow to an infinity that is not the canonical object.
+    return payload(a + b)
+
+
+def raw_neg(a):
+    """``neg`` on a raw payload."""
+    if a is _POS:
+        return _NEG
+    if a is _NEG:
+        return _POS
+    return -a
+
+
+def raw_scale(lam, a):
+    """``scale`` on raw payloads."""
+    if lam is _NEG:
+        raise UndefinedProduct("-inf is not an admissible factor")
+    if lam is _POS:
+        if a < 0:
+            raise UndefinedProduct("(+inf) * a is undefined for a < 0")
+        return 0 if a == 0 else _POS
+    if lam == 0:
+        return 0
+    if a is _POS:
+        return _POS if lam > 0 else _NEG
+    if a is _NEG:
+        return _NEG if lam > 0 else _POS
+    return payload(lam * a)
+
+
+def raw_le_within(a, b, tol) -> bool:
+    """``le_within`` on raw payloads: a <= b + tol."""
+    return not (a > raw_add(b, tol))
+
+
+def raw_close_within(a, b, tol) -> bool:
+    """``close_within`` on raw payloads."""
+    if a == b:
+        return True
+    if a is _POS or a is _NEG or b is _POS or b is _NEG:
+        return False
+    return abs(a - b) <= tol
+
+
 def _fraction_text(f: Fraction) -> str:
     den = f.denominator
     if den == 1:
@@ -199,7 +252,6 @@ def xr(value) -> XR:
 POS_INF = XR(_POS)
 NEG_INF = XR(_NEG)
 ZERO = XR(0)
-ONE = XR(1)
 
 
 def add(a: XR, b: XR) -> XR:
@@ -251,16 +303,6 @@ def scale(lam, a: XR) -> XR:
 def le_within(a: XR, b: XR, tol) -> bool:
     """True iff a <= b + tol (order-based, safe at infinities)."""
     return not (xr(a) > add(xr(b), xr(tol)))
-
-
-def abs_diff(a: XR, b: XR) -> XR:
-    """|a - b|; +inf when the two differ and either is infinite."""
-    a, b = xr(a), xr(b)
-    if a == b:
-        return ZERO
-    if not (a.is_finite and b.is_finite):
-        return POS_INF
-    return XR(abs(a.v - b.v))
 
 
 def close_within(a: XR, b: XR, tol) -> bool:

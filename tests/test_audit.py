@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from gtue import CredalSet, StateSpace
 from gtue.audit import (
     audit_axioms,
@@ -68,3 +70,55 @@ def test_report_shape():
                                    "countable_subadditivity"}
     assert report.trials == 40
     assert report.failures() == []
+
+
+def test_tiny_charge_on_the_inf_cells_is_audited_exactly():
+    # The upper probability 1/10^400 of the +inf cell underflows a float to 0.0.
+    tiny = Fraction(1, 10**400)
+    model = CredalSet([(tiny, 1 - tiny)])
+    report = audit_axioms(upper_envelope(model), StateSpace(("0", "1")), trials=30,
+                          seed=0, tol=0)
+    assert report.all_passed, [r.counterexample for r in report.failures()]
+    assert report.e10_branches["divergent"] > 0
+
+
+# Functional calls of this audit at the commit before the exact divergent
+# E10 branch, whose clamp ladder climbed past a ceiling of 1e12.
+CLAMP_LADDER_CALLS = 1702
+
+
+def test_audit_calls_stay_well_below_the_clamp_ladder():
+    model = CredalSet([(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                       (Fraction(1, 10), Fraction(1, 2), Fraction(2, 5))])
+    envelope = upper_envelope(model)
+    calls = 0
+
+    def counted(h):
+        nonlocal calls
+        calls += 1
+        return envelope(h)
+
+    report = audit_axioms(counted, StateSpace(("0", "1", "2")), trials=20, seed=1, tol=0)
+    assert report.all_passed
+    assert report.e10_branches["divergent"] == 20
+    assert calls <= 0.6 * CLAMP_LADDER_CALLS, calls
+
+
+@st.composite
+def _exact_credal_sets(draw):
+    arity = draw(st.integers(2, 4))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(st.integers(0, 5), min_size=arity, max_size=arity)
+                       .filter(any))
+        points.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    return arity, CredalSet(points)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_exact_credal_sets(), seed=st.integers(0, 2**16))
+def test_exact_credal_sets_pass_every_axiom_with_zero_tolerance(case, seed):
+    arity, model = case
+    space = StateSpace(tuple(str(i) for i in range(arity)))
+    report = audit_axioms(upper_envelope(model), space, trials=10, seed=seed, tol=0)
+    assert report.all_passed, [r.counterexample for r in report.failures()]

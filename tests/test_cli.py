@@ -33,7 +33,7 @@ from gtue import (
 )
 from gtue.errors import GTUEError
 from gtue.evaluate import TreeModel
-from gtue.tree import situations_at
+from gtue.tree import situations_at, subtree_block
 
 F = Fraction
 
@@ -124,6 +124,32 @@ class TestEvalCommand:
         assert code == 0
         assert report["value"] == report["oracle_value"] == 6.875
         assert report["selection_count"] == 3
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"], ["--rational"],
+                                       ["--oracle", "--rational"]])
+    def test_neg_inf_outside_the_queried_subtree(self, files, capsys, flags):
+        f = files("f.json", {"depth": 2, "values": [1, 2, "-inf", 4]})
+        code, report, _ = run_cli(
+            ["eval", files("t.json", TREE_A), f, "--situation", "0"] + flags, capsys)
+        assert code == 0
+        assert report["value"] in ("1.7", 1.7)
+        if "--oracle" in flags:
+            assert report["oracle_match"] is True
+        code, report, err = run_cli(
+            ["eval", files("t.json", TREE_A), f, "--situation", "1"] + flags, capsys)
+        assert (code, report) == (1, None)
+        assert "NotBoundedBelow" in err
+
+    def test_lower_with_pos_inf_outside_the_queried_subtree(self, files, capsys):
+        f = files("f.json", {"depth": 2, "values": [1, 2, "inf", 4]})
+        code, report, _ = run_cli(
+            ["eval", files("t.json", TREE_A), f, "--situation", "0", "--lower", "--rational"],
+            capsys)
+        assert (code, report["value"]) == (0, "1.3")
+        code, report, err = run_cli(
+            ["eval", files("t.json", TREE_A), f, "--situation", "", "--lower"], capsys)
+        assert (code, report) == (1, None)
+        assert "NotBoundedAbove" in err
 
     def test_oracle_on_a_sequence_is_input_error(self, files, capsys):
         seq = {"kind": "clamp_above", "base": {"depth": 1, "values": [0, 1]}}
@@ -241,6 +267,17 @@ class TestCheckCommand:
             ["check", files("t.json", TREE_A), "--axioms", "--trials", "40", "--rational"],
             capsys)
         assert code == 0
+        assert report["axioms"][0]["all_passed"] is True
+
+    def test_rational_audit_of_a_tiny_charge(self, files, capsys):
+        # The +inf cell's upper probability 1/10^400 underflows a float to 0.0.
+        tree = {"states": ["0", "1"], "max_depth": 1,
+                "model": {"type": "stationary",
+                          "extreme_points": [[f"1/{10**400}", f"{10**400 - 1}/{10**400}"]]}}
+        code, report, err = run_cli(
+            ["check", files("t.json", tree), "--axioms", "--trials", "20", "--rational"],
+            capsys)
+        assert (code, err) == (0, "")
         assert report["axioms"][0]["all_passed"] is True
 
     def test_rational_tol_is_parsed_exactly(self):
@@ -550,7 +587,9 @@ def test_eval_edge_exits_cleanly_and_agrees_with_whole_levels(document):
     """main returns 0 or 1 and never raises; every answer matches eval_process.
 
     eval_process computes whole levels, independently of the subtree walk
-    that answers a conditional query.
+    that answers a conditional query.  The value at s depends on s's
+    subtree only, so cells outside it (which may be infinite) are zeroed
+    before the whole-level reference is computed.
     """
     tree_doc, variable_doc, situation, flags = document
     with tempfile.TemporaryDirectory() as workdir:
@@ -574,6 +613,9 @@ def test_eval_edge_exits_cleanly_and_agrees_with_whole_levels(document):
         tree = jsonio.load_tree(tree_path, rational)
         f = jsonio.load_variable_or_sequence(variable_path, tree.space, rational)
         s = jsonio.situation_from_text(tree.space, situation)
+        block = subtree_block(s, f.depth, f.arity)
+        f = FinitaryVariable(f.arity, f.depth, [v if i in block else 0
+                                                for i, v in enumerate(f.values)])
         if "--lower" in flags:
             want = neg(eval_process(tree, f.map(neg)).value_at(s))
         else:

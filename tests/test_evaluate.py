@@ -111,6 +111,26 @@ class TestSituationsOffTheTree:
                 walk()
 
 
+class TestBoundednessOnTheQueriedSubtree:
+    """Only the cells of s's subtree must be bounded: the value at s ignores the rest."""
+
+    def test_neg_inf_outside_the_subtree(self, tree_a):
+        f = FinitaryVariable(2, 2, (1, 2, float("-inf"), 4))
+        assert eval_finitary(tree_a, f, (0,)) == XR(F(17, 10))
+        assert brute_force_upper(tree_a, f, (0,)) == XR(F(17, 10))
+        for walk in (eval_finitary, brute_force_upper):
+            for s in ((), (1,), (1, 0)):
+                with pytest.raises(NotBoundedBelow):
+                    walk(tree_a, f, s)
+
+    def test_pos_inf_outside_the_subtree_of_a_lower_query(self, tree_a):
+        f = FinitaryVariable(2, 2, (1, 2, POS_INF, 4))
+        assert eval_lower_finitary(tree_a, f, (0,)) == XR(F(13, 10))
+        for s in ((), (1,), (1, 0)):
+            with pytest.raises(NotBoundedAbove):
+                eval_lower_finitary(tree_a, f, s)
+
+
 class TestEvalProcess:
     def test_recursion_trace(self, tree_a):
         M = eval_process(tree_a, indicator(2, 2, [(1, 1)]))

@@ -6,7 +6,17 @@ from hypothesis import given, strategies as st
 
 from gtue import NEG_INF, POS_INF, XR, add, neg, scale
 from gtue.errors import UndefinedProduct
-from gtue.xreal import le_within, xr_sum
+from gtue.xreal import (
+    close_within,
+    le_within,
+    payload,
+    raw_add,
+    raw_close_within,
+    raw_le_within,
+    raw_neg,
+    raw_scale,
+    xr_sum,
+)
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 anything = st.one_of(finite_floats.map(XR), st.just(POS_INF), st.just(NEG_INF))
@@ -119,3 +129,32 @@ def test_exactness_preserved_for_fractions():
 def test_float_payloads_stay_floats():
     assert isinstance(add(XR(0.1), XR(0.2)).v, float)
     assert math.isclose(add(XR(0.1), XR(0.2)).v, 0.3)
+
+
+# Raw payloads as payload() gives them: the infinities are its canonical objects.
+payloads = st.one_of(
+    st.integers(-10**6, 10**6), st.fractions(-100, 100),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((math.inf, -math.inf))).map(payload)
+
+
+def _outcome(fn, *args):
+    """(type, value) of fn's result as a payload, or the UndefinedProduct it raises."""
+    try:
+        result = fn(*args)
+    except UndefinedProduct:
+        return UndefinedProduct
+    if isinstance(result, XR):
+        result = result.v
+    # An infinity must be payload()'s own object, so callers may test it by identity.
+    assert result is payload(result)
+    return type(result), result
+
+
+@given(a=payloads, b=payloads, tol=payloads.filter(lambda t: t >= 0))
+def test_raw_forms_mirror_the_xr_functions(a, b, tol):
+    assert _outcome(raw_add, a, b) == _outcome(add, XR(a), XR(b))
+    assert _outcome(raw_neg, a) == _outcome(neg, XR(a))
+    assert _outcome(raw_scale, a, b) == _outcome(scale, XR(a), XR(b))
+    assert raw_le_within(a, b, tol) == le_within(XR(a), XR(b), tol)
+    assert raw_close_within(a, b, tol) == close_within(XR(a), XR(b), tol)
