@@ -307,12 +307,7 @@ def le_within(a: XR, b: XR, tol) -> bool:
 
 def close_within(a: XR, b: XR, tol) -> bool:
     """True iff a and b agree within tol, treating equal infinities as equal."""
-    a, b = xr(a), xr(b)
-    if a == b:
-        return True
-    if not (a.is_finite and b.is_finite):
-        return False
-    return abs(a.v - b.v) <= xr(tol).v
+    return raw_close_within(payload(a), payload(b), payload(tol))
 
 
 def xr_sum(values) -> XR:

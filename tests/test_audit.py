@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtue import CredalSet, StateSpace
@@ -10,6 +11,8 @@ from gtue.audit import (
     upper_envelope,
     vacuous_functional,
 )
+from gtue.errors import UnboundedBelowInput
+from gtue.xreal import raw_add, raw_scale
 
 
 def test_credal_functional_passes_everything():
@@ -49,6 +52,39 @@ def test_sup_plus_one_fails_the_sup_bound():
     # Sub-additivity and monotonicity survive: sup is well behaved there.
     assert report.results["E2"].passed
     assert report.results["E4"].passed
+
+
+def test_sup_plus_one_keeps_e10():
+    # min(h, L) + 1 rises to F(h) = +inf: the functional is continuous along
+    # non-decreasing sequences although it breaks E7.
+    space = StateSpace(("0", "1", "2"))
+    report = audit_axioms(broken_sup_plus_one(), space, trials=200, seed=11)
+    assert not report.results["E7"].passed
+    assert report.e10_branches["divergent"] > 0
+    assert report.results["E10"].passed, report.results["E10"].counterexample
+
+
+def test_divergent_bound_failures_are_charged_to_e8():
+    # The lower envelope of a credal set is super-additive, so the E8 lower
+    # bound on the divergent clamps fails, yet every clamp sequence rises to
+    # F(h) = +inf because each point gives the +inf cells positive mass.
+    points = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 5), Fraction(4, 5))]
+
+    def lower_envelope(h):
+        a, b = h
+        return min(raw_add(raw_scale(p, a), raw_scale(q, b)) for p, q in points)
+
+    report = audit_axioms(lower_envelope, StateSpace(("0", "1")), trials=100, seed=4)
+    assert not report.results["E8"].passed
+    assert report.e10_branches["divergent"] > 0
+    assert report.results["E10"].passed, report.results["E10"].counterexample
+
+
+@pytest.mark.parametrize("cell", [float("-inf"), -1e308 * 10], ids=["literal", "overflow"])
+def test_upper_envelope_refuses_any_neg_inf_float(cell):
+    envelope = upper_envelope(CredalSet([(Fraction(1, 2), Fraction(1, 2))]))
+    with pytest.raises(UnboundedBelowInput):
+        envelope((cell, 1))
 
 
 def test_point_spread_bonus_fails_monotonicity():
