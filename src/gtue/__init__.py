@@ -30,7 +30,6 @@ from .constructions import (
 )
 from .credal import (
     CredalSet,
-    LocalVariable,
     StateSpace,
     local_lower,
     local_upper,
@@ -64,7 +63,6 @@ from .tree import (
     FinitarySequence,
     FinitaryVariable,
     Monotonicity,
-    Relation,
     Situation,
     clamp_above_sequence,
     clamp_below_sequence,
@@ -74,7 +72,6 @@ from .tree import (
     is_complete,
     level_cut,
     lift,
-    relate,
 )
 from .xreal import NEG_INF, POS_INF, XR, add, neg, scale, xr
 

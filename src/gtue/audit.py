@@ -31,12 +31,12 @@ continuity must also pass E1-E4.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .credal import CredalSet, StateSpace, upper_row
-from .errors import UnboundedBelowInput
+from .credal import CredalSet, StateSpace, raw_upper
 from .xreal import (NEG_INF, POS_INF, XR, payload, raw_add, raw_close_within, raw_le_within,
                     raw_neg, raw_scale)
 
@@ -297,16 +297,8 @@ def _probe_e10(F, n, rng, tol, report: AuditReport):
 # -- reference functionals for audit testing ---------------------------------
 
 def upper_envelope(model: CredalSet) -> callable:
-    """The coherent functional induced by a credal set."""
-
-    def F(h: tuple):
-        if len(h) != model.size:
-            raise ValueError("variable length does not match the credal set")
-        if any(v == _NEG for v in h):
-            raise UnboundedBelowInput("local upper expectation needs a bounded-below argument")
-        return upper_row(model, h)[0]
-
-    return F
+    """The coherent functional induced by a credal set: ``credal.raw_upper`` on it."""
+    return functools.partial(raw_upper, model)
 
 
 def vacuous_functional() -> callable:

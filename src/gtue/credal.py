@@ -10,8 +10,12 @@ or float, with ``math.inf`` for +inf) under the extended-real
 conventions of ``gtue.xreal``: the sum runs over the non-zero masses
 only, so a zero-mass cell never contributes whatever the payoff there,
 and +inf absorbs any sum it enters.  Bounded-below variables with +inf
-entries are thus handled exactly.  ``local_upper`` is the ``XR`` front
-end: validate, unbox, call the kernel, box the result.
+entries are thus handled exactly.  ``upper_level`` applies it to one
+depth of a tree, whether the depth shares one model or has one per
+node: it is the level kernel of the backward recursion and of the
+supermartingale check.  ``raw_upper`` validates one local variable, a
+tuple of payloads, and evaluates it; ``local_upper`` and ``local_lower``
+are its ``XR`` front ends on any sequence of numbers or ``XR``.
 
 Redundant (non-extreme) points are permitted: evaluation is a maximum,
 so they are harmless, and requiring minimality would drag in a convex
@@ -25,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnboundedAboveInput, UnboundedBelowInput
-from .xreal import XR, neg, xr
+from .xreal import XR, neg, payload
 
 PMF_SUM_TOL = 1e-12
-_INF = math.inf
+_INF, _NEG = math.inf, -math.inf
 
 
 @dataclass(frozen=True)
@@ -57,30 +61,6 @@ class StateSpace:
             return self._index[label]
         except KeyError:
             raise ValueError(f"unknown state label {label!r}") from None
-
-
-@dataclass(frozen=True)
-class LocalVariable:
-    """A table X -> extended reals."""
-
-    values: tuple[XR, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(xr(v) for v in self.values))
-
-    @property
-    def bounded_below(self) -> bool:
-        return all(not v.is_neg_inf for v in self.values)
-
-    @property
-    def bounded_above(self) -> bool:
-        return all(not v.is_pos_inf for v in self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def map(self, fn) -> "LocalVariable":
-        return LocalVariable(tuple(fn(v) for v in self.values))
 
 
 class CredalSet:
@@ -144,7 +124,7 @@ def upper_row(model: CredalSet, row) -> list:
     points of the sum of mass * value in index order over the non-zero
     masses, so a zero-mass +inf cell contributes nothing.  Each sum
     starts at the int 0 and the first maximiser wins: these are the
-    operations of ``xreal.add`` and ``xreal.scale`` in the same order,
+    operations of ``xreal.raw_add`` and ``xreal.raw_scale`` in the same order,
     so exact inputs give exact results and floats the same bits.
     """
     size = model.size
@@ -166,17 +146,39 @@ def upper_row(model: CredalSet, row) -> list:
     return out
 
 
-def local_upper(model: CredalSet, h: LocalVariable) -> XR:
-    """Upper expectation of a bounded-below local variable."""
+def upper_level(level, below: list, first: int) -> list:
+    """Raw local upper expectations at a rank block of one depth, from the raw row below.
+
+    ``level`` is ``TreeModel.level(depth)``: one credal set the whole
+    depth shares, or the depth's models in rank order.  The block starts
+    at rank ``first`` and has one node per ``size`` children in ``below``.
+    """
+    if isinstance(level, CredalSet):
+        return upper_row(level, below)
+    size = level[0].size
+    row = []
+    for j, model in enumerate(level[first:first + len(below) // size]):
+        row += upper_row(model, below[j * size:(j + 1) * size])
+    return row
+
+
+def raw_upper(model: CredalSet, h):
+    """Upper expectation of a bounded-below local variable, a tuple of raw payloads."""
     if len(h) != model.size:
         raise ValueError("variable length does not match the credal set")
-    if not h.bounded_below:
+    if any(v == _NEG for v in h):
         raise UnboundedBelowInput("local upper expectation needs a bounded-below argument")
-    return XR(upper_row(model, [v.v for v in h.values])[0])
+    return upper_row(model, h)[0]
 
 
-def local_lower(model: CredalSet, h: LocalVariable) -> XR:
+def local_upper(model: CredalSet, h) -> XR:
+    """Upper expectation of a bounded-below local variable: numbers or XR, one per state."""
+    return XR(raw_upper(model, tuple(map(payload, h))))
+
+
+def local_lower(model: CredalSet, h) -> XR:
     """Conjugate lower expectation of a bounded-above local variable."""
-    if not h.bounded_above:
+    h = tuple(map(payload, h))
+    if any(v is _INF for v in h):
         raise UnboundedAboveInput("local lower expectation needs a bounded-above argument")
-    return neg(local_upper(model, h.map(neg)))
+    return neg(local_upper(model, map(neg, h)))

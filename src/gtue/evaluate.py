@@ -15,7 +15,7 @@ value at s depends only on s's subtree, which is one contiguous rank
 block per depth (``tree.subtree_block``), so backward_levels walks that
 block only: the whole levels at the root, nothing above s.  It runs on
 raw payloads: it slices the variable's table, which already holds them,
-applies ``credal.upper_row`` to whole rows (one model per level, or a
+applies ``credal.upper_level`` to whole rows (one model per level, or a
 slice of the level's tuple), and returns raw level tables.  ``XR`` is
 built only where a value leaves through the public API.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .credal import CredalSet, StateSpace, upper_row
+from .credal import CredalSet, StateSpace, upper_level
 from .errors import (
     DepthExceeded,
     DominanceFailed,
@@ -179,22 +179,6 @@ def _check_variable(tree: TreeModel, f: FinitaryVariable):
         raise DepthExceeded(f"variable depth {f.depth} exceeds tree depth {tree.max_depth}")
 
 
-def _upper_level(tree: TreeModel, depth: int, below: list, first: int) -> list:
-    """Raw local upper expectations at a rank block of a depth, from the raw row below.
-
-    The block starts at rank ``first`` and has one node per ``arity``
-    children in ``below``.
-    """
-    level = tree.level(depth)
-    if isinstance(level, CredalSet):
-        return upper_row(level, below)
-    arity = tree.space.size
-    row = []
-    for j, model in enumerate(level[first:first + len(below) // arity]):
-        row += upper_row(model, below[j * arity:(j + 1) * arity])
-    return row
-
-
 def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> list:
     """Raw level tables of the backward recursion over s's subtree.
 
@@ -212,7 +196,7 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
         raise NotBoundedBelow("the upper expectation needs a bounded-below variable")
     for depth in range(f.depth - 1, len(s) - 1, -1):
         first = subtree_block(s, depth, f.arity).start
-        levels[depth] = _upper_level(tree, depth, levels[depth + 1], first)
+        levels[depth] = upper_level(tree.level(depth), levels[depth + 1], first)
     return levels
 
 

@@ -17,15 +17,16 @@ one expectation per selection, sharing partial sums across selections
 that agree on a subtree (pure distributivity of the forward sum), and
 maximizes once over the finished list.  That keeps the cost near
 selection_count without ever touching the backward max recursion this
-oracle exists to check.
+oracle exists to check.  The sums run on raw payloads through
+``xreal.raw_scale`` and ``xreal.raw_add``; only the maximum is boxed.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceeded, NotBoundedBelow
 from .credal import CredalSet
-from .tree import FinitaryVariable, ROOT, Situation, subtree_block
-from .xreal import NEG_INF, XR, add, scale
+from .tree import FinitaryVariable, ROOT, Situation, rank, subtree_block
+from .xreal import NEG_INF, XR, raw_add, raw_scale
 
 _NEG = NEG_INF.v
 
@@ -61,21 +62,21 @@ def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
     count = selection_count(tree, f.depth, s)
     if count > cap:
         raise CapExceeded(f"{count} selections exceed the cap {cap}")
-    return max(_expectations(tree, f, s))
+    return XR(max(_expectations(tree, f, s)))
 
 
-def _expectations(tree, f: FinitaryVariable, s: Situation) -> list[XR]:
-    """One forward expectation per selection of the subtree rooted at s."""
+def _expectations(tree, f: FinitaryVariable, s: Situation) -> list:
+    """One raw forward expectation per selection of the subtree rooted at s."""
     if len(s) == f.depth:
-        return [f.value_at(s)]
+        return [f.values[rank(s, f.arity)]]
     child_tables = [_expectations(tree, f, s + (x,)) for x in range(f.arity)]
     model = tree.local_model_at(s)
-    out: list[XR] = []
+    out = []
     for p in model.extreme_points:
         # Wide sub-selections: every combination of the children's tables.
-        partial = [XR(0)]
+        partial = [0]
         for mass, table in zip(p, child_tables):
-            scaled = [scale(mass, v) for v in table]
-            partial = [add(acc, sv) for acc in partial for sv in scaled]
+            scaled = [raw_scale(mass, v) for v in table]
+            partial = [raw_add(acc, sv) for acc in partial for sv in scaled]
         out.extend(partial)
     return out

@@ -8,13 +8,19 @@ that the process is constant on the whole subtree of each member.  Only
 terminal processes support path-limit queries; at a finite horizon a
 liminf is undecidable otherwise, and the engine refuses rather than
 approximates.
+
+check_supermartingale runs by rows: per depth it applies the backward
+recursion's level kernel (``credal.upper_level``) to the raw payloads of
+the level below and compares each result with the process value above,
+so a supermartingale is checked through the same local upper expectation
+the recursion applies.  Only the worst violation is boxed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .credal import LocalVariable, local_upper
+from .credal import upper_level
 from .errors import (
     HorizonMismatch,
     NegativeWeight,
@@ -22,7 +28,9 @@ from .errors import (
     SpaceMismatch,
 )
 from .tree import Cut, Situation, is_complete, rank, situations_at, subtree_block, unrank
-from .xreal import XR, add, le_within, neg, scale, xr
+from .xreal import NEG_INF, XR, add, payload, raw_add, raw_le_within, raw_neg, scale, xr
+
+_NEG = NEG_INF.v
 
 
 @dataclass(frozen=True)
@@ -68,13 +76,6 @@ class Process:
             raise ValueError(f"situation {s} lies beyond horizon {self.horizon}")
         return self.levels[len(s)][rank(s, self.arity)]
 
-    def children_of(self, s: Situation) -> LocalVariable:
-        if len(s) >= self.horizon:
-            raise ValueError("no stored children at the horizon")
-        base = rank(s, self.arity)
-        level = self.levels[len(s) + 1]
-        return LocalVariable(tuple(level[base * self.arity:(base + 1) * self.arity]))
-
     def map(self, fn) -> "Process":
         return Process(self.arity, self.horizon,
                        tuple(tuple(fn(v) for v in level) for level in self.levels),
@@ -117,21 +118,19 @@ def check_supermartingale(tree, M: Process, tol=0) -> SupermartingaleVerdict:
     if M.horizon > tree.max_depth:
         raise HorizonMismatch(
             f"process horizon {M.horizon} exceeds tree depth {tree.max_depth}")
-    tol = xr(tol)
-    worst: tuple[Situation, XR] | None = None
-    ok = True
+    tol = payload(tol)
+    rows = [[v.v for v in level] for level in M.levels]
+    worst = None  # (depth, rank, raw gap); strict > keeps the first of equal gaps
     for depth in range(M.horizon):
-        for i in range(M.arity**depth):
-            s = unrank(i, depth, M.arity)
-            q = local_upper(tree.local_model_at(s), M.children_of(s))
-            m = M.levels[depth][i]
-            if not le_within(q, m, tol):
-                ok = False
-                gap = add(q, neg(m))
-                if worst is None or gap > worst[1]:
-                    worst = (s, gap)
-    bounded = all(not v.is_neg_inf for level in M.levels for v in level)
-    return SupermartingaleVerdict(ok and bounded, worst, bounded)
+        uppers = upper_level(tree.level(depth), rows[depth + 1], 0)
+        for i, (q, m) in enumerate(zip(uppers, rows[depth])):
+            if not raw_le_within(q, m, tol):
+                gap = raw_add(q, raw_neg(m))
+                if worst is None or gap > worst[2]:
+                    worst = (depth, i, gap)
+    bounded = all(v is not _NEG for row in rows for v in row)
+    violation = None if worst is None else (unrank(worst[1], worst[0], M.arity), XR(worst[2]))
+    return SupermartingaleVerdict(worst is None and bounded, violation, bounded)
 
 
 def truncate(M: Process, bound) -> Process:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import MonotonicityViolated, NotBoundedBelow
+from .errors import MonotonicityViolated
 from .xreal import NEG_INF, POS_INF, XR, payload
 
 # The canonical infinite payloads, which tables hold by identity.
@@ -23,24 +23,6 @@ _POS, _NEG = POS_INF.v, NEG_INF.v
 Situation = tuple[int, ...]
 
 ROOT: Situation = ()
-
-
-class Relation(Enum):
-    PRECEDES = "precedes"
-    FOLLOWS = "follows"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def relate(s: Situation, t: Situation) -> Relation:
-    """Strict prefix order on situations plus equality."""
-    if s == t:
-        return Relation.EQUAL
-    if len(s) < len(t) and t[:len(s)] == s:
-        return Relation.PRECEDES
-    if len(t) < len(s) and s[:len(t)] == t:
-        return Relation.FOLLOWS
-    return Relation.INCOMPARABLE
 
 
 def precedes_or_equal(s: Situation, t: Situation) -> bool:
@@ -239,18 +221,19 @@ class FinitarySequence:
 def clamp_above_sequence(base: FinitaryVariable) -> FinitarySequence:
     """min(f, 2**n): non-decreasing gambles converging to f from below.
 
-    f is bounded below, so upward continuity makes f's own upper
-    expectation the limit of theirs, +inf included: f is the limit.
+    Where f is bounded below, upward continuity makes f's own upper
+    expectation the limit of theirs, +inf included: f is the limit.  The
+    limit at s depends on s's subtree only, so boundedness is checked
+    there, by the evaluation of the query.
     """
-    if not base.bounded_below:
-        raise NotBoundedBelow("clamp-above sequences need a bounded-below base")
     return FinitarySequence(Monotonicity.NON_DECREASING, limit=base)
 
 
 def clamp_below_sequence(base: FinitaryVariable) -> FinitarySequence:
-    """max(f, -(2**n)): the lower-cut sweep, equal to f once 2**n >= -min f."""
-    if not base.bounded_below:
-        raise NotBoundedBelow("the lower-cut sweep needs a bounded-below base")
+    """max(f, -(2**n)): the lower-cut sweep, equal to f once 2**n >= -min f.
+
+    As for the ladder, only the queried subtree must be bounded below.
+    """
     return FinitarySequence(Monotonicity.NON_INCREASING, limit=base)
 
 

@@ -1,6 +1,6 @@
 """Extended real scalars with the arithmetic conventions the library relies on.
 
-The whole point of this type is to pin down the non-obvious cases once:
+The whole point of this module is to pin down the non-obvious cases once:
 
 * ``+inf`` dominates addition, in particular ``+inf + (-inf) = +inf``,
   so ``a - b >= 0`` whenever ``a >= b`` but not conversely;
@@ -14,16 +14,15 @@ preserves exactness whenever both operands are exact, which is how the
 library's rational mode works: feed Fractions in, get Fractions out.
 NaN is rejected everywhere.  An infinite payload is always one of two
 float objects, ``math.inf`` or this module's ``-math.inf``, so code that
-works on raw payloads (the backward kernel in ``gtue.credal``) can test
-for +inf by identity with ``math.inf``.
+works on raw payloads can test for an infinity by identity.
 
 ``payload`` is the one place a number is normalised: it turns an int,
-Fraction, float, numeric text or ``XR`` into its raw payload.  Variable
-tables and the backward kernel hold raw payloads under the same
-conventions; ``XR`` boxes the scalars that leave the public API.  The
-``raw_*`` functions are the payload forms of ``add``, ``neg``, ``scale``,
-``le_within`` and ``close_within``: same results, same UndefinedProduct
-cases, infinities tested by identity.
+Fraction, float, numeric text or ``XR`` into its raw payload.  The
+``raw_*`` functions are the one body of each convention: ``raw_add``,
+``raw_neg``, ``raw_scale``, ``raw_le_within`` and ``raw_close_within``
+work on payloads.  ``XR`` boxes the scalars that leave the public API,
+and ``add``, ``neg``, ``scale``, ``le_within`` and ``close_within`` are
+the raw forms with their arguments unboxed and their result boxed.
 """
 
 from __future__ import annotations
@@ -52,17 +51,18 @@ class XR:
 
     # -- classification -------------------------------------------------
 
+    # Payloads are canonical, so an infinity is one of two objects.
     @property
     def is_finite(self) -> bool:
-        return self.v != _POS and self.v != _NEG
+        return self.v is not _POS and self.v is not _NEG
 
     @property
     def is_pos_inf(self) -> bool:
-        return self.v == _POS
+        return self.v is _POS
 
     @property
     def is_neg_inf(self) -> bool:
-        return self.v == _NEG
+        return self.v is _NEG
 
     # -- order ----------------------------------------------------------
 
@@ -166,7 +166,7 @@ def payload(value):
 
 
 def raw_add(a, b):
-    """``add`` on raw payloads."""
+    """Convention sum: any ``+inf`` operand wins, then any ``-inf``."""
     if a is _POS or b is _POS:
         return _POS
     if a is _NEG or b is _NEG:
@@ -176,7 +176,7 @@ def raw_add(a, b):
 
 
 def raw_neg(a):
-    """``neg`` on a raw payload."""
+    """Sign flip; total, with raw_neg(raw_neg(a)) = a."""
     if a is _POS:
         return _NEG
     if a is _NEG:
@@ -185,7 +185,13 @@ def raw_neg(a):
 
 
 def raw_scale(lam, a):
-    """``scale`` on raw payloads."""
+    """Convention product ``lam * a``.
+
+    ``lam`` must be finite, or ``+inf`` with ``a >= 0``.  Zero times any
+    infinity is zero; a positive factor keeps the sign of an infinity; a
+    negative finite factor flips it.  ``(+inf) * a`` is ``0`` for ``a = 0``
+    and ``+inf`` for ``a > 0``; everything else raises UndefinedProduct.
+    """
     if lam is _NEG:
         raise UndefinedProduct("-inf is not an admissible factor")
     if lam is _POS:
@@ -202,12 +208,12 @@ def raw_scale(lam, a):
 
 
 def raw_le_within(a, b, tol) -> bool:
-    """``le_within`` on raw payloads: a <= b + tol."""
+    """True iff a <= b + tol (order-based, safe at infinities)."""
     return not (a > raw_add(b, tol))
 
 
 def raw_close_within(a, b, tol) -> bool:
-    """``close_within`` on raw payloads."""
+    """True iff a and b agree within tol, treating equal infinities as equal."""
     if a == b:
         return True
     if a is _POS or a is _NEG or b is _POS or b is _NEG:
@@ -251,68 +257,28 @@ def xr(value) -> XR:
 
 POS_INF = XR(_POS)
 NEG_INF = XR(_NEG)
-ZERO = XR(0)
 
 
 def add(a: XR, b: XR) -> XR:
-    """Convention sum: any ``+inf`` operand wins, then any ``-inf``."""
-    a, b = xr(a), xr(b)
-    if a.is_pos_inf or b.is_pos_inf:
-        return POS_INF
-    if a.is_neg_inf or b.is_neg_inf:
-        return NEG_INF
-    return XR(a.v + b.v)
+    """``raw_add`` on XR."""
+    return XR(raw_add(xr(a).v, xr(b).v))
 
 
 def neg(a: XR) -> XR:
-    """Sign flip; total, with neg(neg(a)) = a."""
-    a = xr(a)
-    if a.is_pos_inf:
-        return NEG_INF
-    if a.is_neg_inf:
-        return POS_INF
-    return XR(-a.v)
+    """``raw_neg`` on XR."""
+    return XR(raw_neg(xr(a).v))
 
 
 def scale(lam, a: XR) -> XR:
-    """Convention product ``lam * a``.
-
-    ``lam`` must be finite, or ``+inf`` with ``a >= 0``.  Zero times any
-    infinity is zero; a positive factor keeps the sign of an infinity; a
-    negative finite factor flips it.  ``(+inf) * a`` is ``0`` for ``a = 0``
-    and ``+inf`` for ``a > 0``; everything else raises UndefinedProduct.
-    """
-    lam, a = xr(lam), xr(a)
-    if lam.is_neg_inf:
-        raise UndefinedProduct("-inf is not an admissible factor")
-    if lam.is_pos_inf:
-        if a < ZERO:
-            raise UndefinedProduct("(+inf) * a is undefined for a < 0")
-        if a == ZERO:
-            return ZERO
-        return POS_INF
-    if lam.v == 0:
-        return ZERO
-    if a.is_pos_inf:
-        return POS_INF if lam.v > 0 else NEG_INF
-    if a.is_neg_inf:
-        return NEG_INF if lam.v > 0 else POS_INF
-    return XR(lam.v * a.v)
+    """``raw_scale`` on XR."""
+    return XR(raw_scale(xr(lam).v, xr(a).v))
 
 
 def le_within(a: XR, b: XR, tol) -> bool:
-    """True iff a <= b + tol (order-based, safe at infinities)."""
-    return not (xr(a) > add(xr(b), xr(tol)))
+    """``raw_le_within`` on XR."""
+    return raw_le_within(xr(a).v, xr(b).v, xr(tol).v)
 
 
 def close_within(a: XR, b: XR, tol) -> bool:
-    """True iff a and b agree within tol, treating equal infinities as equal."""
+    """``raw_close_within`` on XR (or any number ``payload`` reads)."""
     return raw_close_within(payload(a), payload(b), payload(tol))
-
-
-def xr_sum(values) -> XR:
-    """Convention sum of an iterable (empty sum is 0)."""
-    total = ZERO
-    for value in values:
-        total = add(total, value)
-    return total

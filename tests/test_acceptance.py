@@ -167,7 +167,7 @@ def test_global_properties():
 
 @criterion(4, "iterated law and local compatibility, exact, 100 instances")
 def test_iterated_law_and_compatibility():
-    from gtue import LocalVariable, local_upper
+    from gtue import local_upper
 
     rng = seeded(10_004)
     for _ in range(100):
@@ -176,12 +176,11 @@ def test_iterated_law_and_compatibility():
         f = random_finitary(rng, 2, depth, inf_probability=0.1)
         for d in range(depth):
             for s in situations_at(d, 2):
-                children = LocalVariable(tuple(
-                    eval_finitary(tree, f, s + (x,)) for x in (0, 1)))
+                children = tuple(eval_finitary(tree, f, s + (x,)) for x in (0, 1))
                 assert local_upper(tree.local_model_at(s), children) \
                     == eval_finitary(tree, f, s)
         s = tuple(rng.randint(0, 1) for _ in range(depth - 1))
-        local_view = LocalVariable(tuple(f.value_at(s + (x,)) for x in (0, 1)))
+        local_view = tuple(f.value_at(s + (x,)) for x in (0, 1))
         assert eval_finitary(tree, f, s) == local_upper(tree.local_model_at(s), local_view)
 
 

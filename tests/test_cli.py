@@ -140,6 +140,21 @@ class TestEvalCommand:
         assert (code, report) == (1, None)
         assert "NotBoundedBelow" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--rational"]])
+    @pytest.mark.parametrize("kind", ["clamp_above", "clamp_below"])
+    def test_clamp_template_with_neg_inf_outside_the_queried_subtree(self, files, capsys, kind,
+                                                                      flags):
+        seq = files("s.json", {"kind": kind, "base": {"depth": 2, "values": [1, 2, "-inf", 4]}})
+        code, report, _ = run_cli(
+            ["eval", files("t.json", TREE_A), seq, "--situation", "0"] + flags, capsys)
+        assert code == 0
+        assert report["value"] in ("1.7", 1.7)
+        assert report["method"] == "continuity"
+        code, report, err = run_cli(
+            ["eval", files("t.json", TREE_A), seq, "--situation", ""] + flags, capsys)
+        assert (code, report) == (1, None)
+        assert "NotBoundedBelow" in err
+
     def test_lower_with_pos_inf_outside_the_queried_subtree(self, files, capsys):
         f = files("f.json", {"depth": 2, "values": [1, 2, "inf", 4]})
         code, report, _ = run_cli(

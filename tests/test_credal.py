@@ -4,7 +4,6 @@ import pytest
 
 from gtue import (
     CredalSet,
-    LocalVariable,
     POS_INF,
     NEG_INF,
     StateSpace,
@@ -18,7 +17,7 @@ from tests.conftest import seeded
 
 
 def var(*values):
-    return LocalVariable(tuple(XR(v) for v in values))
+    return tuple(XR(v) for v in values)
 
 
 class TestLocalEnvelopes:
@@ -37,8 +36,8 @@ class TestLocalEnvelopes:
 
     def test_zero_mass_times_infinity(self):
         point = CredalSet([(1, 0)])
-        assert local_upper(point, LocalVariable((XR(0), POS_INF))) == XR(0)
-        assert local_lower(point, LocalVariable((XR(0), NEG_INF))) == XR(0)
+        assert local_upper(point, (XR(0), POS_INF)) == XR(0)
+        assert local_lower(point, (XR(0), NEG_INF)) == XR(0)
 
     def test_infinity_next_to_extreme_rationals(self):
         # Float arithmetic would give tiny * inf = nan and huge + inf = OverflowError.
@@ -49,9 +48,9 @@ class TestLocalEnvelopes:
 
     def test_unbounded_inputs_rejected(self, model_a):
         with pytest.raises(UnboundedBelowInput):
-            local_upper(model_a, LocalVariable((XR(0), NEG_INF)))
+            local_upper(model_a, (XR(0), NEG_INF))
         with pytest.raises(UnboundedAboveInput):
-            local_lower(model_a, LocalVariable((XR(0), POS_INF)))
+            local_lower(model_a, (XR(0), POS_INF))
 
     def test_lower_never_exceeds_upper(self, model_a):
         rng = seeded(9)
@@ -64,6 +63,15 @@ class TestLocalEnvelopes:
         h = var(1, -2, 5)
         assert local_upper(model, h) == XR(5)
         assert local_lower(model, h) == XR(-2)
+
+    def test_front_ends_take_any_sequence_of_numbers(self, model_a):
+        assert local_upper(model_a, [0, 1]) == XR(Fraction(7, 10))
+        assert local_upper(model_a, ("0", XR(1))) == XR(Fraction(7, 10))
+        assert local_lower(model_a, iter((0.0, 1.0))) == XR(0.3)
+        with pytest.raises(UnboundedBelowInput):
+            local_upper(model_a, [0, float("-inf")])
+        with pytest.raises(ValueError, match="length"):
+            local_upper(model_a, [0, 1, 2])
 
 
 class TestCredalValidation:

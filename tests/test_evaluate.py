@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from gtue import (
     CredalSet,
     FinitaryVariable,
-    LocalVariable,
     Monotonicity,
     POS_INF,
     StateSpace,
@@ -123,6 +122,15 @@ class TestBoundednessOnTheQueriedSubtree:
                 with pytest.raises(NotBoundedBelow):
                     walk(tree_a, f, s)
 
+    @pytest.mark.parametrize("template", [clamp_above_sequence, clamp_below_sequence])
+    def test_clamp_template_with_neg_inf_outside_the_subtree(self, tree_a, template):
+        seq = template(FinitaryVariable(2, 2, (1, 2, float("-inf"), 4)))
+        out = eval_limit(tree_a, seq, (0,))
+        assert (out.value, out.method) == (XR(F(17, 10)), "continuity")
+        for s in ((), (1,), (1, 0)):
+            with pytest.raises(NotBoundedBelow):
+                eval_limit(tree_a, seq, s)
+
     def test_pos_inf_outside_the_subtree_of_a_lower_query(self, tree_a):
         f = FinitaryVariable(2, 2, (1, 2, POS_INF, 4))
         assert eval_lower_finitary(tree_a, f, (0,)) == XR(F(13, 10))
@@ -235,8 +243,7 @@ class TestIteratedLaw:
             for depth in range(f.depth):
                 for i in range(2**depth):
                     s = tuple(int(b) for b in format(i, f"0{depth}b")) if depth else ()
-                    children = LocalVariable(tuple(
-                        eval_finitary(tree, f, s + (x,)) for x in (0, 1)))
+                    children = tuple(eval_finitary(tree, f, s + (x,)) for x in (0, 1))
                     outer = local_upper(tree.local_model_at(s), children)
                     assert outer == eval_finitary(tree, f, s)
 
@@ -247,7 +254,7 @@ class TestIteratedLaw:
             depth = rng.randint(1, 4)
             f = random_finitary(rng, 2, depth, inf_probability=0.1)
             s = tuple(rng.randint(0, 1) for _ in range(depth - 1))
-            children = LocalVariable(tuple(f.value_at(s + (x,)) for x in (0, 1)))
+            children = tuple(f.value_at(s + (x,)) for x in (0, 1))
             assert eval_finitary(tree, f, s) == local_upper(tree.local_model_at(s), children)
 
 

@@ -75,10 +75,10 @@ class TestBruteForce:
             assert brute_force_upper(tree_a, constant(2, F(7, 3), depth)) == XR(F(7, 3))
 
     def test_depth_one_reduces_to_local_upper(self, tree_a, model_a):
-        from gtue import LocalVariable, local_upper
+        from gtue import local_upper
 
         f = indicator(2, 1, [(1,)])
-        expected = local_upper(model_a, LocalVariable((XR(0), XR(1))))
+        expected = local_upper(model_a, (XR(0), XR(1)))
         assert brute_force_upper(tree_a, f) == expected
 
     def test_conditioning(self, tree_a):

@@ -1,19 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from gtue import (
     POS_INF,
     Process,
     XR,
+    add,
     check_supermartingale,
     constant_process,
     from_values,
     indicator,
     eval_process,
     level_cut,
+    local_upper,
     min_tail,
     mix,
+    neg,
     path_liminf,
     shift,
     truncate,
@@ -24,6 +29,8 @@ from gtue.errors import (
     NotTerminal,
 )
 from gtue.testing import random_supermartingale, random_tree
+from gtue.tree import situations_at
+from gtue.xreal import le_within
 from tests.conftest import seeded
 
 
@@ -35,8 +42,6 @@ def leafy(values, horizon=2, cut=True):
 
 
 def _level(depth):
-    from gtue.tree import situations_at
-
     return situations_at(depth, 2)
 
 
@@ -68,6 +73,75 @@ class TestCheck:
     def test_infinite_plateau_verifies(self, tree_a):
         always_inf = constant_process(2, 2, POS_INF)
         assert check_supermartingale(tree_a, always_inf, 0).is_supermartingale
+
+
+@st.composite
+def _checked_processes(draw):
+    """A tree, a process on it with +inf cells and planted violations, and a tolerance.
+
+    Half the processes are random supermartingales with some cells set to
+    +inf, lowered (a violation) or replaced from a small grid; the other
+    half are drawn from the grid alone, where equal gaps are common.
+    """
+    arity = draw(st.integers(2, 3))
+    horizon = draw(st.integers(0, 3))
+    rational = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("stationary", "by_depth", "table")))
+    tree = random_tree(rng, arity, horizon + draw(st.integers(0, 1)), rational=rational,
+                       kind=kind)
+    grid = [XR(0), XR(1), XR(2), POS_INF] if rational else [XR(0.0), XR(0.5), XR(2.0), POS_INF]
+    if draw(st.booleans()):
+        base = random_supermartingale(tree, rng, horizon, rational=rational, terminal=False)
+        lowering = Fraction(1, 2) if rational else 0.5
+
+        def edit(v):
+            choice = draw(st.sampled_from(("keep",) * 5 + ("inf", "lower", "grid")))
+            if choice == "inf":
+                return POS_INF
+            if choice == "lower":
+                return add(v, -lowering)  # a planted violation
+            return draw(st.sampled_from(grid)) if choice == "grid" else v
+
+        levels = [[edit(v) for v in level] for level in base.levels]
+    else:
+        levels = [[draw(st.sampled_from(grid)) for _ in range(arity**d)]
+                  for d in range(horizon + 1)]
+    tol = draw(st.sampled_from((0, Fraction(1, 2)) if rational else (0, 1e-9, 0.5)))
+    return tree, Process(arity, horizon, tuple(levels)), tol
+
+
+def _check_node_by_node(tree, M, tol):
+    """The per-node definition: local_upper of the children against M(s), in rank order."""
+    worst, ok = None, True
+    for depth in range(M.horizon):
+        for s in situations_at(depth, M.arity):
+            children = tuple(M.value_at(s + (x,)) for x in range(M.arity))
+            q = local_upper(tree.local_model_at(s), children)
+            m = M.value_at(s)
+            if not le_within(q, m, tol):
+                ok = False
+                gap = add(q, neg(m))
+                if worst is not None and gap == worst[1]:
+                    event("tie for the worst gap")
+                if worst is None or gap > worst[1]:
+                    worst = (s, gap)
+    bounded = all(not v.is_neg_inf for level in M.levels for v in level)
+    return ok and bounded, worst, bounded
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_checked_processes())
+def test_row_check_matches_the_node_by_node_definition(case):
+    tree, M, tol = case
+    verdict = check_supermartingale(tree, M, tol)
+    ok, worst, bounded = _check_node_by_node(tree, M, tol)
+    assert (verdict.is_supermartingale, verdict.is_bounded_below) == (ok, bounded)
+    if worst is None:
+        assert verdict.worst_violation is None
+    else:
+        s, gap = verdict.worst_violation
+        assert (s, gap.v, type(gap.v)) == (worst[0], worst[1].v, type(worst[1].v))
 
 
 class TestTruncate:

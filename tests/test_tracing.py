@@ -2,9 +2,10 @@
 
 ``perfbench/tracing.py`` wraps gtue functions by module attribute name.
 A renamed or removed target would crash a traced benchmark run, so the
-tracer is installed on the imported gtue here, used for one traced op,
-and uninstalled: every name it patches must exist, its hooks must read
-the arguments they expect, and every attribute must come back.
+tracer is installed on the imported gtue here, used for a traced
+``eval``, ``check`` and ``doob-certificate``, and uninstalled: every name
+it patches must exist, its hooks must read the arguments they expect,
+and every attribute must come back.
 """
 
 import importlib.util
@@ -48,11 +49,20 @@ def test_tracer_patches_existing_names_and_restores_them(tmp_path):
             "type": "stationary", "extreme_points": [[0.5, 0.5], [0.25, 0.75]]}}))
         variable = tmp_path / "f.json"
         variable.write_text(json.dumps({"depth": 2, "values": [0, 1, 2, "inf"]}))
+        # The upper expectations of [0, 1, 2, 3]: a supermartingale.
+        process = tmp_path / "p.json"
+        process.write_text(json.dumps({"horizon": 2, "values": {
+            "": 2.25, "0": 0.75, "1": 2.75, "0.0": 0, "0.1": 1, "1.0": 2, "1.1": 3},
+            "terminal_cut": ["0.0", "0.1", "1.0", "1.1"]}))
         with redirect_stdout(io.StringIO()):
-            code = gtue.cli.main(["eval", str(tree), str(variable), "--situation", "1"])
-        assert code == 0
+            codes = [gtue.cli.main(["eval", str(tree), str(variable), "--situation", "1"]),
+                     gtue.cli.main(["check", str(tree), str(process)]),
+                     gtue.cli.main(["doob-certificate", str(tree), str(process),
+                                    "--a", "1", "--b", "2"])]
+        assert codes == [0, 0, 0]
         assert tracer.counters["evaluate.nodes"] > 0
         assert tracer.counters["jsonio.bytes_in"] > 0
+        assert tracer.counters["process.nodes_checked"] > 0
     finally:
         tracer.uninstall()
     after = _bindings()

@@ -5,47 +5,14 @@ from gtue import (
     Cut,
     FinitaryVariable,
     Monotonicity,
-    Relation,
     XR,
     constant,
     explicit_sequence,
     is_complete,
     lift,
-    relate,
 )
 from gtue.errors import MonotonicityViolated
 from gtue.tree import rank, situations_at, subtree_block, unrank
-
-
-situations = st.lists(st.integers(0, 1), max_size=5).map(tuple)
-
-
-class TestRelate:
-    def test_root_precedes_everything(self):
-        assert relate((), (0, 1)) == Relation.PRECEDES
-
-    def test_equal(self):
-        assert relate((0, 1), (0, 1)) == Relation.EQUAL
-
-    def test_incomparable(self):
-        assert relate((0,), (1, 0)) == Relation.INCOMPARABLE
-
-    def test_follows(self):
-        assert relate((0, 1), (0,)) == Relation.FOLLOWS
-
-    @given(s=situations, t=situations)
-    def test_antisymmetric(self, s, t):
-        r, rr = relate(s, t), relate(t, s)
-        flip = {Relation.PRECEDES: Relation.FOLLOWS,
-                Relation.FOLLOWS: Relation.PRECEDES,
-                Relation.EQUAL: Relation.EQUAL,
-                Relation.INCOMPARABLE: Relation.INCOMPARABLE}
-        assert rr == flip[r]
-
-    @given(s=situations, t=situations, u=situations)
-    def test_transitive(self, s, t, u):
-        if relate(s, t) == Relation.PRECEDES and relate(t, u) == Relation.PRECEDES:
-            assert relate(s, u) == Relation.PRECEDES
 
 
 class TestRanking:

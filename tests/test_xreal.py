@@ -15,7 +15,6 @@ from gtue.xreal import (
     raw_le_within,
     raw_neg,
     raw_scale,
-    xr_sum,
 )
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
@@ -112,8 +111,6 @@ def test_neg_is_involutive():
 
 
 def test_sum_and_tolerant_compare():
-    assert xr_sum([XR(1), XR(2), NEG_INF]) == NEG_INF
-    assert xr_sum([]) == XR(0)
     assert le_within(XR(1.0), XR(1.0 - 1e-12), 1e-9)
     assert not le_within(XR(2), XR(1), 0.5)
     assert le_within(POS_INF, POS_INF, 0)
