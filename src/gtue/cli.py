@@ -94,6 +94,14 @@ def _emit(document):
     print(json.dumps(document, indent=2))
 
 
+def _add_worst_violation(entry, verdict, space, rational):
+    """Report a failed supermartingale check's worst node and gap, if any."""
+    if verdict.worst_violation is not None:
+        situation, gap = verdict.worst_violation
+        entry["worst_violation"] = {"situation": jsonio.situation_to_text(space, situation),
+                                    "gap": jsonio.encode_number(gap, rational)}
+
+
 def cmd_eval(args) -> int:
     config = _config_from_args(args)
     tree = jsonio.load_tree(args.tree, config.rational_mode)
@@ -145,13 +153,9 @@ def cmd_check(args) -> int:
     if args.process is not None:
         process = jsonio.load_process(args.process, tree.space, config.rational_mode)
         verdict = check_supermartingale(tree, process, tol=config.tol)
-        entry = {"is_supermartingale": verdict.is_supermartingale,
-                 "is_bounded_below": verdict.is_bounded_below}
-        if verdict.worst_violation is not None:
-            situation, gap = verdict.worst_violation
-            entry["worst_violation"] = {
-                "situation": jsonio.situation_to_text(tree.space, situation),
-                "gap": jsonio.encode_number(gap, rational)}
+        # Process refuses -inf, so the key is always true; the report format keeps it.
+        entry = {"is_supermartingale": verdict.is_supermartingale, "is_bounded_below": True}
+        _add_worst_violation(entry, verdict, tree.space, rational)
         report["supermartingale"] = entry
         ok = ok and verdict.is_supermartingale
     elif not args.axioms:
@@ -208,11 +212,7 @@ def cmd_certify(args) -> int:
     summary = {"is_supermartingale": verdict.is_supermartingale,
                "realized_checks": check_rows,
                "all_checks_passed": all_ok}
-    if verdict.worst_violation is not None:
-        situation, gap = verdict.worst_violation
-        summary["worst_violation"] = {
-            "situation": jsonio.situation_to_text(space, situation),
-            "gap": jsonio.encode_number(gap, rational)}
+    _add_worst_violation(summary, verdict, space, rational)
 
     process_doc = jsonio.dump_process(transform.process, space, rational)
     cuts_doc = jsonio.dump_cuts(transform.cuts, space)

@@ -23,9 +23,10 @@ the emitted cuts top-down (``CutSystem.realized``, one ``_step`` per
 node), so a certificate whose cuts disagree with its process fails.
 
 Window parameters are rationals and all transform arithmetic runs on
-exact rationals internally (finite floats are converted losslessly), so
-the telescoping gain identity, the per-upcrossing width bound and the
-(b/a)^k growth bound are machine-checkable with zero tolerance.
+exact raw payloads through the ``xreal.raw_*`` forms (finite floats are
+lifted losslessly), so the telescoping gain identity, the per-upcrossing
+width bound and the (b/a)^k growth bound are machine-checkable with zero
+tolerance; ``XR`` boxes only the GainCheck and GrowthCheck fields.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ from .errors import (
 from .evaluate import TreeModel, backward_levels
 from .process import Process, constant_process, mix
 from .tree import Cut, FinitaryVariable, Situation, level_cut, rank, subtree_block, unrank
-from .xreal import XR, add, neg, scale
+from .xreal import POS_INF, XR, raw_add, raw_neg, raw_scale
+
+_POS = POS_INF.v
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,10 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _exact(v: XR) -> XR:
-    """Losslessly lift finite floats to Fractions; infinities pass through."""
-    if v.is_finite and not isinstance(v.v, (int, Fraction)):
-        return XR(Fraction(v.v))
+def _exact(v):
+    """Losslessly lift a finite float payload to a Fraction; +inf passes through."""
+    if isinstance(v, float) and v is not _POS:
+        return Fraction(v)
     return v
 
 
@@ -166,7 +169,7 @@ def _exact_pmf(pmf) -> tuple:
     return tuple(mass / total for mass in exact)
 
 
-def _crossing_walk(driver, arity: int, root: Situation, root_value: XR, a, b,
+def _crossing_walk(driver, arity: int, root: Situation, root_value, a, b,
                    terminal_cut: Cut | None, open_at_root: bool, step) -> Transform:
     """The first-hit walk shared by both transforms.
 
@@ -225,16 +228,16 @@ def doob_transform(tree: TreeModel, M: Process, t: Situation, a, b) -> Transform
     if M.horizon > tree.max_depth:
         raise HorizonMismatch("process extends beyond the tree's depth bound")
     subtree_block(t, M.horizon, M.arity)  # refuses a root beyond the horizon or off the tree
-    root_value = _exact(M.value_at(t))
-    if root_value.is_pos_inf:
+    base = [[_exact(v) for v in level] for level in M.levels]
+    root_value = base[len(t)][rank(t, M.arity)]
+    if root_value is _POS:
         raise NonFiniteRoot("the base process must be finite at the transform root")
-    if M.min_value() < XR(0):
+    if M.min_value() < 0:
         raise ValueError("the base process must be non-negative")
 
-    base = [[_exact(v) for v in level] for level in M.levels]
     return _crossing_walk(
         base, M.arity, t, root_value, a, b, M.terminal_cut, open_at_root=True,
-        step=lambda out, child, parent: add(out, add(child, neg(parent))))
+        step=lambda out, child, parent: raw_add(out, raw_add(child, raw_neg(parent))))
 
 
 @dataclass(frozen=True)
@@ -258,23 +261,27 @@ def doob_gain_checks(M: Process, transform: Transform) -> list[GainCheck]:
     """Exact telescoping-identity and gain checks at every realized post-U node."""
     a, b = transform.window
     cuts = transform.cuts
-    width = XR(b - a)
-    root_value = _exact(M.value_at(cuts.root))
+    width = b - a
+
+    def exact_at(s):
+        return _exact(M.levels[len(s)][rank(s, M.arity)])
+
+    root_value = exact_at(cuts.root)
     checks = []
     for s, i, hits, active in cuts.realized(M.arity, M.horizon):
         if active or not hits:
             continue
-        telescoped = XR(0)
+        telescoped = 0
         terms_ok = True
         for v_node, u_node in hits:
-            term = add(_exact(M.value_at(u_node)), neg(_exact(M.value_at(v_node))))
+            term = raw_add(exact_at(u_node), raw_neg(exact_at(v_node)))
             if not term > width:
                 terms_ok = False
-            telescoped = add(telescoped, term)
-        gain = add(transform.process.levels[len(s)][i], neg(root_value))
-        target = scale(len(hits), width)
+            telescoped = raw_add(telescoped, term)
+        gain = raw_add(transform.process.levels[len(s)][i], raw_neg(root_value))
+        target = raw_scale(len(hits), width)
         checks.append(GainCheck(
-            s, len(hits), gain, telescoped,
+            s, len(hits), XR(gain), XR(telescoped),
             identity_ok=(gain == telescoped),
             terms_exceed_width=terms_ok,
             bound_ok=not (gain < target)))
@@ -305,7 +312,7 @@ def doob_mixture(tree: TreeModel, M: Process, t: Situation, windows, weights) ->
         raise ValueError("normalization needs a finite positive value at the root")
     factor = Fraction(1) / root_value.v if isinstance(root_value.v, (int, Fraction)) \
         else 1.0 / root_value.v
-    return combined.map(lambda v: scale(factor, v))
+    return combined.map(lambda v: raw_scale(factor, v))
 
 
 def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
@@ -353,8 +360,8 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
 
     driver = backward_levels(tree.map_points(_exact_pmf), shifted)
     return _crossing_walk(
-        driver, arity, s_prime, XR(1), a, b, level_cut(arity, horizon), open_at_root=False,
-        step=lambda out, child, parent: XR(out.v * (child / parent)))
+        driver, arity, s_prime, 1, a, b, level_cut(arity, horizon), open_at_root=False,
+        step=lambda out, child, parent: out * (child / parent))
 
 
 @dataclass(frozen=True)
@@ -380,8 +387,8 @@ def levy_bound_checks(transform: Transform) -> list[GrowthCheck]:
     for s, i, hits, active in transform.cuts.realized(process.arity, process.horizon):
         if active or not hits:
             continue
-        threshold = XR((b / a) ** len(hits))
+        threshold = (b / a) ** len(hits)
         value = process.levels[len(s)][i]
-        checks.append(GrowthCheck(s, len(hits), value, threshold,
+        checks.append(GrowthCheck(s, len(hits), XR(value), XR(threshold),
                                   bound_ok=value > threshold))
     return checks

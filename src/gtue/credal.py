@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnboundedAboveInput, UnboundedBelowInput
+from .errors import NotBoundedAbove, NotBoundedBelow
 from .xreal import XR, neg, payload
 
 PMF_SUM_TOL = 1e-12
@@ -167,7 +167,7 @@ def raw_upper(model: CredalSet, h):
     if len(h) != model.size:
         raise ValueError("variable length does not match the credal set")
     if any(v == _NEG for v in h):
-        raise UnboundedBelowInput("local upper expectation needs a bounded-below argument")
+        raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
     return upper_row(model, h)[0]
 
 
@@ -180,5 +180,5 @@ def local_lower(model: CredalSet, h) -> XR:
     """Conjugate lower expectation of a bounded-above local variable."""
     h = tuple(map(payload, h))
     if any(v is _INF for v in h):
-        raise UnboundedAboveInput("local lower expectation needs a bounded-above argument")
+        raise NotBoundedAbove("local lower expectation needs a bounded-above argument")
     return neg(local_upper(model, map(neg, h)))

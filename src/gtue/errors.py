@@ -13,14 +13,6 @@ class UndefinedProduct(GTUEError):
     """A scale() call outside the domain the conventions define."""
 
 
-class UnboundedBelowInput(GTUEError):
-    """An upper-expectation argument contained -inf."""
-
-
-class UnboundedAboveInput(GTUEError):
-    """A lower-expectation argument contained +inf."""
-
-
 class HorizonMismatch(GTUEError):
     """A process extends deeper than the tree model can verify."""
 

@@ -1,19 +1,20 @@
 """Extended-real processes on the situation tree and the supermartingale calculus.
 
 A Process stores one value per situation up to a horizon, as level
-tables.  Values are never -inf (bounded-belowness is part of what makes
-a process a supermartingale candidate, so it is enforced at
-construction).  A process may carry a terminal cut: a complete cut such
-that the process is constant on the whole subtree of each member.  Only
-terminal processes support path-limit queries; at a finite horizon a
-liminf is undecidable otherwise, and the engine refuses rather than
-approximates.
+tables of raw payloads (``xreal.payload``), like ``FinitaryVariable``;
+``XR`` boxes only the scalars that leave the API.  Values are never -inf
+(bounded-belowness is part of what makes a process a supermartingale
+candidate, so it is enforced at construction).  A process may carry a
+terminal cut: a complete cut such that the process is constant on the
+whole subtree of each member.  Only terminal processes support
+path-limit queries; at a finite horizon a liminf is undecidable
+otherwise, and the engine refuses rather than approximates.
 
 check_supermartingale runs by rows: per depth it applies the backward
-recursion's level kernel (``credal.upper_level``) to the raw payloads of
-the level below and compares each result with the process value above,
-so a supermartingale is checked through the same local upper expectation
-the recursion applies.  Only the worst violation is boxed.
+recursion's level kernel (``credal.upper_level``) to the level below and
+compares each result with the process value above, so a supermartingale
+is checked through the same local upper expectation the recursion
+applies.  ``truncate``, ``shift`` and ``mix`` use the ``raw_*`` forms.
 """
 
 from __future__ import annotations
@@ -28,29 +29,28 @@ from .errors import (
     SpaceMismatch,
 )
 from .tree import Cut, Situation, is_complete, rank, situations_at, subtree_block, unrank
-from .xreal import NEG_INF, XR, add, payload, raw_add, raw_le_within, raw_neg, scale, xr
+from .xreal import NEG_INF, POS_INF, XR, payload, raw_add, raw_le_within, raw_neg, raw_scale
 
-_NEG = NEG_INF.v
+_POS, _NEG = POS_INF.v, NEG_INF.v
 
 
 @dataclass(frozen=True)
 class Process:
     arity: int
     horizon: int
-    levels: tuple[tuple[XR, ...], ...]
+    levels: tuple[tuple, ...]
     terminal_cut: Cut | None = None
 
     def __post_init__(self):
-        levels = tuple(tuple(xr(v) for v in level) for level in self.levels)
+        levels = tuple(tuple(map(payload, level)) for level in self.levels)
         object.__setattr__(self, "levels", levels)
         if len(levels) != self.horizon + 1:
             raise ValueError(f"expected {self.horizon + 1} levels, got {len(levels)}")
         for depth, level in enumerate(levels):
             if len(level) != self.arity**depth:
                 raise ValueError(f"level {depth} has {len(level)} entries")
-            for v in level:
-                if v.is_neg_inf:
-                    raise ValueError("processes must be bounded below: -inf value found")
+            if any(v is _NEG for v in level):
+                raise ValueError("processes must be bounded below: -inf value found")
         if self.terminal_cut is not None:
             self._check_terminal()
 
@@ -61,7 +61,7 @@ class Process:
         if not is_complete(cut, self.arity):
             raise ValueError("terminal cut must be complete")
         for member in cut:
-            tail = self.value_at(member)
+            tail = self.levels[len(member)][rank(member, self.arity)]
             for depth in range(len(member) + 1, self.horizon + 1):
                 block = subtree_block(member, depth, self.arity)
                 segment = self.levels[depth][block.start:block.stop]
@@ -74,20 +74,21 @@ class Process:
             if self.terminal_cut is not None and self.terminal_cut.member_before(s):
                 return self.value_at(s[:self.horizon])
             raise ValueError(f"situation {s} lies beyond horizon {self.horizon}")
-        return self.levels[len(s)][rank(s, self.arity)]
+        return XR(self.levels[len(s)][rank(s, self.arity)])
 
     def map(self, fn) -> "Process":
+        """Apply fn to every payload; it may return a payload or an XR."""
         return Process(self.arity, self.horizon,
-                       tuple(tuple(fn(v) for v in level) for level in self.levels),
+                       tuple(tuple(map(fn, level)) for level in self.levels),
                        self.terminal_cut)
 
     def min_value(self) -> XR:
-        return min(v for level in self.levels for v in level)
+        return XR(min(v for level in self.levels for v in level))
 
 
 def from_values(arity: int, horizon: int, value_of, terminal_cut: Cut | None = None) -> Process:
     """Build a process from a callable situation -> value."""
-    levels = tuple(tuple(xr(value_of(s)) for s in situations_at(d, arity))
+    levels = tuple(tuple(value_of(s) for s in situations_at(d, arity))
                    for d in range(horizon + 1))
     return Process(arity, horizon, levels, terminal_cut)
 
@@ -95,7 +96,7 @@ def from_values(arity: int, horizon: int, value_of, terminal_cut: Cut | None = N
 def constant_process(arity: int, horizon: int, value,
                      terminal_cut: Cut | None = None) -> Process:
     return Process(arity, horizon,
-                   tuple((xr(value),) * arity**d for d in range(horizon + 1)),
+                   tuple((value,) * arity**d for d in range(horizon + 1)),
                    terminal_cut)
 
 
@@ -103,7 +104,6 @@ def constant_process(arity: int, horizon: int, value,
 class SupermartingaleVerdict:
     is_supermartingale: bool
     worst_violation: tuple[Situation, XR] | None
-    is_bounded_below: bool
 
 
 def check_supermartingale(tree, M: Process, tol=0) -> SupermartingaleVerdict:
@@ -119,49 +119,47 @@ def check_supermartingale(tree, M: Process, tol=0) -> SupermartingaleVerdict:
         raise HorizonMismatch(
             f"process horizon {M.horizon} exceeds tree depth {tree.max_depth}")
     tol = payload(tol)
-    rows = [[v.v for v in level] for level in M.levels]
     worst = None  # (depth, rank, raw gap); strict > keeps the first of equal gaps
     for depth in range(M.horizon):
-        uppers = upper_level(tree.level(depth), rows[depth + 1], 0)
-        for i, (q, m) in enumerate(zip(uppers, rows[depth])):
+        uppers = upper_level(tree.level(depth), M.levels[depth + 1], 0)
+        for i, (q, m) in enumerate(zip(uppers, M.levels[depth])):
             if not raw_le_within(q, m, tol):
                 gap = raw_add(q, raw_neg(m))
                 if worst is None or gap > worst[2]:
                     worst = (depth, i, gap)
-    bounded = all(v is not _NEG for row in rows for v in row)
     violation = None if worst is None else (unrank(worst[1], worst[0], M.arity), XR(worst[2]))
-    return SupermartingaleVerdict(worst is None and bounded, violation, bounded)
+    return SupermartingaleVerdict(worst is None, violation)
 
 
 def truncate(M: Process, bound) -> Process:
     """Pointwise min with a finite real; the output is real-valued."""
-    bound = xr(bound)
-    if not bound.is_finite:
+    bound = payload(bound)
+    if bound is _POS or bound is _NEG:
         raise ValueError("truncation level must be finite")
     return M.map(lambda v: v if v < bound else bound)
 
 
 def shift(M: Process, c) -> Process:
     """Pointwise addition of a finite constant (supermartingales stay such)."""
-    c = xr(c)
-    if not c.is_finite:
+    c = payload(c)
+    if c is _POS or c is _NEG:
         raise ValueError("shift constant must be finite")
-    return M.map(lambda v: add(v, c))
+    return M.map(lambda v: raw_add(v, c))
 
 
 def mix(processes, weights) -> Process:
     """Finite convex-cone combination: sum of weights[i] * processes[i]."""
     processes = list(processes)
-    weights = [xr(w) for w in weights]
+    weights = [payload(w) for w in weights]
     if len(processes) != len(weights):
         raise ValueError("one weight per process required")
     if not processes:
         raise ValueError("cannot mix zero processes")
     for w in weights:
-        if not w.is_finite:
+        if w is _POS or w is _NEG:
             raise ValueError("mixture weights must be finite")
-        if w < XR(0):
-            raise NegativeWeight(f"negative mixture weight {w.to_text()}")
+        if w < 0:
+            raise NegativeWeight(f"negative mixture weight {XR(w).to_text()}")
     first = processes[0]
     for p in processes[1:]:
         if p.horizon != first.horizon:
@@ -172,9 +170,9 @@ def mix(processes, weights) -> Process:
     for depth in range(first.horizon + 1):
         row = []
         for i in range(first.arity**depth):
-            total = XR(0)
+            total = 0
             for p, w in zip(processes, weights):
-                total = add(total, scale(w, p.levels[depth][i]))
+                total = raw_add(total, raw_scale(w, p.levels[depth][i]))
             row.append(total)
         levels.append(tuple(row))
     cuts = {p.terminal_cut for p in processes}

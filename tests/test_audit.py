@@ -11,7 +11,7 @@ from gtue.audit import (
     upper_envelope,
     vacuous_functional,
 )
-from gtue.errors import UnboundedBelowInput
+from gtue.errors import NotBoundedBelow
 from gtue.xreal import raw_add, raw_scale
 
 
@@ -83,7 +83,7 @@ def test_divergent_bound_failures_are_charged_to_e8():
 @pytest.mark.parametrize("cell", [float("-inf"), -1e308 * 10], ids=["literal", "overflow"])
 def test_upper_envelope_refuses_any_neg_inf_float(cell):
     envelope = upper_envelope(CredalSet([(Fraction(1, 2), Fraction(1, 2))]))
-    with pytest.raises(UnboundedBelowInput):
+    with pytest.raises(NotBoundedBelow):
         envelope((cell, 1))
 
 

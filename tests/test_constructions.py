@@ -205,7 +205,7 @@ class TestDoobMixture:
         for depth in range(4):
             for i in range(2**depth):
                 assert mixture.levels[depth][i] == \
-                    XR(transform.process.levels[depth][i].v / root.v)
+                    XR(transform.process.levels[depth][i] / root.v)
 
     def test_two_windows_on_constant(self, tree_a):
         M = constant_process(2, 3, 3, level_cut(2, 3))

@@ -12,7 +12,7 @@ from gtue import (
     local_upper,
     vacuous,
 )
-from gtue.errors import UnboundedAboveInput, UnboundedBelowInput
+from gtue.errors import NotBoundedAbove, NotBoundedBelow
 from tests.conftest import seeded
 
 
@@ -47,9 +47,9 @@ class TestLocalEnvelopes:
         assert local_upper(CredalSet([(half, half)]), var(10**400, POS_INF)) == POS_INF
 
     def test_unbounded_inputs_rejected(self, model_a):
-        with pytest.raises(UnboundedBelowInput):
+        with pytest.raises(NotBoundedBelow):
             local_upper(model_a, (XR(0), NEG_INF))
-        with pytest.raises(UnboundedAboveInput):
+        with pytest.raises(NotBoundedAbove):
             local_lower(model_a, (XR(0), POS_INF))
 
     def test_lower_never_exceeds_upper(self, model_a):
@@ -68,7 +68,7 @@ class TestLocalEnvelopes:
         assert local_upper(model_a, [0, 1]) == XR(Fraction(7, 10))
         assert local_upper(model_a, ("0", XR(1))) == XR(Fraction(7, 10))
         assert local_lower(model_a, iter((0.0, 1.0))) == XR(0.3)
-        with pytest.raises(UnboundedBelowInput):
+        with pytest.raises(NotBoundedBelow):
             local_upper(model_a, [0, float("-inf")])
         with pytest.raises(ValueError, match="length"):
             local_upper(model_a, [0, 1, 2])

@@ -630,7 +630,7 @@ class TestKernelEquivalence:
                     s = unrank(i, d, arity)
                     assert _same(eval_finitary(tree, f, s), reference[d][i]), (trial, s)
             process = eval_process(tree, f)
-            assert all(_same(got, want) for d in range(depth + 1)
+            assert all(_same(XR(got), want) for d in range(depth + 1)
                        for got, want in zip(process.levels[d], reference[d]))
             for i, value in enumerate(f.values if depth else ()):
                 if value == POS_INF:

@@ -3,9 +3,9 @@
 ``perfbench/tracing.py`` wraps gtue functions by module attribute name.
 A renamed or removed target would crash a traced benchmark run, so the
 tracer is installed on the imported gtue here, used for a traced
-``eval``, ``check`` and ``doob-certificate``, and uninstalled: every name
-it patches must exist, its hooks must read the arguments they expect,
-and every attribute must come back.
+``eval``, ``check``, ``doob-certificate`` and ``levy-certificate``, and
+uninstalled: every name it patches must exist, its hooks must read the
+arguments they expect, and every attribute must come back.
 """
 
 import importlib.util
@@ -54,15 +54,21 @@ def test_tracer_patches_existing_names_and_restores_them(tmp_path):
         process.write_text(json.dumps({"horizon": 2, "values": {
             "": 2.25, "0": 0.75, "1": 2.75, "0.0": 0, "0.1": 1, "1.0": 2, "1.1": 3},
             "terminal_cut": ["0.0", "0.1", "1.0", "1.1"]}))
+        # Shifted by 1: node 0's upper expectation 3 drops below 7/2, leaf 0.0's 5 exceeds 4.
+        gamble = tmp_path / "g.json"
+        gamble.write_text(json.dumps({"depth": 2, "values": [4, 0, 2, 2]}))
         with redirect_stdout(io.StringIO()):
             codes = [gtue.cli.main(["eval", str(tree), str(variable), "--situation", "1"]),
                      gtue.cli.main(["check", str(tree), str(process)]),
                      gtue.cli.main(["doob-certificate", str(tree), str(process),
-                                    "--a", "1", "--b", "2"])]
-        assert codes == [0, 0, 0]
+                                    "--a", "1", "--b", "2"]),
+                     gtue.cli.main(["levy-certificate", str(tree), str(gamble),
+                                    "--a", "7/2", "--b", "4"])]
+        assert codes == [0, 0, 0, 0]
         assert tracer.counters["evaluate.nodes"] > 0
         assert tracer.counters["jsonio.bytes_in"] > 0
         assert tracer.counters["process.nodes_checked"] > 0
+        assert tracer.counters["constructions.realized_checks"] > 0
     finally:
         tracer.uninstall()
     after = _bindings()
