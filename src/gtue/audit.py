@@ -7,6 +7,9 @@ as a concrete counterexample.  Failures are data, not errors.
 
 The functional maps a tuple of raw payloads (``xreal.payload``'s forms),
 one per state, to a number or an ``XR``, normalised with ``payload``.
+Probes hold int, Fraction and +inf cells, so exact functionals are
+audited exactly; ``upper_envelope`` converts them once per call for a
+float model, with the same bits.
 
 Covered properties, named as in the report:
 
@@ -36,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .credal import CredalSet, StateSpace, raw_upper
+from .credal import CredalSet, StateSpace, check_local, raw_upper, upper_row
 from .xreal import (NEG_INF, POS_INF, XR, payload, raw_add, raw_close_within, raw_le_within,
                     raw_neg, raw_scale)
 
@@ -297,8 +300,31 @@ def _probe_e10(F, n, rng, tol, report: AuditReport):
 # -- reference functionals for audit testing ---------------------------------
 
 def upper_envelope(model: CredalSet) -> callable:
-    """The coherent functional induced by a credal set: ``credal.raw_upper`` on it."""
-    return functools.partial(raw_upper, model)
+    """The coherent functional induced by a credal set: ``credal.raw_upper`` on it.
+
+    When every support mass is a float, Python computes ``mass * v`` as
+    ``mass * float(v)`` for an int or Fraction ``v``, so lifting the probe's
+    supported cells to float once per call, after ``check_local``, gives
+    ``raw_upper``'s bits without a ``Fraction.__rmul__`` per extreme point.
+    Zero-mass cells are never lifted (a 10^400 there stays unused), and a
+    row with a value too large for a float is evaluated unlifted, raising
+    or not just as ``raw_upper`` does.
+    """
+    if not all(type(mass) is float for point in model.support for _, mass in point):
+        return functools.partial(raw_upper, model)
+    cells = sorted({i for point in model.support for i, _ in point})
+
+    def lifted_upper(h):
+        check_local(model, h)
+        row = list(h)
+        try:
+            for i in cells:
+                if not isinstance(row[i], float):
+                    row[i] = float(row[i])
+        except OverflowError:
+            row = h
+        return upper_row(model, row)[0]
+    return lifted_upper
 
 
 def vacuous_functional() -> callable:

@@ -162,12 +162,22 @@ def upper_level(level, below: list, first: int) -> list:
     return row
 
 
-def raw_upper(model: CredalSet, h):
-    """Upper expectation of a bounded-below local variable, a tuple of raw payloads."""
+def check_local(model: CredalSet, h) -> None:
+    """Refuse a local variable of the wrong length (ValueError) or with a -inf cell.
+
+    Only a float can be -inf, so an int or Fraction cell skips the slow
+    ``Fraction.__eq__(float)``; ``isinstance`` still refuses a float subclass.
+    """
     if len(h) != model.size:
         raise ValueError("variable length does not match the credal set")
-    if any(v == _NEG for v in h):
-        raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
+    for v in h:
+        if isinstance(v, float) and v == _NEG:
+            raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
+
+
+def raw_upper(model: CredalSet, h):
+    """Upper expectation of a bounded-below local variable, a tuple of raw payloads."""
+    check_local(model, h)
     return upper_row(model, h)[0]
 
 

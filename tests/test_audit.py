@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from gtue.audit import (
     upper_envelope,
     vacuous_functional,
 )
+from gtue.credal import raw_upper
 from gtue.errors import NotBoundedBelow
 from gtue.xreal import raw_add, raw_scale
 
@@ -80,11 +83,50 @@ def test_divergent_bound_failures_are_charged_to_e8():
     assert report.results["E10"].passed, report.results["E10"].counterexample
 
 
-@pytest.mark.parametrize("cell", [float("-inf"), -1e308 * 10], ids=["literal", "overflow"])
-def test_upper_envelope_refuses_any_neg_inf_float(cell):
-    envelope = upper_envelope(CredalSet([(Fraction(1, 2), Fraction(1, 2))]))
+class _Real(float):
+    """A float subclass: still a float, so still refused as -inf."""
+
+
+_EXACT_HALVES = CredalSet([(Fraction(1, 2), Fraction(1, 2))])
+_FLOAT_HALVES = CredalSet([(0.5, 0.5)])
+
+
+def _outcome(functional, h):
+    """A result's type and exact value, with floats compared by their bits."""
+    value = functional(h)
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("model, cell", [
+    (_EXACT_HALVES, float("-inf")), (_EXACT_HALVES, -1e308 * 10), (_EXACT_HALVES, _Real("-inf")),
+    (_FLOAT_HALVES, float("-inf")), (_FLOAT_HALVES, -1e308 * 10), (_FLOAT_HALVES, _Real("-inf")),
+], ids=["literal", "overflow", "subclass", "float-literal", "float-overflow", "float-subclass"])
+def test_upper_envelope_refuses_any_neg_inf_float(model, cell):
+    envelope = upper_envelope(model)
     with pytest.raises(NotBoundedBelow):
         envelope((cell, 1))
+
+
+@pytest.mark.parametrize("h, error", [((10**400, 1, 2), ValueError),
+                                      ((10**400, float("-inf")), NotBoundedBelow)],
+                         ids=["length", "neg-inf"])
+def test_float_envelope_checks_before_lifting(h, error):
+    # Lifting 10^400 to a float would raise OverflowError first.
+    for functional in (upper_envelope(_FLOAT_HALVES), partial(raw_upper, _FLOAT_HALVES)):
+        with pytest.raises(error):
+            functional(h)
+
+
+def test_float_envelope_lifts_only_what_raw_upper_multiplies():
+    zero_mass = CredalSet([(0.25, 0.75, 0)])
+    assert _outcome(upper_envelope(zero_mass), (1, 2, 10**400)) == \
+        _outcome(partial(raw_upper, zero_mass), (1, 2, 10**400)) == (float, (1.75).hex())
+    # The +inf cell ends the sum before the 10^400 cell is multiplied.
+    assert _outcome(upper_envelope(_FLOAT_HALVES), (math.inf, 10**400)) == \
+        _outcome(partial(raw_upper, _FLOAT_HALVES), (math.inf, 10**400)) == (float, "inf")
+    for functional in (upper_envelope(_FLOAT_HALVES), partial(raw_upper, _FLOAT_HALVES)):
+        with pytest.raises(OverflowError):
+            functional((1, 10**400))
 
 
 def test_point_spread_bonus_fails_monotonicity():
@@ -158,3 +200,48 @@ def test_exact_credal_sets_pass_every_axiom_with_zero_tolerance(case, seed):
     space = StateSpace(tuple(str(i) for i in range(arity)))
     report = audit_axioms(upper_envelope(model), space, trials=10, seed=seed, tol=0)
     assert report.all_passed, [r.counterexample for r in report.failures()]
+
+
+@st.composite
+def _credal_sets(draw):
+    """Float, exact and mixed credal sets, with zero masses and int masses in float points."""
+    arity = draw(st.integers(2, 4))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(st.integers(0, 5), min_size=arity, max_size=arity)
+                       .filter(any))
+        kind = draw(st.sampled_from(("exact", "float", "float-int-zeros", "float-int-one")))
+        if kind == "exact":
+            points.append(tuple(Fraction(w, sum(weights)) for w in weights))
+        elif kind == "float":
+            points.append(tuple(w / sum(weights) for w in weights))
+        elif kind == "float-int-zeros":
+            points.append(tuple(w / sum(weights) if w else 0 for w in weights))
+        else:
+            top = weights.index(max(weights))
+            points.append(tuple(1 if i == top else 0.0 for i in range(arity)))
+    return CredalSet(points)
+
+
+# The audit's probe kinds: int, Fraction and +inf cells; float cells besides.
+_PROBE_CELLS = st.one_of(st.integers(-1000, 1000).map(lambda k: Fraction(k, 100)),
+                         st.integers(-40, 40), st.just(math.inf),
+                         st.floats(-10, 10, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_credal_sets(), data=st.data())
+def test_upper_envelope_matches_raw_upper_bit_for_bit(model, data):
+    h = data.draw(st.tuples(*[_PROBE_CELLS] * model.size))
+    assert _outcome(upper_envelope(model), h) == _outcome(partial(raw_upper, model), h)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9001])
+def test_float_model_audits_match_raw_upper(seed):
+    space = StateSpace(("0", "1", "2"))
+    for model in (CredalSet([(0.5, 0.25, 0.25), (0.1, 0.5, 0.4)]),
+                  CredalSet([(0.3, 0.7, 0), (0.6, 0.4, 0.0)])):
+        lifted = audit_axioms(upper_envelope(model), space, trials=40, seed=seed)
+        plain = audit_axioms(partial(raw_upper, model), space, trials=40, seed=seed)
+        assert lifted.results == plain.results
+        assert lifted.e10_branches == plain.e10_branches

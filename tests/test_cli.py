@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import gtue.tree
 from gtue import (
     CredalSet,
     FinitaryVariable,
@@ -35,9 +36,10 @@ from gtue import (
     levy_transform,
     neg,
 )
-from gtue.errors import GTUEError
+from gtue.errors import GTUEError, SchemaError
 from gtue.evaluate import TreeModel
 from gtue.tree import situations_at, subtree_block
+from gtue.xreal import payload
 
 F = Fraction
 
@@ -524,6 +526,34 @@ class TestInputEdge:
         monkeypatch.undo()
         assert len(built) <= 2
         assert value == eval_finitary(tree, f)
+
+    def test_decoding_normalises_each_cell_once(self, monkeypatch):
+        tree = jsonio.tree_from_obj(TREE_A)
+        doc = {"depth": 3, "values": [0, 1.5, "2/3", "inf", 4, -0.25, Fraction(1, 7), 7]}
+        calls = []
+
+        def counting_payload(value):
+            calls.append(value)
+            return payload(value)
+
+        monkeypatch.setattr(jsonio, "payload", counting_payload)
+        monkeypatch.setattr(gtue.tree, "payload", counting_payload)
+        f = jsonio.variable_from_obj(doc, tree.space)
+        monkeypatch.undo()
+        assert calls == doc["values"]
+        assert f.values == tuple(map(payload, doc["values"]))
+
+    @pytest.mark.parametrize("bad", [True, None, [1], "x", "1/0", float("nan"),
+                                     math.inf, -math.inf],
+                             ids=["bool", "null", "array", "text", "zero-denominator",
+                                  "nan", "overflow", "negative-overflow"])
+    def test_bad_variable_cell_is_named(self, bad):
+        tree = jsonio.tree_from_obj(TREE_A)
+        with pytest.raises(SchemaError) as from_table:
+            jsonio.variable_from_obj({"depth": 1, "values": [0, bad]}, tree.space)
+        with pytest.raises(SchemaError) as from_cell:
+            jsonio.decode_number(bad, "variable.values[1]")
+        assert str(from_table.value) == str(from_cell.value)
 
     def test_value_too_large_for_floats_is_input_error(self, files, capsys):
         # Exact 10^400 times the float mass 0.5 overflows float arithmetic.

@@ -3,9 +3,10 @@
 ``perfbench/tracing.py`` wraps gtue functions by module attribute name.
 A renamed or removed target would crash a traced benchmark run, so the
 tracer is installed on the imported gtue here, used for a traced
-``eval``, ``check``, ``doob-certificate`` and ``levy-certificate``, and
-uninstalled: every name it patches must exist, its hooks must read the
-arguments they expect, and every attribute must come back.
+``eval``, ``check``, ``check --axioms``, ``doob-certificate`` and
+``levy-certificate``, and uninstalled: every name it patches must exist,
+its hooks must read the arguments they expect, and every attribute must
+come back.
 """
 
 import importlib.util
@@ -60,15 +61,18 @@ def test_tracer_patches_existing_names_and_restores_them(tmp_path):
         with redirect_stdout(io.StringIO()):
             codes = [gtue.cli.main(["eval", str(tree), str(variable), "--situation", "1"]),
                      gtue.cli.main(["check", str(tree), str(process)]),
+                     gtue.cli.main(["check", str(tree), "--axioms", "--trials", "2"]),
                      gtue.cli.main(["doob-certificate", str(tree), str(process),
                                     "--a", "1", "--b", "2"]),
                      gtue.cli.main(["levy-certificate", str(tree), str(gamble),
                                     "--a", "7/2", "--b", "4"])]
-        assert codes == [0, 0, 0, 0]
+        assert codes == [0, 0, 0, 0, 0]
         assert tracer.counters["evaluate.nodes"] > 0
         assert tracer.counters["jsonio.bytes_in"] > 0
         assert tracer.counters["process.nodes_checked"] > 0
         assert tracer.counters["constructions.realized_checks"] > 0
+        # The float tree's audit goes through whatever cli.upper_envelope returns.
+        assert tracer.counters["audit.functional_calls"] > 0
     finally:
         tracer.uninstall()
     after = _bindings()
