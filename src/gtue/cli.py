@@ -5,8 +5,9 @@ Subcommands:
 * ``eval``              conditional upper (or lower) expectation of a
                         finitary variable, with an optional brute-force
                         cross-check, or the limit along a monotone
-                        sequence template (exact by continuity for the
-                        clamp templates, iterated for explicit lists);
+                        sequence template, answered exactly from the
+                        limit the template carries (an explicit list's
+                        last item);
 * ``check``             supermartingale verification of a process file,
                         and/or an axiom audit of the tree's local models;
 * ``doob-certificate``  the additive upcrossing transform plus its cuts
@@ -14,9 +15,8 @@ Subcommands:
 * ``levy-certificate``  the multiplicative transform likewise.
 
 Exit codes: 0 success, 1 input or usage error, 2 a verification check
-failed, 3 iteration budget exhausted (explicit sequences only).  Reports
-go to stdout as a single JSON document; parse failures print only to
-stderr.
+failed.  Reports go to stdout as a single JSON document; parse failures
+print only to stderr.
 
 Setting GTUE_RATIONAL=1 switches to exact rational arithmetic: numeric
 literals in input files are taken exactly and outputs are emitted as
@@ -41,13 +41,7 @@ from .constructions import (
     levy_transform,
 )
 from .errors import GTUEError, SchemaError
-from .evaluate import (
-    STATUS_BUDGET,
-    STATUS_EXACT,
-    eval_finitary,
-    eval_limit,
-    eval_lower_finitary,
-)
+from .evaluate import STATUS_EXACT, eval_finitary, eval_limit, eval_lower_finitary
 from .oracle import brute_force_upper, selection_count
 from .process import check_supermartingale
 from .tree import FinitarySequence, FinitaryVariable
@@ -56,13 +50,11 @@ from .xreal import close_within, xr
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAILED_CHECK = 2
-EXIT_BUDGET = 3
 
 
 @dataclass
 class RunConfig:
     tol: object = 1e-9
-    budget: int = 64
     rational_mode: bool = False
     seed: int = 0
     oracle_cap: int = 10**7
@@ -74,8 +66,6 @@ class RunConfig:
             raise ValueError("tol must be finite")
         if tol < 0:
             raise ValueError("tol must be non-negative")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -86,8 +76,8 @@ def _config_from_args(args) -> RunConfig:
         # Exact inputs get an exact tolerance; a float would make every
         # comparison against it inexact.
         tol = Fraction(args.tol) if rational else float(args.tol)
-    return RunConfig(tol=tol, budget=args.budget, rational_mode=rational,
-                     seed=args.seed, oracle_cap=args.oracle_cap)
+    return RunConfig(tol=tol, rational_mode=rational, seed=args.seed,
+                     oracle_cap=args.oracle_cap)
 
 
 def _emit(document):
@@ -112,14 +102,11 @@ def cmd_eval(args) -> int:
     if isinstance(subject, FinitarySequence):
         if args.lower or args.oracle:
             raise SchemaError("--lower and --oracle apply to finitary variables, not sequences")
-        result = eval_limit(tree, subject, situation, tol=config.tol, budget=config.budget)
-        report = {"value": jsonio.encode_number(result.value, rational),
-                  "status": result.status, "iterations": result.iterations,
-                  "method": result.method}
-        if result.bound_direction:
-            report["bound_direction"] = result.bound_direction
-        _emit(report)
-        return EXIT_BUDGET if result.status == STATUS_BUDGET else EXIT_OK
+        result = eval_limit(tree, subject, situation)
+        _emit({"value": jsonio.encode_number(result.value, rational),
+               "status": result.status, "iterations": result.iterations,
+               "method": result.method})
+        return EXIT_OK
 
     assert isinstance(subject, FinitaryVariable)
     if args.lower:
@@ -230,8 +217,6 @@ def _add_common(parser):
     parser.add_argument("--tol", default=None,
                         help="comparison tolerance (default 1e-9, or 0 in rational mode, "
                              "where it is parsed exactly)")
-    parser.add_argument("--budget", type=int, default=64,
-                        help="iteration budget for explicit sequence limits")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
     parser.add_argument("--oracle-cap", type=int, default=10**7,
                         help="refusal cap on brute-force selections")
@@ -289,8 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which would
+        # read as a failed verification check.
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -20,12 +20,11 @@ slice of the level's tuple), and returns raw level tables.  ``XR`` is
 built only where a value leaves through the public API.
 
 Limits of declared-monotone sequences come from the paper's continuity
-theorem where a sequence carries its limit: the clamp ladder min(f, 2^n)
-rises to a bounded-below f, so upward continuity makes the limit f's own
-upper expectation, and one backward pass computes it exactly, +inf
-included.  Only explicit finite lists are iterated; their items are
-verified in the declared order, so a truncated run is still meaningful
-(the last iterate bounds the limit from the declared side).
+theorems, and every sequence carries its limit: the clamp ladder
+min(f, 2^n) rises to a bounded-below f, so upward continuity makes the
+limit f's own upper expectation, and one backward pass computes it
+exactly, +inf included.  An explicit list is repeated at its tail, so
+its limit is its last item.
 """
 
 from __future__ import annotations
@@ -56,18 +55,14 @@ from .tree import (
     situations_at,
     subtree_block,
 )
-from .xreal import NEG_INF, POS_INF, XR, close_within, le_within, neg, xr
+from .xreal import NEG_INF, POS_INF, XR, le_within, neg, xr
 
 _POS, _NEG = POS_INF.v, NEG_INF.v
 
 STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
-STATUS_BUDGET = "budget_exhausted"
 
 METHOD_CONTINUITY = "continuity"
-METHOD_ITERATION = "iteration"
-
-DEFAULT_BUDGET = 64
 
 
 class TreeModel:
@@ -169,7 +164,6 @@ class EvalResult:
     status: str
     iterations: int
     method: str
-    bound_direction: str | None = None
 
 
 def _check_variable(tree: TreeModel, f: FinitaryVariable):
@@ -219,39 +213,17 @@ def eval_lower_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROO
     return neg(eval_finitary(tree, f.map(operator.neg), s))
 
 
-def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT,
-               tol=1e-9, budget: int = DEFAULT_BUDGET) -> EvalResult:
+def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT) -> EvalResult:
     """Limit of the upper expectations along a declared-monotone sequence.
 
-    A sequence that carries its limit (the clamp templates) is answered
-    by one eval_finitary of it: method "continuity", one iteration.  An
-    explicit list is iterated (method "iteration") until two successive
-    values agree within tol, or until the repeated tail, whose value is
-    the limit exactly, or up to the budget.  Its items were verified in
-    the declared order, so a budget-exhausted value is still a one-sided
-    bound: a lower bound on the limit for non-decreasing sequences, an
-    upper bound for non-increasing ones.
+    Every sequence carries its limit, so the answer is one eval_finitary
+    of it: status "converged", one iteration, method "continuity".
     """
     if seq.monotonicity is Monotonicity.NONE:
         raise MonotonicityViolated(
             "eval_limit needs a declared monotone sequence; no theorem covers the rest")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if seq.limit is not None:
-        return EvalResult(eval_finitary(tree, seq.limit, s), STATUS_CONVERGED, 1,
-                          METHOD_CONTINUITY)
-    previous: XR | None = None
-    for n, item in enumerate(seq.items[:budget]):
-        value = eval_finitary(tree, item, s)
-        if previous is not None and close_within(value, previous, tol):
-            return EvalResult(value, STATUS_CONVERGED, n + 1, METHOD_ITERATION)
-        previous = value
-    if budget > len(seq.items):
-        # Iterate len(items) repeats the last item: its value, the limit, is known.
-        return EvalResult(previous, STATUS_CONVERGED, len(seq.items) + 1, METHOD_ITERATION)
-    increasing = seq.monotonicity is Monotonicity.NON_DECREASING
-    return EvalResult(previous, STATUS_BUDGET, budget, METHOD_ITERATION,
-                      bound_direction="lower" if increasing else "upper")
+    return EvalResult(eval_finitary(tree, seq.limit, s), STATUS_CONVERGED, 1,
+                      METHOD_CONTINUITY)
 
 
 def certificate_bound(tree: TreeModel, M: Process, f: FinitaryVariable,

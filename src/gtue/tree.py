@@ -192,30 +192,15 @@ class Monotonicity(Enum):
 
 @dataclass(frozen=True)
 class FinitarySequence:
-    """A declared-monotone sequence of finitary variables whose limit is known.
+    """A declared-monotone sequence of finitary variables, with its limit.
 
-    Either ``items`` holds a finite list, repeated at its tail, whose
-    declared order is verified here on every consecutive pair; or
     ``limit`` is a variable whose upper expectation is the limit of the
-    element values, by a continuity theorem the builder relies on (see
-    the clamp templates).
+    element values: by upward continuity for the clamp ladder, and
+    because an explicit list is constant from its last item on.
     """
 
-    monotonicity: Monotonicity = Monotonicity.NONE
-    limit: FinitaryVariable | None = None
-    items: tuple[FinitaryVariable, ...] | None = None
-
-    def __post_init__(self):
-        if (self.limit is None) == (self.items is None):
-            raise ValueError("a sequence carries either its exact limit or its finite items")
-        if self.items is None or self.monotonicity is Monotonicity.NONE:
-            return
-        increasing = self.monotonicity is Monotonicity.NON_DECREASING
-        for n, (a, b) in enumerate(zip(self.items, self.items[1:])):
-            if not (pointwise_leq(a, b) if increasing else pointwise_leq(b, a)):
-                raise MonotonicityViolated(
-                    f"declared {self.monotonicity.value} order fails between "
-                    f"items {n} and {n + 1}")
+    monotonicity: Monotonicity
+    limit: FinitaryVariable
 
 
 def clamp_above_sequence(base: FinitaryVariable) -> FinitarySequence:
@@ -238,8 +223,21 @@ def clamp_below_sequence(base: FinitaryVariable) -> FinitarySequence:
 
 
 def explicit_sequence(items, monotonicity: Monotonicity = Monotonicity.NONE) -> FinitarySequence:
-    """A finite list of variables, repeated at the tail (so limits exist)."""
+    """A finite list of variables, repeated at the tail: its last item is the limit.
+
+    The declared order is verified here on every consecutive pair.  The
+    pointwise limit is the last item, so the limit of the upper
+    expectations is that item's own: only it is evaluated, and only it
+    must be bounded below where it is queried.
+    """
     items = tuple(items)
     if not items:
         raise ValueError("an explicit sequence needs at least one element")
-    return FinitarySequence(monotonicity, items=items)
+    if monotonicity is not Monotonicity.NONE:
+        increasing = monotonicity is Monotonicity.NON_DECREASING
+        for n, (a, b) in enumerate(zip(items, items[1:])):
+            if not (pointwise_leq(a, b) if increasing else pointwise_leq(b, a)):
+                raise MonotonicityViolated(
+                    f"declared {monotonicity.value} order fails between "
+                    f"items {n} and {n + 1}")
+    return FinitarySequence(monotonicity, limit=items[-1])

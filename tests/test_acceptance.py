@@ -223,7 +223,7 @@ def test_monotone_convergence():
         f = indicator(2, depth, cells)
         target = scale(POS_INF, eval_finitary(tree, f))
         blown = f.map(lambda v: scale(POS_INF, v))
-        out = eval_limit(tree, clamp_above_sequence(blown), budget=64)
+        out = eval_limit(tree, clamp_above_sequence(blown))
         assert out.status == "converged"
         assert out.value == target
         if target == XR(0):
@@ -249,7 +249,7 @@ def test_non_increasing_convergence():
 
         seq = explicit_sequence([element(n) for n in range(45)],
                                 Monotonicity.NON_INCREASING)
-        out = eval_limit(tree, seq, tol=TOL, budget=64)
+        out = eval_limit(tree, seq)
         assert out.status == "converged"
         assert out.iterations <= 40
         assert abs(out.value.v - eval_finitary(tree, g).v) <= 1e-6

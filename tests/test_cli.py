@@ -46,6 +46,9 @@ F = Fraction
 TREE_A = {"states": ["0", "1"],
           "model": {"type": "stationary", "extreme_points": [[0.7, 0.3], [0.3, 0.7]]},
           "max_depth": 4}
+TREE_HALVES = {"states": ["0", "1"],
+               "model": {"type": "stationary", "extreme_points": [[0.5, 0.5]]},
+               "max_depth": 2}
 TREE_RIGHT = {"states": ["0", "1"],
               "model": {"type": "stationary", "extreme_points": [[0, 1]]},
               "max_depth": 2}
@@ -208,24 +211,38 @@ class TestEvalCommand:
         assert report["value"] == "inf"
         assert report["status"] == "converged"
 
-    def test_budget_exhaustion_exit_code(self, files, capsys):
-        items = [{"depth": 0, "values": [-(2 ** -n)]} for n in range(40)]
-        seq = {"kind": "explicit", "items": items, "monotonicity": "non_decreasing"}
-        code, report, _ = run_cli(
-            ["eval", files("t.json", TREE_A), files("s.json", seq),
-             "--budget", "8", "--tol", "0"], capsys)
-        assert code == 3
-        assert report["status"] == "budget_exhausted"
-        assert report["bound_direction"] == "lower"
-
     def test_order_broken_past_the_budget_exits_one(self, files, capsys):
         items = [{"depth": 0, "values": [n]} for n in range(20)] + [{"depth": 0, "values": [0]}]
         seq = {"kind": "explicit", "items": items, "monotonicity": "non_decreasing"}
         code, report, err = run_cli(
-            ["eval", files("t.json", TREE_A), files("s.json", seq), "--budget", "8"], capsys)
+            ["eval", files("t.json", TREE_A), files("s.json", seq)], capsys)
         assert code == 1
         assert report is None
         assert "MonotonicityViolated" in err
+
+    @pytest.mark.parametrize("flags, text", [([], float), (["--rational"], str)])
+    @pytest.mark.parametrize("items, want", [
+        ([{"depth": 1, "values": [0, 0]}] * 2 + [{"depth": 1, "values": [5, 5]}], 5),
+        ([{"depth": 0, "values": [v]} for v in (0, 1e-10, 7)], 7)])
+    def test_explicit_list_reports_its_last_item(self, files, capsys, items, want, flags, text):
+        seq = {"kind": "explicit", "items": items, "monotonicity": "non_decreasing"}
+        # --tol plays no part in a limit: the last item's value is reported.
+        code, report, _ = run_cli(
+            ["eval", files("t.json", TREE_HALVES), files("s.json", seq), "--tol", "1e-9"]
+            + flags, capsys)
+        assert code == 0
+        assert report == {"value": text(want), "status": "converged", "iterations": 1,
+                          "method": "continuity"}
+
+    @pytest.mark.parametrize("flags, want", [([], 3.0), (["--rational"], "3")])
+    def test_only_the_last_item_must_be_bounded_below(self, files, capsys, flags, want):
+        items = [{"depth": 1, "values": ["-inf", 0]}, {"depth": 1, "values": [0, 0]},
+                 {"depth": 0, "values": [3]}]
+        seq = {"kind": "explicit", "items": items, "monotonicity": "non_decreasing"}
+        code, report, _ = run_cli(
+            ["eval", files("t.json", TREE_A), files("s.json", seq)] + flags, capsys)
+        assert code == 0
+        assert report["value"] == want
 
     def test_plateau_before_divergence_reports_inf(self, files, capsys):
         tree = {"states": ["0", "1"],
@@ -245,6 +262,14 @@ class TestEvalCommand:
         assert code == 1
         assert report is None
         assert "values" in err
+
+    def test_usage_error_exits_one(self, files, capsys):
+        # argparse's own exit code 2 would read as a failed verification check.
+        tree, f = files("t.json", TREE_A), files("f.json", INDICATOR_11)
+        for argv in (["eval", tree], ["eval", tree, f, "--budget", "8"]):
+            code, report, err = run_cli(argv, capsys)
+            assert (code, report) == (1, None)
+            assert "usage" in err
 
 
 class TestCheckCommand:
@@ -777,14 +802,13 @@ def _expected(arity, points, masses_as_text, rational, subject, situation):
     if kind == "explicit":
         items = [variable(item) for item in subject["items"]]
         seq = explicit_sequence(items, Monotonicity(subject["monotonicity"]))
-        result = eval_limit(tree, seq, s, tol)
-        # The value of the item the iteration stopped at (the last one at the tail).
-        stop = items[min(result.iterations, len(items)) - 1]
-        assert result.value == eval_finitary(tree, stop, s)
+        result = eval_limit(tree, seq, s)
+        # The list is repeated at its tail: the last item is the limit.
+        assert result.value == eval_finitary(tree, items[-1], s)
         return "eval", result
     base = variable(subject["base"])
     seq = (clamp_above_sequence if kind == "clamp_above" else clamp_below_sequence)(base)
-    result = eval_limit(tree, seq, s, tol)
+    result = eval_limit(tree, seq, s)
     assert result.value == eval_finitary(tree, base, s)
     return "eval", result
 
@@ -814,7 +838,7 @@ def test_sequence_and_process_cells_decode_like_the_library(case):
         out = io.StringIO()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
     event(f"{command} exit {code}")
     try:
         kind, want = _expected(*case)
@@ -823,7 +847,7 @@ def test_sequence_and_process_cells_decode_like_the_library(case):
         return
     report = json.loads(out.getvalue())
     if kind == "eval":
-        assert code == (3 if want.status == "budget_exhausted" else 0)
+        assert code == 0
         assert (report["value"], report["status"], report["iterations"]) == \
             (jsonio.encode_number(want.value, rational), want.status, want.iterations)
     else:

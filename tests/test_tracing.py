@@ -3,10 +3,10 @@
 ``perfbench/tracing.py`` wraps gtue functions by module attribute name.
 A renamed or removed target would crash a traced benchmark run, so the
 tracer is installed on the imported gtue here, used for a traced
-``eval``, ``check``, ``check --axioms``, ``doob-certificate`` and
-``levy-certificate``, and uninstalled: every name it patches must exist,
-its hooks must read the arguments they expect, and every attribute must
-come back.
+``eval`` of a variable and of a ``clamp_above`` sequence, ``check``,
+``check --axioms``, ``doob-certificate`` and ``levy-certificate``, and
+uninstalled: every name it patches must exist, its hooks must read the
+arguments they expect, and every attribute must come back.
 """
 
 import importlib.util
@@ -50,6 +50,9 @@ def test_tracer_patches_existing_names_and_restores_them(tmp_path):
             "type": "stationary", "extreme_points": [[0.5, 0.5], [0.25, 0.75]]}}))
         variable = tmp_path / "f.json"
         variable.write_text(json.dumps({"depth": 2, "values": [0, 1, 2, "inf"]}))
+        sequence = tmp_path / "s.json"
+        sequence.write_text(json.dumps({"kind": "clamp_above",
+                                        "base": {"depth": 2, "values": [0, 1, 2, "inf"]}}))
         # The upper expectations of [0, 1, 2, 3]: a supermartingale.
         process = tmp_path / "p.json"
         process.write_text(json.dumps({"horizon": 2, "values": {
@@ -60,13 +63,16 @@ def test_tracer_patches_existing_names_and_restores_them(tmp_path):
         gamble.write_text(json.dumps({"depth": 2, "values": [4, 0, 2, 2]}))
         with redirect_stdout(io.StringIO()):
             codes = [gtue.cli.main(["eval", str(tree), str(variable), "--situation", "1"]),
+                     gtue.cli.main(["eval", str(tree), str(sequence)]),
                      gtue.cli.main(["check", str(tree), str(process)]),
                      gtue.cli.main(["check", str(tree), "--axioms", "--trials", "2"]),
                      gtue.cli.main(["doob-certificate", str(tree), str(process),
                                     "--a", "1", "--b", "2"]),
                      gtue.cli.main(["levy-certificate", str(tree), str(gamble),
                                     "--a", "7/2", "--b", "4"])]
-        assert codes == [0, 0, 0, 0, 0]
+        assert codes == [0, 0, 0, 0, 0, 0]
+        # The limit hook reads EvalResult.iterations.
+        assert tracer.counters["evaluate.limit_iterations"] == 1
         assert tracer.counters["evaluate.nodes"] > 0
         assert tracer.counters["jsonio.bytes_in"] > 0
         assert tracer.counters["process.nodes_checked"] > 0
