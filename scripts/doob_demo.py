@@ -15,7 +15,7 @@ from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-from gtue import check_supermartingale, doob_gain_checks, doob_transform
+from gtue import check_supermartingale, doob_gain_checks, doob_transform, to_text
 from gtue.testing import random_supermartingale, random_tree
 
 
@@ -34,7 +34,7 @@ def main():
     transform = doob_transform(tree, M, (), args.a, args.b)
 
     verdict = check_supermartingale(tree, transform.process, 0)
-    print(f"window ({args.a}, {args.b}), root value {M.value_at(()).to_text()}")
+    print(f"window ({args.a}, {args.b}), root value {to_text(M.value_at(()))}")
     print(f"transform is a supermartingale: {verdict.is_supermartingale}")
     for k, (v_cut, u_cut) in enumerate(transform.cuts.pairs, start=1):
         print(f"  V_{k}: {sorted(v_cut.members)}")
@@ -45,7 +45,7 @@ def main():
               "(try another --seed)")
     for check in checks:
         print(f"  post-U node {check.situation}: k={check.upcrossings} "
-              f"gain={check.gain.to_text()} telescoped={check.telescoped.to_text()} "
+              f"gain={to_text(check.gain)} telescoped={to_text(check.telescoped)} "
               f"identity={check.identity_ok} bound={check.bound_ok}")
     return 0 if verdict.is_supermartingale and all(c.passed for c in checks) else 1
 

@@ -15,7 +15,7 @@ import time
 
 sys.path.insert(0, "src")
 
-from gtue import brute_force_upper, eval_finitary, selection_count
+from gtue import brute_force_upper, eval_finitary, selection_count, to_text
 from gtue.testing import random_finitary, random_tree
 
 
@@ -46,7 +46,7 @@ def main():
         if oracle != engine:
             mismatches += 1
         print(f"[{i:3d}] {marker} |X|={size} depth={depth} selections={count:6d} "
-              f"engine={engine.to_text():>8} oracle={oracle.to_text():>8}")
+              f"engine={to_text(engine):>8} oracle={to_text(oracle):>8}")
     elapsed = time.time() - start
     print(f"\n{args.instances} instances, {selections_total} selections total, "
           f"{mismatches} mismatches, {elapsed:.2f}s")

@@ -73,7 +73,7 @@ from .tree import (
     level_cut,
     lift,
 )
-from .xreal import NEG_INF, POS_INF, XR, add, neg, scale, xr
+from .xreal import NEG_INF, POS_INF, add, neg, payload, scale, to_text
 
 from . import errors
 

@@ -6,7 +6,7 @@ evaluates both sides of each axiom, and records the first failing probe
 as a concrete counterexample.  Failures are data, not errors.
 
 The functional maps a tuple of raw payloads (``xreal.payload``'s forms),
-one per state, to a number or an ``XR``, normalised with ``payload``.
+one per state, to a number, normalised with ``payload``.
 Probes hold int, Fraction and +inf cells, so exact functionals are
 audited exactly; ``upper_envelope`` converts them once per call for a
 float model, with the same bits.
@@ -40,10 +40,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .credal import CredalSet, StateSpace, check_local, raw_upper, upper_row
-from .xreal import (NEG_INF, POS_INF, XR, payload, raw_add, raw_close_within, raw_le_within,
-                    raw_neg, raw_scale)
+from .xreal import (NEG_INF, POS_INF, payload, raw_add, raw_close_within, raw_le_within,
+                    raw_neg, raw_scale, to_text)
 
-_POS, _NEG = POS_INF.v, NEG_INF.v
 INF_CELL_PROBABILITY = 0.1
 GAMBLE_LOW, GAMBLE_HIGH = -10, 10
 
@@ -113,20 +112,16 @@ def _gamble(rng, n) -> tuple:
 
 
 def _bounded_below(rng, n) -> tuple:
-    return tuple(_POS if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
+    return tuple(POS_INF if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
                  for _ in range(n))
 
 
 def _nonnegative(rng, n) -> tuple:
-    return tuple(v if v is _POS else abs(v) for v in _bounded_below(rng, n))
-
-
-def _text(value) -> str:
-    return XR(value).to_text()
+    return tuple(v if v is POS_INF else abs(v) for v in _bounded_below(rng, n))
 
 
 def _fmt(h: tuple) -> str:
-    return "(" + ", ".join(map(_text, h)) + ")"
+    return "(" + ", ".join(map(to_text, h)) + ")"
 
 
 def _clamp(h: tuple, level) -> tuple:
@@ -139,47 +134,47 @@ def _probe_once(F, n, rng, tol, report: AuditReport):
     c = _rand_finite(rng)
     got = F((c,) * n)
     if not raw_close_within(got, c, tol):
-        res["E1"].fail(f"constant {c}: functional returned {_text(got)}")
+        res["E1"].fail(f"constant {c}: functional returned {to_text(got)}")
 
     f, g = _bounded_below(rng, n), _bounded_below(rng, n)
     lhs = F(tuple(map(raw_add, f, g)))
     rhs = raw_add(F(f), F(g))
     if not raw_le_within(lhs, rhs, tol):
-        res["E2"].fail(f"f={_fmt(f)}, g={_fmt(g)}: F(f+g)={_text(lhs)} > "
-                       f"F(f)+F(g)={_text(rhs)}")
+        res["E2"].fail(f"f={_fmt(f)}, g={_fmt(g)}: F(f+g)={to_text(lhs)} > "
+                       f"F(f)+F(g)={to_text(rhs)}")
 
     h = _nonnegative(rng, n)
-    for lam in (0, Fraction(1, 2), 2, _POS):
+    for lam in (0, Fraction(1, 2), 2, POS_INF):
         scaled = F(tuple(raw_scale(lam, v) for v in h))
         expected = raw_scale(lam, F(h))
         if not raw_close_within(scaled, expected, tol):
-            res["E3"].fail(f"lambda={_text(lam)}, f={_fmt(h)}: "
-                           f"F(lambda f)={_text(scaled)} != {_text(expected)}")
+            res["E3"].fail(f"lambda={to_text(lam)}, f={_fmt(h)}: "
+                           f"F(lambda f)={to_text(scaled)} != {to_text(expected)}")
             break
 
     base = _bounded_below(rng, n)
     upper = tuple(map(raw_add, base, _nonnegative(rng, n)))
     if not raw_le_within(F(base), F(upper), tol):
         res["E4"].fail(f"f={_fmt(base)} <= g={_fmt(upper)} but "
-                       f"F(f)={_text(F(base))} > F(g)={_text(F(upper))}")
+                       f"F(f)={to_text(F(base))} > F(g)={to_text(F(upper))}")
 
     probe = _bounded_below(rng, n)
     value = F(probe)
-    if value is _NEG or not raw_le_within(min(probe), value, tol) \
+    if value is NEG_INF or not raw_le_within(min(probe), value, tol) \
             or not raw_le_within(value, max(probe), tol):
-        res["E5"].fail(f"f={_fmt(probe)}: F(f)={_text(value)} outside "
-                       f"[{_text(min(probe))}, {_text(max(probe))}]")
+        res["E5"].fail(f"f={_fmt(probe)}: F(f)={to_text(value)} outside "
+                       f"[{to_text(min(probe))}, {to_text(max(probe))}]")
 
-    mu = _POS if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
+    mu = POS_INF if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
     shifted = F(tuple(raw_add(v, mu) for v in probe))
     if not raw_close_within(shifted, raw_add(value, mu), tol):
-        res["E6"].fail(f"f={_fmt(probe)}, mu={_text(mu)}: F(f+mu)={_text(shifted)} != F(f)+mu")
+        res["E6"].fail(f"f={_fmt(probe)}, mu={to_text(mu)}: F(f+mu)={to_text(shifted)} != F(f)+mu")
 
     lam7 = abs(_rand_finite(rng)) if rng.random() < 0.8 else 0
     scaled7 = F(tuple(raw_scale(lam7, v) for v in probe))
     if not raw_close_within(scaled7, raw_scale(lam7, value), tol):
-        res["E7"].fail(f"lambda={_text(lam7)}, f={_fmt(probe)}: "
-                       f"F(lambda f)={_text(scaled7)} != lambda F(f)")
+        res["E7"].fail(f"lambda={to_text(lam7)}, f={_fmt(probe)}: "
+                       f"F(lambda f)={to_text(scaled7)} != lambda F(f)")
 
     gf, gg = _gamble(rng, n), _gamble(rng, n)
     total = tuple(map(raw_add, gf, gg))
@@ -189,8 +184,8 @@ def _probe_once(F, n, rng, tol, report: AuditReport):
     if not (raw_le_within(mixed_lhs, mixed_mid, tol)
             and raw_le_within(mixed_mid, mixed_rhs, tol)):
         res["E8"].fail(f"f={_fmt(gf)}, g={_fmt(gg)}: chain "
-                       f"{_text(mixed_lhs)} <= {_text(mixed_mid)} "
-                       f"<= {_text(mixed_rhs)} broken")
+                       f"{to_text(mixed_lhs)} <= {to_text(mixed_mid)} "
+                       f"<= {to_text(mixed_rhs)} broken")
 
     target = _gamble(rng, n)
     target_value = F(target)
@@ -207,14 +202,14 @@ def _probe_once(F, n, rng, tol, report: AuditReport):
 
     cg = _gamble(rng, n)
     if not raw_le_within(F(cg), max(cg), tol):
-        res["C1"].fail(f"f={_fmt(cg)}: F(f)={_text(F(cg))} > sup f")
+        res["C1"].fail(f"f={_fmt(cg)}: F(f)={to_text(F(cg))} > sup f")
     cf, cgg = _gamble(rng, n), _gamble(rng, n)
     if not raw_le_within(F(tuple(map(raw_add, cf, cgg))), raw_add(F(cf), F(cgg)), tol):
         res["C2"].fail(f"f={_fmt(cf)}, g={_fmt(cgg)}: gamble sub-additivity broken")
     lam_c = Fraction(rng.randint(1, 400), 100)
     if not raw_close_within(F(tuple(raw_scale(lam_c, v) for v in cf)),
                             raw_scale(lam_c, F(cf)), tol):
-        res["C3"].fail(f"lambda={_text(lam_c)}, f={_fmt(cf)}: "
+        res["C3"].fail(f"lambda={to_text(lam_c)}, f={_fmt(cf)}: "
                        "positive homogeneity broken on a gamble")
 
     terms = [_nonnegative(rng, n) for _ in range(4)]
@@ -224,8 +219,8 @@ def _probe_once(F, n, rng, tol, report: AuditReport):
         bound = raw_add(bound, F(term))
         if not raw_le_within(F(partial), bound, tol):
             res["countable_subadditivity"].fail(
-                f"prefix length {k}: F(sum)={_text(F(partial))} > "
-                f"sum of F terms {_text(bound)}")
+                f"prefix length {k}: F(sum)={to_text(F(partial))} > "
+                f"sum of F terms {to_text(bound)}")
             break
 
 
@@ -239,21 +234,21 @@ def _probe_e10(F, n, rng, tol, report: AuditReport):
     (finite cells clamped, +inf cells kept) must reach F(h) at a finite index."""
     res = report.results["E10"]
     h = _bounded_below(rng, n)
-    if all(v is not _POS for v in h):
-        h = (_POS,) + h[1:]
+    if all(v is not POS_INF for v in h):
+        h = (POS_INF,) + h[1:]
     limit_value = F(h)
 
-    finite_top = max((v for v in h if v is not _POS), default=0)
+    finite_top = max((v for v in h if v is not POS_INF), default=0)
     reach = int(finite_top) + 2 if finite_top > 0 else 2
 
     # Extended-real elements: clamp only the finite cells.
-    staged = F(tuple(v if v is _POS else min(v, reach) for v in h))
+    staged = F(tuple(v if v is POS_INF else min(v, reach) for v in h))
     if not raw_close_within(staged, limit_value, tol):
         res.fail(f"h={_fmt(h)}: extended-element sequence stalls at "
-                 f"{_text(staged)} instead of {_text(limit_value)}")
+                 f"{to_text(staged)} instead of {to_text(limit_value)}")
         return
 
-    charge = F(tuple(1 if v is _POS else 0 for v in h))
+    charge = F(tuple(1 if v is POS_INF else 0 for v in h))
 
     # Geometric clamp ladder, always ending strictly above every finite entry.
     level = 1
@@ -263,7 +258,7 @@ def _probe_e10(F, n, rng, tol, report: AuditReport):
         clamped = F(_clamp(h, level))
         if not raw_le_within(previous, clamped, tol):
             res.fail(f"h={_fmt(h)}: clamped values decreased "
-                     f"({_text(previous)} -> {_text(clamped)})")
+                     f"({to_text(previous)} -> {to_text(clamped)})")
             return
         previous = clamped
 
@@ -271,7 +266,7 @@ def _probe_e10(F, n, rng, tol, report: AuditReport):
         report.e10_branches["finite"] += 1
         if not raw_close_within(previous, limit_value, tol):
             res.fail(f"h={_fmt(h)}: zero charge on the +inf cells but the clamp "
-                     f"sequence stops at {_text(previous)} != {_text(limit_value)}")
+                     f"sequence stops at {to_text(previous)} != {to_text(limit_value)}")
         return
 
     report.e10_branches["divergent"] += 1
@@ -283,18 +278,18 @@ def _probe_e10(F, n, rng, tol, report: AuditReport):
         clamped = F(_clamp(h, level))
         if not raw_le_within(previous, clamped, tol):
             res.fail(f"h={_fmt(h)}: clamped values decreased "
-                     f"({_text(previous)} -> {_text(clamped)})")
+                     f"({to_text(previous)} -> {to_text(clamped)})")
             return
-        f = tuple(level - top if v is _POS else 0 for v in h)
+        f = tuple(level - top if v is POS_INF else 0 for v in h)
         bound = raw_add(F(f), floor)
         if not raw_le_within(bound, clamped, tol):
             report.results["E8"].fail(f"f={_fmt(f)}, g={_fmt(g)}: F(f)-F(-g)="
-                                      f"{_text(bound)} > F(f+g)={_text(clamped)}")
+                                      f"{to_text(bound)} > F(f+g)={to_text(clamped)}")
         previous = clamped
     # Under E7 that bound rises at slope F(1{h = +inf}) > 0, so E10 needs F(h) = +inf;
     # a finite F(h) is charged to E10 only while E7 and E8 hold on every probe.
-    if limit_value is not _POS and report.results["E7"].passed and report.results["E8"].passed:
-        res.fail(f"h={_fmt(h)}: clamp sequence diverges but F(h)={_text(limit_value)}")
+    if limit_value is not POS_INF and report.results["E7"].passed and report.results["E8"].passed:
+        res.fail(f"h={_fmt(h)}: clamp sequence diverges but F(h)={to_text(limit_value)}")
 
 
 # -- reference functionals for audit testing ---------------------------------

@@ -45,7 +45,7 @@ from .evaluate import STATUS_EXACT, eval_finitary, eval_limit, eval_lower_finita
 from .oracle import brute_force_upper, selection_count
 from .process import check_supermartingale
 from .tree import FinitarySequence, FinitaryVariable
-from .xreal import close_within, xr
+from .xreal import NEG_INF, POS_INF, close_within, payload
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,8 +60,8 @@ class RunConfig:
     oracle_cap: int = 10**7
 
     def __post_init__(self):
-        tol = xr(self.tol)
-        if not tol.is_finite:
+        tol = payload(self.tol)
+        if tol is POS_INF or tol is NEG_INF:
             # An infinite tolerance would pass every verification.
             raise ValueError("tol must be finite")
         if tol < 0:

@@ -26,7 +26,7 @@ Window parameters are rationals and all transform arithmetic runs on
 exact raw payloads through the ``xreal.raw_*`` forms (finite floats are
 lifted losslessly), so the telescoping gain identity, the per-upcrossing
 width bound and the (b/a)^k growth bound are machine-checkable with zero
-tolerance; ``XR`` boxes only the GainCheck and GrowthCheck fields.
+tolerance; the GainCheck and GrowthCheck fields are those payloads.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from .errors import (
 from .evaluate import TreeModel, backward_levels
 from .process import Process, constant_process, mix
 from .tree import Cut, FinitaryVariable, Situation, level_cut, rank, subtree_block, unrank
-from .xreal import POS_INF, XR, raw_add, raw_neg, raw_scale
+from .xreal import NEG_INF, POS_INF, payload, raw_add, raw_neg, raw_scale
 
-_POS = POS_INF.v
 
 
 @dataclass(frozen=True)
@@ -144,16 +143,15 @@ def _window(a, b) -> tuple[Fraction, Fraction]:
 
 
 def _rational(x) -> Fraction:
-    if isinstance(x, XR):
-        if not x.is_finite:
-            raise BadWindow("window parameters must be finite rationals")
-        x = x.v
+    x = payload(x)
+    if x is POS_INF or x is NEG_INF:
+        raise BadWindow("window parameters must be finite rationals")
     return Fraction(x)
 
 
 def _exact(v):
     """Losslessly lift a finite float payload to a Fraction; +inf passes through."""
-    if isinstance(v, float) and v is not _POS:
+    if isinstance(v, float) and v is not POS_INF:
         return Fraction(v)
     return v
 
@@ -230,7 +228,7 @@ def doob_transform(tree: TreeModel, M: Process, t: Situation, a, b) -> Transform
     subtree_block(t, M.horizon, M.arity)  # refuses a root beyond the horizon or off the tree
     base = [[_exact(v) for v in level] for level in M.levels]
     root_value = base[len(t)][rank(t, M.arity)]
-    if root_value is _POS:
+    if root_value is POS_INF:
         raise NonFiniteRoot("the base process must be finite at the transform root")
     if M.min_value() < 0:
         raise ValueError("the base process must be non-negative")
@@ -246,8 +244,8 @@ class GainCheck:
 
     situation: Situation
     upcrossings: int
-    gain: XR
-    telescoped: XR
+    gain: object  # raw payloads
+    telescoped: object
     identity_ok: bool
     terms_exceed_width: bool
     bound_ok: bool
@@ -281,7 +279,7 @@ def doob_gain_checks(M: Process, transform: Transform) -> list[GainCheck]:
         gain = raw_add(transform.process.levels[len(s)][i], raw_neg(root_value))
         target = raw_scale(len(hits), width)
         checks.append(GainCheck(
-            s, len(hits), XR(gain), XR(telescoped),
+            s, len(hits), gain, telescoped,
             identity_ok=(gain == telescoped),
             terms_exceed_width=terms_ok,
             bound_ok=not (gain < target)))
@@ -308,10 +306,10 @@ def doob_mixture(tree: TreeModel, M: Process, t: Situation, windows, weights) ->
     combined = mix([tr.process for tr in transforms], weights)
     t = tuple(t)
     root_value = combined.value_at(t)
-    if not root_value.is_finite or root_value == XR(0):
+    if root_value is POS_INF or root_value == 0:
         raise ValueError("normalization needs a finite positive value at the root")
-    factor = Fraction(1) / root_value.v if isinstance(root_value.v, (int, Fraction)) \
-        else 1.0 / root_value.v
+    factor = Fraction(1) / root_value if isinstance(root_value, (int, Fraction)) \
+        else 1.0 / root_value
     return combined.map(lambda v: raw_scale(factor, v))
 
 
@@ -370,8 +368,8 @@ class GrowthCheck:
 
     situation: Situation
     upcrossings: int
-    value: XR
-    threshold: XR
+    value: object  # raw payloads
+    threshold: object
     bound_ok: bool
 
     @property
@@ -389,6 +387,6 @@ def levy_bound_checks(transform: Transform) -> list[GrowthCheck]:
             continue
         threshold = (b / a) ** len(hits)
         value = process.levels[len(s)][i]
-        checks.append(GrowthCheck(s, len(hits), XR(value), XR(threshold),
+        checks.append(GrowthCheck(s, len(hits), value, threshold,
                                   bound_ok=value > threshold))
     return checks

@@ -15,7 +15,7 @@ depth of a tree, whether the depth shares one model or has one per
 node: it is the level kernel of the backward recursion and of the
 supermartingale check.  ``raw_upper`` validates one local variable, a
 tuple of payloads, and evaluates it; ``local_upper`` and ``local_lower``
-are its ``XR`` front ends on any sequence of numbers or ``XR``.
+are its front ends on any sequence of numbers ``payload`` reads.
 
 Redundant (non-extreme) points are permitted: evaluation is a maximum,
 so they are harmless, and requiring minimality would drag in a convex
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotBoundedAbove, NotBoundedBelow
-from .xreal import XR, neg, payload
+from .xreal import payload, raw_neg
 
 PMF_SUM_TOL = 1e-12
 _INF, _NEG = math.inf, -math.inf
@@ -181,14 +181,14 @@ def raw_upper(model: CredalSet, h):
     return upper_row(model, h)[0]
 
 
-def local_upper(model: CredalSet, h) -> XR:
-    """Upper expectation of a bounded-below local variable: numbers or XR, one per state."""
-    return XR(raw_upper(model, tuple(map(payload, h))))
+def local_upper(model: CredalSet, h):
+    """Upper expectation of a bounded-below local variable: one number per state."""
+    return raw_upper(model, tuple(map(payload, h)))
 
 
-def local_lower(model: CredalSet, h) -> XR:
+def local_lower(model: CredalSet, h):
     """Conjugate lower expectation of a bounded-above local variable."""
     h = tuple(map(payload, h))
     if any(v is _INF for v in h):
         raise NotBoundedAbove("local lower expectation needs a bounded-above argument")
-    return neg(local_upper(model, map(neg, h)))
+    return raw_neg(raw_upper(model, tuple(map(raw_neg, h))))

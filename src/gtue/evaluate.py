@@ -16,8 +16,8 @@ block per depth (``tree.subtree_block``), so backward_levels walks that
 block only: the whole levels at the root, nothing above s.  It runs on
 raw payloads: it slices the variable's table, which already holds them,
 applies ``credal.upper_level`` to whole rows (one model per level, or a
-slice of the level's tuple), and returns raw level tables.  ``XR`` is
-built only where a value leaves through the public API.
+slice of the level's tuple), and returns raw level tables; the values
+that leave through the public API are raw payloads too.
 
 Limits of declared-monotone sequences come from the paper's continuity
 theorems, and every sequence carries its limit: the clamp ladder
@@ -55,9 +55,8 @@ from .tree import (
     situations_at,
     subtree_block,
 )
-from .xreal import NEG_INF, POS_INF, XR, le_within, neg, xr
+from .xreal import NEG_INF, POS_INF, payload, raw_le_within, raw_neg, to_text
 
-_POS, _NEG = POS_INF.v, NEG_INF.v
 
 STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
@@ -160,7 +159,7 @@ class TreeModel:
 
 @dataclass
 class EvalResult:
-    value: XR
+    value: object  # a raw payload
     status: str
     iterations: int
     method: str
@@ -186,7 +185,7 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
     s = tuple(s)
     levels: list = [None] * (f.depth + 1)
     levels[f.depth] = list(f.on_subtree(s))
-    if any(v is _NEG for v in levels[f.depth]):
+    if any(v is NEG_INF for v in levels[f.depth]):
         raise NotBoundedBelow("the upper expectation needs a bounded-below variable")
     for depth in range(f.depth - 1, len(s) - 1, -1):
         first = subtree_block(s, depth, f.arity).start
@@ -194,10 +193,10 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
     return levels
 
 
-def eval_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> XR:
+def eval_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT):
     """Upper expectation of a finitary variable bounded below on s's subtree, given s."""
     s = tuple(s)
-    return XR(backward_levels(tree, f, s=s)[len(s)][0])
+    return backward_levels(tree, f, s=s)[len(s)][0]
 
 
 def eval_process(tree: TreeModel, f: FinitaryVariable) -> Process:
@@ -206,11 +205,11 @@ def eval_process(tree: TreeModel, f: FinitaryVariable) -> Process:
     return Process(f.arity, f.depth, levels, terminal_cut=level_cut(f.arity, f.depth))
 
 
-def eval_lower_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -> XR:
+def eval_lower_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT):
     """Conjugate lower expectation of a finitary variable bounded above on s's subtree."""
-    if any(v is _POS for v in f.on_subtree(tuple(s))):
+    if any(v is POS_INF for v in f.on_subtree(tuple(s))):
         raise NotBoundedAbove("the lower expectation needs a bounded-above variable")
-    return neg(eval_finitary(tree, f.map(operator.neg), s))
+    return raw_neg(eval_finitary(tree, f.map(operator.neg), s))
 
 
 def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT) -> EvalResult:
@@ -227,7 +226,7 @@ def eval_limit(tree: TreeModel, seq: FinitarySequence, s: Situation = ROOT) -> E
 
 
 def certificate_bound(tree: TreeModel, M: Process, f: FinitaryVariable,
-                      s: Situation = ROOT, tol=0) -> XR:
+                      s: Situation = ROOT, tol=0):
     """Certified upper bound on the upper expectation of f at s.
 
     M must be a verified supermartingale with a terminal cut at or below
@@ -236,20 +235,21 @@ def certificate_bound(tree: TreeModel, M: Process, f: FinitaryVariable,
     """
     verdict = check_supermartingale(tree, M, tol)
     if not verdict.is_supermartingale:
+        situation, gap = verdict.worst_violation
         raise NotASupermartingale(
             f"certificate fails the supermartingale check: worst violation "
-            f"{verdict.worst_violation}")
+            f"{to_text(gap)} at {situation}")
     if M.terminal_cut is None:
         raise NotTerminal("certificates must be terminal processes")
-    tol_x = xr(tol)
+    tol = payload(tol)
     for member in M.terminal_cut:
         if len(member) < f.depth:
             raise ValueError(
                 f"terminal member {member} is shallower than the variable depth {f.depth}")
         tail = M.value_at(member)
         needed = f.value_at(member)
-        if not le_within(needed, tail, tol_x):
+        if not raw_le_within(needed, tail, tol):
             raise DominanceFailed(
-                f"tail value {tail.to_text()} at {member} does not dominate "
-                f"f = {needed.to_text()}", witness=member)
+                f"tail value {to_text(tail)} at {member} does not dominate "
+                f"f = {to_text(needed)}", witness=member)
     return M.value_at(tuple(s))

@@ -1,7 +1,8 @@
 """JSON schemas for trees, variables, sequences, processes, and transforms.
 
 One file holds one object.  Numbers are decimal and decode to raw
-payloads (``xreal.payload``), with no ``XR`` on the way in.  Infinities
+payloads (``xreal.payload``), and ``encode_number`` writes payloads
+back with ``xreal.to_text`` or as JSON floats.  Infinities
 are the strings "inf" and "-inf"; the tokens Infinity and -Infinity read
 as those strings, and a float-mode literal too large for a float is
 refused.  In rational mode every numeric literal is parsed exactly (the
@@ -34,7 +35,7 @@ from .tree import (
     explicit_sequence,
     situations_at,
 )
-from .xreal import XR, payload, xr
+from .xreal import NEG_INF, POS_INF, payload, to_text
 
 # json's non-standard constants.  The infinities read as their strings, so a
 # float infinity reaching decode_number comes from an overflowed literal.
@@ -71,9 +72,12 @@ def decode_number(raw, where: str):
         raise SchemaError(f"{where}: cannot parse {raw!r} as a number") from None
 
 
-def encode_number(value: XR, rational: bool):
-    value = xr(value)
-    return value.to_text() if rational or not value.is_finite else float(value.v)
+def encode_number(value, rational: bool):
+    """A raw payload as JSON: text in rational mode or for an infinity, else a float."""
+    # Identity, not `in`: `in` would run Fraction.__eq__(float) per cell of a dump.
+    if rational or value is POS_INF or value is NEG_INF:
+        return to_text(value)
+    return float(value)
 
 
 def _require(mapping, key, where: str):

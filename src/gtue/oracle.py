@@ -18,7 +18,7 @@ that agree on a subtree (pure distributivity of the forward sum), and
 maximizes once over the finished list.  That keeps the cost near
 selection_count without ever touching the backward max recursion this
 oracle exists to check.  The sums run on raw payloads through
-``xreal.raw_scale`` and ``xreal.raw_add``; only the maximum is boxed.
+``xreal.raw_scale`` and ``xreal.raw_add``, and the maximum is one too.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from __future__ import annotations
 from .errors import CapExceeded, NotBoundedBelow
 from .credal import CredalSet
 from .tree import FinitaryVariable, ROOT, Situation, rank, subtree_block
-from .xreal import NEG_INF, XR, raw_add, raw_scale
+from .xreal import NEG_INF, raw_add, raw_scale
 
-_NEG = NEG_INF.v
 
 DEFAULT_CAP = 10**7
 
@@ -51,18 +50,18 @@ def selection_count(tree, n: int, s: Situation = ROOT) -> int:
 
 
 def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
-                      cap: int = DEFAULT_CAP) -> XR:
+                      cap: int = DEFAULT_CAP):
     """Max over selections of the forward expectation of f from s.
 
     Only the values on s's subtree must be bounded below.
     """
     s = tuple(s)
-    if any(v is _NEG for v in f.on_subtree(s)):
+    if any(v is NEG_INF for v in f.on_subtree(s)):
         raise NotBoundedBelow("the oracle needs a bounded-below variable")
     count = selection_count(tree, f.depth, s)
     if count > cap:
         raise CapExceeded(f"{count} selections exceed the cap {cap}")
-    return XR(max(_expectations(tree, f, s)))
+    return max(_expectations(tree, f, s))
 
 
 def _expectations(tree, f: FinitaryVariable, s: Situation) -> list:

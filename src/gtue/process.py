@@ -1,8 +1,8 @@
 """Extended-real processes on the situation tree and the supermartingale calculus.
 
 A Process stores one value per situation up to a horizon, as level
-tables of raw payloads (``xreal.payload``), like ``FinitaryVariable``;
-``XR`` boxes only the scalars that leave the API.  Values are never -inf
+tables of raw payloads (``xreal.payload``), like ``FinitaryVariable``,
+and the scalars it returns are payloads too.  Values are never -inf
 (bounded-belowness is part of what makes a process a supermartingale
 candidate, so it is enforced at construction).  A process may carry a
 terminal cut: a complete cut such that the process is constant on the
@@ -29,9 +29,9 @@ from .errors import (
     SpaceMismatch,
 )
 from .tree import Cut, Situation, is_complete, rank, situations_at, subtree_block, unrank
-from .xreal import NEG_INF, POS_INF, XR, payload, raw_add, raw_le_within, raw_neg, raw_scale
+from .xreal import (NEG_INF, POS_INF, payload, raw_add, raw_le_within, raw_neg, raw_scale,
+                    to_text)
 
-_POS, _NEG = POS_INF.v, NEG_INF.v
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Process:
         for depth, level in enumerate(levels):
             if len(level) != self.arity**depth:
                 raise ValueError(f"level {depth} has {len(level)} entries")
-            if any(v is _NEG for v in level):
+            if any(v is NEG_INF for v in level):
                 raise ValueError("processes must be bounded below: -inf value found")
         if self.terminal_cut is not None:
             self._check_terminal()
@@ -69,21 +69,21 @@ class Process:
                     raise ValueError(
                         f"process is not constant beyond terminal member {member}")
 
-    def value_at(self, s: Situation) -> XR:
+    def value_at(self, s: Situation):
         if len(s) > self.horizon:
             if self.terminal_cut is not None and self.terminal_cut.member_before(s):
                 return self.value_at(s[:self.horizon])
             raise ValueError(f"situation {s} lies beyond horizon {self.horizon}")
-        return XR(self.levels[len(s)][rank(s, self.arity)])
+        return self.levels[len(s)][rank(s, self.arity)]
 
     def map(self, fn) -> "Process":
-        """Apply fn to every payload; it may return a payload or an XR."""
+        """Apply fn to every payload; it may return any number ``payload`` reads."""
         return Process(self.arity, self.horizon,
                        tuple(tuple(map(fn, level)) for level in self.levels),
                        self.terminal_cut)
 
-    def min_value(self) -> XR:
-        return XR(min(v for level in self.levels for v in level))
+    def min_value(self):
+        return min(v for level in self.levels for v in level)
 
 
 def from_values(arity: int, horizon: int, value_of, terminal_cut: Cut | None = None) -> Process:
@@ -103,7 +103,7 @@ def constant_process(arity: int, horizon: int, value,
 @dataclass(frozen=True)
 class SupermartingaleVerdict:
     is_supermartingale: bool
-    worst_violation: tuple[Situation, XR] | None
+    worst_violation: tuple[Situation, object] | None  # (situation, raw gap)
 
 
 def check_supermartingale(tree, M: Process, tol=0) -> SupermartingaleVerdict:
@@ -127,14 +127,14 @@ def check_supermartingale(tree, M: Process, tol=0) -> SupermartingaleVerdict:
                 gap = raw_add(q, raw_neg(m))
                 if worst is None or gap > worst[2]:
                     worst = (depth, i, gap)
-    violation = None if worst is None else (unrank(worst[1], worst[0], M.arity), XR(worst[2]))
+    violation = None if worst is None else (unrank(worst[1], worst[0], M.arity), worst[2])
     return SupermartingaleVerdict(worst is None, violation)
 
 
 def truncate(M: Process, bound) -> Process:
     """Pointwise min with a finite real; the output is real-valued."""
     bound = payload(bound)
-    if bound is _POS or bound is _NEG:
+    if bound is POS_INF or bound is NEG_INF:
         raise ValueError("truncation level must be finite")
     return M.map(lambda v: v if v < bound else bound)
 
@@ -142,7 +142,7 @@ def truncate(M: Process, bound) -> Process:
 def shift(M: Process, c) -> Process:
     """Pointwise addition of a finite constant (supermartingales stay such)."""
     c = payload(c)
-    if c is _POS or c is _NEG:
+    if c is POS_INF or c is NEG_INF:
         raise ValueError("shift constant must be finite")
     return M.map(lambda v: raw_add(v, c))
 
@@ -156,10 +156,10 @@ def mix(processes, weights) -> Process:
     if not processes:
         raise ValueError("cannot mix zero processes")
     for w in weights:
-        if w is _POS or w is _NEG:
+        if w is POS_INF or w is NEG_INF:
             raise ValueError("mixture weights must be finite")
         if w < 0:
-            raise NegativeWeight(f"negative mixture weight {XR(w).to_text()}")
+            raise NegativeWeight(f"negative mixture weight {to_text(w)}")
     first = processes[0]
     for p in processes[1:]:
         if p.horizon != first.horizon:
@@ -180,7 +180,7 @@ def mix(processes, weights) -> Process:
     return Process(first.arity, first.horizon, tuple(levels), shared)
 
 
-def path_liminf(M: Process, prefix: Situation) -> XR:
+def path_liminf(M: Process, prefix: Situation):
     """Limit of M along any path through ``prefix``.
 
     Defined only for terminal processes, where the tail is constant; for
@@ -194,7 +194,7 @@ def path_liminf(M: Process, prefix: Situation) -> XR:
     return M.value_at(member)
 
 
-def min_tail(M: Process, s: Situation) -> XR:
+def min_tail(M: Process, s: Situation):
     """Minimum tail value over terminal-cut members at or after s."""
     if M.terminal_cut is None:
         raise NotTerminal("tail values need a terminal process")

@@ -5,7 +5,8 @@ the initial situation.  Tables over X^n are laid out lexicographically,
 so the descendants of a situation at any depth are one contiguous rank
 block (``subtree_block``) and lookups are pure index arithmetic.  A
 finitary variable's table holds raw payloads (``xreal.payload``), the
-form the backward kernel reads; only the scalars it returns are ``XR``.
+form the backward kernel reads; ``value_at``, ``sup`` and ``inf`` return
+them as they are.
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import MonotonicityViolated
-from .xreal import NEG_INF, POS_INF, XR, payload
-
-# The canonical infinite payloads, which tables hold by identity.
-_POS, _NEG = POS_INF.v, NEG_INF.v
+from .xreal import NEG_INF, POS_INF, payload
 
 Situation = tuple[int, ...]
 
@@ -107,7 +105,8 @@ def is_complete(cut: Cut, arity: int) -> bool:
 class FinitaryVariable:
     """A depth-n table over X^n, standing for an n-measurable global variable.
 
-    ``map`` and ``combine`` callbacks get payloads and may return payloads or XR.
+    ``map`` and ``combine`` callbacks get payloads and may return any
+    number ``payload`` reads.
     """
 
     arity: int
@@ -122,28 +121,28 @@ class FinitaryVariable:
 
     @property
     def bounded_below(self) -> bool:
-        return all(v is not _NEG for v in self.values)
+        return all(v is not NEG_INF for v in self.values)
 
     @property
     def bounded_above(self) -> bool:
-        return all(v is not _POS for v in self.values)
+        return all(v is not POS_INF for v in self.values)
 
     def on_subtree(self, s: Situation) -> tuple:
         """The values at s's descendants of the variable's depth, in rank order."""
         block = subtree_block(s, self.depth, self.arity)
         return self.values[block.start:block.stop]
 
-    def value_at(self, s: Situation) -> XR:
+    def value_at(self, s: Situation):
         """Value on the cylinder of s; s must be at least depth long."""
         if len(s) < self.depth:
             raise ValueError(f"situation {s} is shallower than depth {self.depth}")
-        return XR(self.values[subtree_block(s[:self.depth], self.depth, self.arity).start])
+        return self.values[subtree_block(s[:self.depth], self.depth, self.arity).start]
 
-    def sup(self) -> XR:
-        return XR(max(self.values))
+    def sup(self):
+        return max(self.values)
 
-    def inf(self) -> XR:
-        return XR(min(self.values))
+    def inf(self):
+        return min(self.values)
 
     def map(self, fn) -> "FinitaryVariable":
         return FinitaryVariable(self.arity, self.depth, tuple(map(fn, self.values)))

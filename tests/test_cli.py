@@ -18,7 +18,6 @@ from gtue import (
     Monotonicity,
     Process,
     StateSpace,
-    XR,
     add,
     check_supermartingale,
     clamp_above_sequence,
@@ -185,7 +184,7 @@ class TestEvalCommand:
     def test_oracle_comparison_honours_tol(self, files, capsys, monkeypatch):
         exact = cli.brute_force_upper
         monkeypatch.setattr(cli, "brute_force_upper",
-                            lambda *args, **kwargs: add(exact(*args, **kwargs), XR(1e-6)))
+                            lambda *args, **kwargs: add(exact(*args, **kwargs), 1e-6))
         argv = ["eval", files("t.json", TREE_A), files("f.json", INDICATOR_11), "--oracle"]
         code, report, _ = run_cli(argv + ["--tol", "1e-5"], capsys)
         assert (code, report["oracle_match"]) == (0, True)
@@ -375,6 +374,14 @@ class TestCertifyCommands:
         assert report is None
         assert "BadWindow" in err
 
+    @pytest.mark.parametrize("a, b", [("1", "inf"), ("-inf", "1"), ("1", "Infinity")])
+    def test_doob_infinite_window_exits_one(self, files, capsys, a, b):
+        code, report, err = run_cli(
+            ["doob-certificate", files("t.json", TREE_RIGHT),
+             files("p.json", DOOB_PROCESS), f"--a={a}", f"--b={b}"], capsys)
+        assert (code, report) == (1, None)
+        assert err.startswith("BadWindow: ")
+
     def test_levy_certificate(self, files, capsys):
         code, report, _ = run_cli(
             ["levy-certificate", files("t.json", TREE_A),
@@ -403,9 +410,9 @@ class TestRoundTrips:
         assert back.terminal_cut == process.terminal_cut
 
     def test_variable_round_trip(self, tmp_path):
-        from gtue import FinitaryVariable, XR
+        from gtue import FinitaryVariable
 
-        f = FinitaryVariable(2, 1, (XR(F(1, 3)), XR(float("inf"))))
+        f = FinitaryVariable(2, 1, (F(1, 3), float("inf")))
         doc = jsonio.dump_variable(f, rational=True)
         path = tmp_path / "v.json"
         path.write_text(json.dumps(doc))
@@ -446,7 +453,7 @@ class TestRoundTrips:
         assert "extreme_points" in err
 
     def test_transform_process_reparses_bit_exact(self, tmp_path):
-        from gtue import doob_transform, from_values, CredalSet, StateSpace, XR
+        from gtue import doob_transform, from_values, CredalSet, StateSpace
         from gtue.evaluate import TreeModel as TM
 
         tree = TM.stationary(StateSpace(("0", "1")), CredalSet([(0, 1)]), 2)
@@ -534,23 +541,6 @@ class TestInputEdge:
                                     capsys)
         assert (code, report) == (1, None)
         assert "NotBoundedBelow" in err
-
-    def test_decoding_builds_no_xr_per_cell(self, monkeypatch):
-        tree = jsonio.tree_from_obj(dict(TREE_A, max_depth=10))
-        doc = {"depth": 10, "values": [i % 7 if i % 3 else i / 8 for i in range(2**10)]}
-        built = []
-        init = XR.__init__
-
-        def counting_init(self, value):
-            built.append(value)
-            init(self, value)
-
-        monkeypatch.setattr(XR, "__init__", counting_init)
-        f = jsonio.variable_from_obj(doc, tree.space)
-        value = eval_finitary(tree, f)
-        monkeypatch.undo()
-        assert len(built) <= 2
-        assert value == eval_finitary(tree, f)
 
     def test_decoding_normalises_each_cell_once(self, monkeypatch):
         tree = jsonio.tree_from_obj(TREE_A)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from gtue import (
     StateSpace,
     Transform,
     TreeModel,
-    XR,
     check_supermartingale,
     constant,
     constant_process,
@@ -49,7 +49,7 @@ def oscillator(values_on_zero_path, horizon):
             if x == 1:
                 break
             steps += 1
-        return XR(values_on_zero_path[min(steps, len(values_on_zero_path) - 1)])
+        return values_on_zero_path[min(steps, len(values_on_zero_path) - 1)]
 
     return from_values(2, horizon, value_of)
 
@@ -57,27 +57,27 @@ def oscillator(values_on_zero_path, horizon):
 class TestDoobTransform:
     def test_three_node_fixture(self, right_copy_tree):
         M = from_values(2, 2, lambda s: {
-            (): XR(F(3, 2)), (0,): XR(F(1, 2)), (1,): XR(F(3, 2)),
-            (0, 0): XR(F(5, 2)), (0, 1): XR(F(1, 2)),
-            (1, 0): XR(0), (1, 1): XR(F(3, 2))}[s])
+            (): F(3, 2), (0,): F(1, 2), (1,): F(3, 2),
+            (0, 0): F(5, 2), (0, 1): F(1, 2),
+            (1, 0): 0, (1, 1): F(3, 2)}[s])
         tree = TreeModel.stationary(StateSpace(("0", "1")), CredalSet([(0, 1)]), 2)
         assert check_supermartingale(tree, M, 0).is_supermartingale
         transform = doob_transform(tree, M, (), 1, 2)
-        assert transform.process.value_at((0, 0)) == XR(F(7, 2))
+        assert transform.process.value_at((0, 0)) == F(7, 2)
         v1, u1 = transform.cuts.pairs[0]
         assert (0,) in v1.members
         assert u1.members == frozenset({(0, 0)})
         checks = doob_gain_checks(M, transform)
         gains = {c.situation: c for c in checks}
         assert gains[(0, 0)].upcrossings == 1
-        assert gains[(0, 0)].gain == XR(2)
+        assert gains[(0, 0)].gain == 2
         assert gains[(0, 0)].passed
         assert check_supermartingale(tree, transform.process, 0).is_supermartingale
 
     def test_constant_process_transform_is_constant(self, tree_a):
         M = constant_process(2, 3, F(7, 2), level_cut(2, 3))
         transform = doob_transform(tree_a, M, (), 1, 2)
-        assert all(v == XR(F(7, 2)) for level in transform.process.levels for v in level)
+        assert all(v == F(7, 2) for level in transform.process.levels for v in level)
         assert transform.cuts.pairs == ()
 
     def test_window_validation(self, tree_a):
@@ -86,6 +86,18 @@ class TestDoobTransform:
             doob_transform(tree_a, M, (), 2, 1)
         with pytest.raises(BadWindow):
             doob_transform(tree_a, M, (), 0, 1)
+
+    def test_infinite_window_is_a_bad_window_in_any_form(self, tree_a):
+        # math.inf once raised OverflowError and "inf" a Fraction parse error.
+        M = constant_process(2, 2, 1)
+        for b in (math.inf, "inf", float("inf"), POS_INF):
+            with pytest.raises(BadWindow):
+                doob_transform(tree_a, M, (), 1, b)
+        for a in (-math.inf, "-inf"):
+            with pytest.raises(BadWindow):
+                doob_transform(tree_a, M, (), a, 1)
+        with pytest.raises(BadWindow):
+            levy_transform(tree_a, indicator(2, 2, [(1, 1)]), (), F(1, 2), 1, "inf")
 
     def test_infinite_root_rejected(self, tree_a):
         M = constant_process(2, 2, POS_INF)
@@ -101,8 +113,8 @@ class TestDoobTransform:
         M = oscillator([F(3, 2), F(1, 2), F(5, 2), F(5, 2)], 3)
         transform = doob_transform(right_copy_tree, M, (0,), 1, 2)
         # Off the subtree of (0,) the transform is pinned at M((0,)).
-        assert transform.process.value_at((1,)) == XR(F(1, 2))
-        assert transform.process.value_at(()) == XR(F(1, 2))
+        assert transform.process.value_at((1,)) == F(1, 2)
+        assert transform.process.value_at(()) == F(1, 2)
         # (0,) itself is below a, so it opens the first window.
         assert (0,) in transform.cuts.pairs[0][0].members
 
@@ -114,8 +126,8 @@ class TestDoobTransform:
 
         def value_of(s):
             if len(s) < 3:
-                return XR(values[s])
-            return XR(values[s[:2]])
+                return values[s]
+            return values[s[:2]]
 
         M = from_values(2, 3, value_of)
         assert check_supermartingale(tree, M, 0).is_supermartingale
@@ -136,7 +148,7 @@ class TestDoobTransform:
             for window in ((F(1), F(2)), (F(1, 2), F(3, 2))):
                 transform = doob_transform(tree, M, (), *window)
                 assert check_supermartingale(tree, transform.process, 0).is_supermartingale
-                assert transform.process.min_value() >= XR(0)
+                assert transform.process.min_value() >= 0
                 for check in doob_gain_checks(M, transform):
                     assert check.passed
                     if check.upcrossings >= 1:
@@ -153,7 +165,7 @@ class TestDoobTransform:
             transform = doob_transform(tree, M, (), 1, 2)
             assert transform.process.terminal_cut == M.terminal_cut
             for leaf in transform.process.terminal_cut:
-                assert path_liminf(transform.process, leaf).is_finite
+                assert path_liminf(transform.process, leaf) is not POS_INF
 
 
 class TestUpcrossingCount:
@@ -165,9 +177,9 @@ class TestUpcrossingCount:
     def test_single_pass(self, right_copy_tree):
         tree = TreeModel.stationary(StateSpace(("0", "1")), CredalSet([(0, 1)]), 2)
         M = from_values(2, 2, lambda s: {
-            (): XR(F(3, 2)), (0,): XR(F(1, 2)), (1,): XR(F(3, 2)),
-            (0, 0): XR(F(5, 2)), (0, 1): XR(F(1, 2)),
-            (1, 0): XR(0), (1, 1): XR(F(3, 2))}[s])
+            (): F(3, 2), (0,): F(1, 2), (1,): F(3, 2),
+            (0, 0): F(5, 2), (0, 1): F(1, 2),
+            (1, 0): 0, (1, 1): F(3, 2)}[s])
         transform = doob_transform(tree, M, (), 1, 2)
         assert transform.cuts.chain_state((0, 0))[0] == 1
         assert transform.cuts.chain_state((0,))[0] == 0
@@ -181,18 +193,18 @@ class TestUpcrossingCount:
         node = (0, 0, 0, 0)
         assert transform.cuts.chain_state(node)[0] == 2
         expected_gain = (F(5, 2) - F(1, 2)) + (F(11, 5) - F(4, 5))
-        assert transform.process.value_at(node) == XR(F(3, 2) + expected_gain)
+        assert transform.process.value_at(node) == F(3, 2) + expected_gain
 
         weights = (F(1, 2), F(1, 2))
         mixture = doob_mixture(right_copy_tree, M, (),
                                ((F(1), F(2)), (F(1, 2), F(3, 2))), weights)
-        assert mixture.value_at(()) == XR(1)
+        assert mixture.value_at(()) == 1
         assert check_supermartingale(right_copy_tree, mixture, 0).is_supermartingale
-        assert mixture.min_value() >= XR(0)
+        assert mixture.min_value() >= 0
         # The (1, 2) component alone already pushes the normalized value
         # past its share of 1 + 2(b - a) / M(root); the rest is non-negative.
         floor = F(1, 2) * (F(3, 2) + expected_gain) / F(3, 2)
-        assert mixture.value_at(node) >= XR(floor)
+        assert mixture.value_at(node) >= floor
 
 
 class TestDoobMixture:
@@ -205,13 +217,13 @@ class TestDoobMixture:
         for depth in range(4):
             for i in range(2**depth):
                 assert mixture.levels[depth][i] == \
-                    XR(transform.process.levels[depth][i] / root.v)
+                    transform.process.levels[depth][i] / root
 
     def test_two_windows_on_constant(self, tree_a):
         M = constant_process(2, 3, 3, level_cut(2, 3))
         mixture = doob_mixture(tree_a, M, (), ((F(1), F(2)), (F(2), F(3))),
                                (F(1, 2), F(1, 2)))
-        assert all(v == XR(1) for level in mixture.levels for v in level)
+        assert all(v == 1 for level in mixture.levels for v in level)
 
     def test_weight_validation(self, tree_a):
         from gtue.errors import WeightSumMismatch
@@ -224,7 +236,7 @@ class TestDoobMixture:
 class TestLevyTransform:
     def test_constant_target_is_trivial(self, tree_a):
         transform = levy_transform(tree_a, constant(2, 3, depth=1), (), F(1, 2), F(3, 4), 1)
-        assert all(v == XR(1) for level in transform.process.levels for v in level)
+        assert all(v == 1 for level in transform.process.levels for v in level)
         assert transform.cuts.pairs == ()
 
     def test_spec_trace_no_upcrossing_possible(self, tree_a):
@@ -234,8 +246,8 @@ class TestLevyTransform:
         u1 = transform.cuts.pairs[0][1]
         assert (0,) in v1.members
         assert len(u1) == 0
-        assert all(v == XR(1) for level in transform.process.levels for v in level)
-        assert transform.process.value_at(()) == XR(1)
+        assert all(v == 1 for level in transform.process.levels for v in level)
+        assert transform.process.value_at(()) == 1
         assert check_supermartingale(tree_a, transform.process, 0).is_supermartingale
 
     def test_completed_upcrossing_fixture(self, space2):
@@ -246,13 +258,13 @@ class TestLevyTransform:
         assert v1.members == frozenset({(0,)})
         assert u1.members == frozenset({(0, 1)})
         # Multiplicative identity: T at the U node is the certificate ratio.
-        assert transform.process.value_at((0, 1)) == XR(F(9, 5))
+        assert transform.process.value_at((0, 1)) == F(9, 5)
         check = {c.situation: c for c in levy_bound_checks(transform)}[(0, 1)]
         assert check.upcrossings == 1
-        assert check.threshold == XR(F(4, 3))
+        assert check.threshold == F(4, 3)
         assert check.passed
         assert check_supermartingale(tree, transform.process, 0).is_supermartingale
-        assert transform.process.min_value() > XR(0)
+        assert transform.process.min_value() > 0
 
     def test_root_opens_no_window(self, tree_a):
         # The shifted conditional value at the root is 1.49 < a, but the
@@ -271,7 +283,7 @@ class TestLevyTransform:
             levy_transform(tree_a, f, (), F(12, 10), F(5, 2), 1)  # b above sup f'
 
     def test_gamble_required(self, tree_a):
-        blown = indicator(2, 1, [(1,)]).map(lambda v: v if v == XR(0) else POS_INF)
+        blown = indicator(2, 1, [(1,)]).map(lambda v: v if v == 0 else POS_INF)
         with pytest.raises(ValueError):
             levy_transform(tree_a, blown, (), F(1, 2), F(3, 4), 1)
 
@@ -285,12 +297,12 @@ class TestLevyTransform:
             if f.sup() == f.inf():
                 continue
             delta = F(1, 2)
-            lo, hi = delta, f.sup().v - f.inf().v + delta
+            lo, hi = delta, f.sup() - f.inf() + delta
             a = lo + (hi - lo) * F(1, 3)
             b = lo + (hi - lo) * F(2, 3)
             transform = levy_transform(tree, f, (), a, b, delta)
-            assert transform.process.value_at(()) == XR(1)
-            assert transform.process.min_value() > XR(0)
+            assert transform.process.value_at(()) == 1
+            assert transform.process.min_value() > 0
             assert check_supermartingale(tree, transform.process, 0).is_supermartingale
             for check in levy_bound_checks(transform):
                 assert check.passed
@@ -303,7 +315,7 @@ def FinitaryVariableFixture():
     """Conditional values dip to 1 at (0), then the certificate hits 1.8."""
     from gtue import FinitaryVariable
 
-    return FinitaryVariable(2, 2, (XR(0), XR(F(8, 5)), XR(F(9, 5)), XR(F(9, 5))))
+    return FinitaryVariable(2, 2, (0, F(8, 5), F(9, 5), F(9, 5)))
 
 
 class TestCutSystem:
@@ -344,7 +356,7 @@ class TestReplay:
             for root in ((), (rng.randrange(2),), (rng.randrange(2), rng.randrange(2))):
                 for a, b in ((F(1), F(2)), (F(1, 2), F(3, 2))):
                     yield M, doob_transform(tree, M, root, a, b)
-                top = f.sup().v - f.inf().v + 1
+                top = f.sup() - f.inf() + 1
                 try:
                     levy = levy_transform(tree, f, root, 1 + top / 4, top * 3 / 4, F(1))
                 except WindowOutsideRange:

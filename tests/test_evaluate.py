@@ -11,7 +11,6 @@ from gtue import (
     POS_INF,
     StateSpace,
     TreeModel,
-    XR,
     add,
     certificate_bound,
     check_supermartingale,
@@ -51,28 +50,28 @@ F = Fraction
 
 class TestEvalFinitary:
     def test_two_step_indicator(self, tree_a):
-        assert eval_finitary(tree_a, indicator(2, 2, [(1, 1)])) == XR(F(49, 100))
+        assert eval_finitary(tree_a, indicator(2, 2, [(1, 1)])) == F(49, 100)
 
     def test_conditioning(self, tree_a):
         f = indicator(2, 2, [(1, 1)])
-        assert eval_finitary(tree_a, f, (1,)) == XR(F(7, 10))
-        assert eval_finitary(tree_a, f, (0,)) == XR(0)
-        assert eval_finitary(tree_a, f, (1, 1)) == XR(1)
+        assert eval_finitary(tree_a, f, (1,)) == F(7, 10)
+        assert eval_finitary(tree_a, f, (0,)) == 0
+        assert eval_finitary(tree_a, f, (1, 1)) == 1
 
     def test_constants_skip_the_models(self, tree_a):
         for depth in range(4):
-            assert eval_finitary(tree_a, constant(2, F(5, 2), depth)) == XR(F(5, 2))
+            assert eval_finitary(tree_a, constant(2, F(5, 2), depth)) == F(5, 2)
 
     def test_zero_mass_infinity(self, tree_b):
-        f = FinitaryVariable(2, 1, (XR(0), POS_INF))
-        assert eval_finitary(tree_b, f) == XR(0)
+        f = FinitaryVariable(2, 1, (0, POS_INF))
+        assert eval_finitary(tree_b, f) == 0
 
     def test_depth_cap(self, tree_a):
         with pytest.raises(DepthExceeded):
             eval_finitary(tree_a, constant(2, 1, depth=5))
 
     def test_bounded_below_required(self, tree_a):
-        bad = FinitaryVariable(2, 1, (XR(0), XR(float("-inf"))))
+        bad = FinitaryVariable(2, 1, (0, float("-inf")))
         with pytest.raises(NotBoundedBelow):
             eval_finitary(tree_a, bad)
 
@@ -116,8 +115,8 @@ class TestBoundednessOnTheQueriedSubtree:
 
     def test_neg_inf_outside_the_subtree(self, tree_a):
         f = FinitaryVariable(2, 2, (1, 2, float("-inf"), 4))
-        assert eval_finitary(tree_a, f, (0,)) == XR(F(17, 10))
-        assert brute_force_upper(tree_a, f, (0,)) == XR(F(17, 10))
+        assert eval_finitary(tree_a, f, (0,)) == F(17, 10)
+        assert brute_force_upper(tree_a, f, (0,)) == F(17, 10)
         for walk in (eval_finitary, brute_force_upper):
             for s in ((), (1,), (1, 0)):
                 with pytest.raises(NotBoundedBelow):
@@ -127,14 +126,14 @@ class TestBoundednessOnTheQueriedSubtree:
     def test_clamp_template_with_neg_inf_outside_the_subtree(self, tree_a, template):
         seq = template(FinitaryVariable(2, 2, (1, 2, float("-inf"), 4)))
         out = eval_limit(tree_a, seq, (0,))
-        assert (out.value, out.method) == (XR(F(17, 10)), "continuity")
+        assert (out.value, out.method) == (F(17, 10), "continuity")
         for s in ((), (1,), (1, 0)):
             with pytest.raises(NotBoundedBelow):
                 eval_limit(tree_a, seq, s)
 
     def test_pos_inf_outside_the_subtree_of_a_lower_query(self, tree_a):
         f = FinitaryVariable(2, 2, (1, 2, POS_INF, 4))
-        assert eval_lower_finitary(tree_a, f, (0,)) == XR(F(13, 10))
+        assert eval_lower_finitary(tree_a, f, (0,)) == F(13, 10)
         for s in ((), (1,), (1, 0)):
             with pytest.raises(NotBoundedAbove):
                 eval_lower_finitary(tree_a, f, s)
@@ -143,15 +142,15 @@ class TestBoundednessOnTheQueriedSubtree:
 class TestEvalProcess:
     def test_recursion_trace(self, tree_a):
         M = eval_process(tree_a, indicator(2, 2, [(1, 1)]))
-        assert M.value_at(()) == XR(F(49, 100))
-        assert M.value_at((1,)) == XR(F(7, 10))
-        assert M.value_at((0,)) == XR(0)
-        assert M.value_at((1, 1)) == XR(1)
+        assert M.value_at(()) == F(49, 100)
+        assert M.value_at((1,)) == F(7, 10)
+        assert M.value_at((0,)) == 0
+        assert M.value_at((1, 1)) == 1
         assert M.terminal_cut == level_cut(2, 2)
 
     def test_constant_gives_constant_process(self, tree_a):
         M = eval_process(tree_a, constant(2, 3, depth=2))
-        assert all(v == XR(3) for level in M.levels for v in level)
+        assert all(v == 3 for level in M.levels for v in level)
 
     def test_is_supermartingale(self):
         rng = seeded(43)
@@ -165,16 +164,16 @@ class TestEvalProcess:
 
 class TestEvalLower:
     def test_depth_one(self, tree_a):
-        assert eval_lower_finitary(tree_a, indicator(2, 1, [(1,)])) == XR(F(3, 10))
+        assert eval_lower_finitary(tree_a, indicator(2, 1, [(1,)])) == F(3, 10)
 
     def test_two_step(self, tree_a):
-        assert eval_lower_finitary(tree_a, indicator(2, 2, [(1, 1)])) == XR(F(9, 100))
+        assert eval_lower_finitary(tree_a, indicator(2, 2, [(1, 1)])) == F(9, 100)
 
     def test_constant(self, tree_a):
-        assert eval_lower_finitary(tree_a, constant(2, F(5, 2), 1)) == XR(F(5, 2))
+        assert eval_lower_finitary(tree_a, constant(2, F(5, 2), 1)) == F(5, 2)
 
     def test_bounded_above_required(self, tree_a):
-        bad = FinitaryVariable(2, 1, (XR(0), POS_INF))
+        bad = FinitaryVariable(2, 1, (0, POS_INF))
         with pytest.raises(NotBoundedAbove):
             eval_lower_finitary(tree_a, bad)
 
@@ -231,8 +230,8 @@ class TestGlobalProperties:
             tree = random_tree(rng, 2, 3)
             f = random_finitary(rng, 2, 2)
             mu = F(rng.randint(-50, 50), 10)
-            lhs = eval_finitary(tree, f.map(lambda v: add(v, XR(mu))))
-            assert lhs == add(eval_finitary(tree, f), XR(mu))
+            lhs = eval_finitary(tree, f.map(lambda v: add(v, mu)))
+            assert lhs == add(eval_finitary(tree, f), mu)
 
 
 class TestIteratedLaw:
@@ -279,7 +278,7 @@ def _limit_instances(draw):
     else:
         tree = TreeModel.table(space, {unrank(i, d, arity): credal()
                                        for d in range(depth) for i in range(arity**d)}, depth)
-    value = st.one_of(st.just(POS_INF), st.fractions(-20, 20, max_denominator=6).map(XR))
+    value = st.one_of(st.just(POS_INF), st.fractions(-20, 20, max_denominator=6))
     values = draw(st.lists(value, min_size=arity**depth, max_size=arity**depth))
     s = draw(st.lists(st.integers(0, arity - 1), max_size=depth))
     return tree, FinitaryVariable(arity, depth, tuple(values)), tuple(s)
@@ -287,13 +286,13 @@ def _limit_instances(draw):
 
 class TestEvalLimit:
     def test_zero_mass_clamp_converges_to_zero(self, tree_b):
-        seq = clamp_above_sequence(FinitaryVariable(2, 1, (XR(0), POS_INF)))
+        seq = clamp_above_sequence(FinitaryVariable(2, 1, (0, POS_INF)))
         out = eval_limit(tree_b, seq)
         assert out.status == "converged"
-        assert out.value == XR(0)
+        assert out.value == 0
 
     def test_positive_mass_clamp_diverges(self, tree_a):
-        seq = clamp_above_sequence(FinitaryVariable(2, 1, (XR(0), POS_INF)))
+        seq = clamp_above_sequence(FinitaryVariable(2, 1, (0, POS_INF)))
         out = eval_limit(tree_a, seq)
         assert out.status == "converged"
         assert out.value == POS_INF
@@ -305,7 +304,7 @@ class TestEvalLimit:
         out = eval_limit(tree_a, seq)
         assert out.status == "converged"
         assert out.iterations == 1
-        assert out.value == XR(F(49, 100))
+        assert out.value == F(49, 100)
 
     @pytest.mark.parametrize("number", [float, F])
     @pytest.mark.parametrize("depth, items, want", [
@@ -319,12 +318,12 @@ class TestEvalLimit:
                                  for item in items], Monotonicity.NON_DECREASING)
         out = eval_limit(tree, seq)
         assert (out.value, out.status, out.iterations, out.method) == \
-            (XR(number(want)), "converged", 1, "continuity")
+            (number(want), "converged", 1, "continuity")
 
     def test_only_the_last_item_must_be_bounded_below(self, tree_a):
-        seq = explicit_sequence([FinitaryVariable(2, 1, (NEG_INF, XR(0))), constant(2, 0),
+        seq = explicit_sequence([FinitaryVariable(2, 1, (NEG_INF, 0)), constant(2, 0),
                                  constant(2, 3)], Monotonicity.NON_DECREASING)
-        assert eval_limit(tree_a, seq).value == XR(3)
+        assert eval_limit(tree_a, seq).value == 3
 
     def test_monotonicity_declaration_required(self, tree_a):
         seq = explicit_sequence([constant(2, 1)], Monotonicity.NONE)
@@ -344,36 +343,36 @@ class TestEvalLimit:
             tree = random_tree(rng, 2, 3)
             g = random_gamble(rng, 2, 2)
             up = explicit_sequence(
-                [g.map(lambda v: add(v, XR(-F(1, 2**n)))) for n in range(40)],
+                [g.map(lambda v: add(v, -F(1, 2**n))) for n in range(40)],
                 Monotonicity.NON_DECREASING)
             down = explicit_sequence(
-                [g.map(lambda v: add(v, XR(F(1, 2**n)))) for n in range(40)],
+                [g.map(lambda v: add(v, F(1, 2**n))) for n in range(40)],
                 Monotonicity.NON_INCREASING)
             lo = eval_limit(tree, up)
             hi = eval_limit(tree, down)
             assert lo.status == hi.status == "converged"
-            assert abs(lo.value.v - hi.value.v) <= 2 * tol
+            assert abs(lo.value - hi.value) <= 2 * tol
 
     def test_plateau_before_divergence_is_inf(self):
         # min(g, 2^n) has upper expectation 2^n * 1e-24, so successive rungs
         # agree within tol for dozens of rungs although the limit is +inf.
         tree = TreeModel.stationary(StateSpace(("0", "1")),
                                     CredalSet([(1 - 1e-12, 1e-12)]), 2)
-        g = FinitaryVariable(2, 2, (XR(0), XR(0), XR(0), POS_INF))
+        g = FinitaryVariable(2, 2, (0, 0, 0, POS_INF))
         out = eval_limit(tree, clamp_above_sequence(g))
         assert (out.value, out.status, out.iterations, out.method) == \
             (POS_INF, "converged", 1, "continuity")
 
     def test_large_constant_is_not_divergent(self, tree_a):
         out = eval_limit(tree_a, clamp_above_sequence(constant(2, 2e12)))
-        assert out.value == XR(2e12)
+        assert out.value == 2e12
         assert out.status == "converged"
 
     def test_large_explicit_item_is_not_divergent(self, tree_a):
         seq = explicit_sequence([constant(2, 0), constant(2, 1e13)],
                                 Monotonicity.NON_DECREASING)
         out = eval_limit(tree_a, seq)
-        assert (out.value, out.status, out.method) == (XR(1e13), "converged", "continuity")
+        assert (out.value, out.status, out.method) == (1e13, "converged", "continuity")
 
     def test_order_broken_past_the_budget_is_caught(self, tree_a):
         items = [constant(2, n) for n in range(20)] + [constant(2, 0)]
@@ -390,13 +389,13 @@ class TestEvalLimit:
             out = eval_limit(tree, seq, s)
             assert (out.value, out.status, out.iterations, out.method) == \
                 (want, "converged", 1, "continuity")
-        if want.is_finite:
+        if want is not POS_INF:
             # The rung of the ladder min(base, 2^N) above every finite entry
             # already has the limit's value: +inf cells it clamps carry no
             # upper mass.
-            level = XR(1)
+            level = 1
             while any(v != POS_INF and not v < level for v in base.values):
-                level = XR(2 * level.v)
+                level = 2 * level
             rung = base.map(lambda v: min(v, level))
             assert eval_finitary(tree, rung, s) == want
 
@@ -409,12 +408,12 @@ class TestLowerCuts:
             tree = random_tree(rng, 2, 3)
             f = random_gamble(rng, 2, 2)
             base = eval_finitary(tree, f)
-            for alpha in (f.inf(), add(f.inf(), XR(-1)), add(f.inf(), XR(-100))):
+            for alpha in (f.inf(), add(f.inf(), -1), add(f.inf(), -100)):
                 clamped = f.map(lambda v: v if v > alpha else alpha)
                 assert eval_finitary(tree, clamped) == base
 
     def test_clamp_below_sequence_converges(self, tree_a):
-        f = FinitaryVariable(2, 2, (XR(-40), XR(3), XR(-7), XR(5)))
+        f = FinitaryVariable(2, 2, (-40, 3, -7, 5))
         out = eval_limit(tree_a, clamp_below_sequence(f))
         assert out.status == "converged"
         assert out.value == eval_finitary(tree_a, f)
@@ -472,14 +471,14 @@ class TestCertificates:
         from gtue import constant_process
 
         M = constant_process(2, 2, 1, level_cut(2, 2))
-        assert certificate_bound(tree_a, M, f) == XR(1)
+        assert certificate_bound(tree_a, M, f) == 1
 
     def test_shifted_certificate(self, tree_a):
         f = indicator(2, 2, [(1, 1)])
         base = eval_finitary(tree_a, f)
         for c in (F(1, 10), F(1)):
             M = shift(eval_process(tree_a, f), c)
-            assert certificate_bound(tree_a, M, f) == add(base, XR(c))
+            assert certificate_bound(tree_a, M, f) == add(base, c)
 
     def test_dominance_failure_reports_witness(self, tree_a):
         f = indicator(2, 2, [(1, 1)])
@@ -494,7 +493,7 @@ class TestCertificates:
         f = indicator(2, 1, [(1,)])
         from gtue import from_values
 
-        M = from_values(2, 1, lambda s: XR(1) if len(s) else XR(0),
+        M = from_values(2, 1, lambda s: 1 if len(s) else 0,
                         level_cut(2, 1))
         with pytest.raises(NotASupermartingale):
             certificate_bound(tree_a, M, f)
@@ -554,10 +553,10 @@ class TestTreeLayout:
 
 
 def _reference_upper(model, children):
-    """The per-node convention formula on XR: max over points of sum add(scale(m, v))."""
+    """The per-node convention formula: max over points of sum add(scale(m, v))."""
     best = None
     for p in model.extreme_points:
-        total = XR(0)
+        total = 0
         for mass, value in zip(p, children):
             total = add(total, scale(mass, value))
         if best is None or total > best:
@@ -567,7 +566,7 @@ def _reference_upper(model, children):
 
 def _reference_levels(tree, f):
     arity = f.arity
-    levels = {f.depth: [XR(v) for v in f.values]}
+    levels = {f.depth: list(f.values)}
     for depth in range(f.depth - 1, -1, -1):
         below = levels[depth + 1]
         levels[depth] = [_reference_upper(tree.local_model_at(unrank(i, depth, arity)),
@@ -610,19 +609,19 @@ def _mixed_value(rng):
     if kind == "inf":
         return POS_INF
     if kind == "int":
-        return XR(rng.randint(-5, 5))
+        return rng.randint(-5, 5)
     if kind == "fraction":
-        return XR(F(rng.randint(-50, 50), rng.randint(1, 12)))
-    return XR(rng.uniform(-5, 5))
+        return F(rng.randint(-50, 50), rng.randint(1, 12))
+    return rng.uniform(-5, 5)
 
 
 def _same(got, want):
     """Equal type and repr: exact equality for rationals, bit equality for floats."""
-    return (type(got.v), repr(got.v)) == (type(want.v), repr(want.v))
+    return (type(got), repr(got)) == (type(want), repr(want))
 
 
 class TestKernelEquivalence:
-    """The raw-payload kernel against the per-node XR formula, on every situation."""
+    """The raw-payload kernel against the per-node formula, on every situation."""
 
     def test_matches_the_per_node_formula(self):
         rng = seeded(211)
@@ -640,7 +639,7 @@ class TestKernelEquivalence:
                     s = unrank(i, d, arity)
                     assert _same(eval_finitary(tree, f, s), reference[d][i]), (trial, s)
             process = eval_process(tree, f)
-            assert all(_same(XR(got), want) for d in range(depth + 1)
+            assert all(_same(got, want) for d in range(depth + 1)
                        for got, want in zip(process.levels[d], reference[d]))
             for i, value in enumerate(f.values if depth else ()):
                 if value == POS_INF:

@@ -8,7 +8,6 @@ from gtue import (
     POS_INF,
     StateSpace,
     TreeModel,
-    XR,
     brute_force_upper,
     constant,
     eval_finitary,
@@ -45,11 +44,11 @@ class TestSelectionCount:
     def test_deep_query_counts_its_subtree_only(self):
         model = CredalSet([(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 4), F(3, 4))])
         tree = TreeModel.stationary(StateSpace(("0", "1")), model, 4)
-        f = FinitaryVariable(2, 4, tuple(XR(i) for i in range(16)))
+        f = FinitaryVariable(2, 4, tuple(range(16)))
         s = (0, 1, 1)
         assert selection_count(tree, 4) == 3**15
         assert selection_count(tree, 4, s) == 3
-        assert brute_force_upper(tree, f, s) == eval_finitary(tree, f, s) == XR(F(27, 4))
+        assert brute_force_upper(tree, f, s) == eval_finitary(tree, f, s) == F(27, 4)
 
 
     def test_table_subtree_count_is_the_product_below_s(self):
@@ -68,23 +67,23 @@ class TestSelectionCount:
 
 class TestBruteForce:
     def test_hand_example(self, tree_a):
-        assert brute_force_upper(tree_a, indicator(2, 2, [(1, 1)])) == XR(F(49, 100))
+        assert brute_force_upper(tree_a, indicator(2, 2, [(1, 1)])) == F(49, 100)
 
     def test_constants(self, tree_a):
         for depth in (0, 1, 2):
-            assert brute_force_upper(tree_a, constant(2, F(7, 3), depth)) == XR(F(7, 3))
+            assert brute_force_upper(tree_a, constant(2, F(7, 3), depth)) == F(7, 3)
 
     def test_depth_one_reduces_to_local_upper(self, tree_a, model_a):
         from gtue import local_upper
 
         f = indicator(2, 1, [(1,)])
-        expected = local_upper(model_a, (XR(0), XR(1)))
+        expected = local_upper(model_a, (0, 1))
         assert brute_force_upper(tree_a, f) == expected
 
     def test_conditioning(self, tree_a):
         f = indicator(2, 2, [(1, 1)])
-        assert brute_force_upper(tree_a, f, (1,)) == XR(F(7, 10))
-        assert brute_force_upper(tree_a, f, (0,)) == XR(0)
+        assert brute_force_upper(tree_a, f, (1,)) == F(7, 10)
+        assert brute_force_upper(tree_a, f, (0,)) == 0
 
     def test_cap_refusal(self, tree_a):
         with pytest.raises(CapExceeded):
@@ -92,8 +91,8 @@ class TestBruteForce:
 
     def test_zero_probability_infinity(self, tree_b):
         f = constant(2, 0, 1).combine(indicator(2, 1, [(1,)]),
-                                      lambda a, b: POS_INF if b == XR(1) else a)
-        assert brute_force_upper(tree_b, f) == XR(0)
+                                      lambda a, b: POS_INF if b == 1 else a)
+        assert brute_force_upper(tree_b, f) == 0
 
     def test_matches_engine_small_sweep(self):
         rng = seeded(555)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from gtue import (
+    NEG_INF,
     POS_INF,
     Process,
-    XR,
     add,
     check_supermartingale,
     constant_process,
@@ -53,10 +53,10 @@ class TestCheck:
         assert verdict.worst_violation is None
 
     def test_gap_fixture(self, tree_a):
-        M = from_values(2, 1, lambda s: XR(1) if s == () else XR(2))
+        M = from_values(2, 1, lambda s: 1 if s == () else 2)
         verdict = check_supermartingale(tree_a, M, 0)
         assert not verdict.is_supermartingale
-        assert verdict.worst_violation == ((), XR(1))
+        assert verdict.worst_violation == ((), 1)
 
     def test_eval_process_is_supermartingale(self, tree_a):
         M = eval_process(tree_a, indicator(2, 2, [(1, 1)]))
@@ -91,7 +91,7 @@ def _checked_processes(draw):
     kind = draw(st.sampled_from(("stationary", "by_depth", "table")))
     tree = random_tree(rng, arity, horizon + draw(st.integers(0, 1)), rational=rational,
                        kind=kind)
-    grid = [XR(0), XR(1), XR(2), POS_INF] if rational else [XR(0.0), XR(0.5), XR(2.0), POS_INF]
+    grid = [0, 1, 2, POS_INF] if rational else [0.0, 0.5, 2.0, POS_INF]
     if draw(st.booleans()):
         base = random_supermartingale(tree, rng, horizon, rational=rational, terminal=False)
         lowering = Fraction(1, 2) if rational else 0.5
@@ -141,13 +141,13 @@ def test_row_check_matches_the_node_by_node_definition(case):
         assert verdict.worst_violation is None
     else:
         s, gap = verdict.worst_violation
-        assert (s, gap.v, type(gap.v)) == (worst[0], worst[1].v, type(worst[1].v))
+        assert (s, gap, type(gap)) == (worst[0], worst[1], type(worst[1]))
 
 
 class TestTruncate:
     def test_min_with_bound(self):
         M = constant_process(2, 2, POS_INF)
-        assert truncate(M, 5).value_at((0, 1)) == XR(5)
+        assert truncate(M, 5).value_at((0, 1)) == 5
 
     def test_inactive_clamp(self, tree_a):
         rng = seeded(3)
@@ -167,7 +167,7 @@ class TestTruncate:
     def test_output_is_real_valued(self):
         M = constant_process(2, 1, POS_INF)
         out = truncate(M, 2)
-        assert all(XR(v).is_finite for level in out.levels for v in level)
+        assert all(v is not POS_INF and v is not NEG_INF for level in out.levels for v in level)
 
 
 class TestMix:
@@ -178,7 +178,7 @@ class TestMix:
     def test_affine_combination(self):
         out = mix([constant_process(2, 2, 1), constant_process(2, 2, 3)],
                   [Fraction(1, 4), Fraction(3, 4)])
-        assert out.value_at(()) == XR(Fraction(5, 2))
+        assert out.value_at(()) == Fraction(5, 2)
 
     def test_mixture_of_supermartingales_verifies(self):
         rng = seeded(23)
@@ -199,22 +199,22 @@ class TestMix:
         a = random_supermartingale(tree_a, rng, 2)
         b = random_supermartingale(tree_a, rng, 2)
         out = mix([a, b], [Fraction(1, 3), Fraction(2, 3)])
-        assert out.min_value() >= XR(0)
+        assert out.min_value() >= 0
 
 
 class TestPathLiminf:
     def test_constant_tail(self):
-        M = leafy({(): XR(1), (0,): XR(4), (1,): XR(2),
-                   (0, 0): XR(4), (0, 1): XR(4), (1, 0): XR(2), (1, 1): XR(2)},
+        M = leafy({(): 1, (0,): 4, (1,): 2,
+                   (0, 0): 4, (0, 1): 4, (1, 0): 2, (1, 1): 2},
                   horizon=2)
         cut = M.terminal_cut
         assert cut is not None
-        assert path_liminf(M, (0, 0)) == XR(4)
+        assert path_liminf(M, (0, 0)) == 4
 
     def test_constant_process_everywhere(self):
         M = constant_process(2, 2, 7, level_cut(2, 2))
         for leaf in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            assert path_liminf(M, leaf) == XR(7)
+            assert path_liminf(M, leaf) == 7
 
     def test_refuses_without_terminal_cut(self):
         M = constant_process(2, 2, 7)
@@ -229,7 +229,7 @@ class TestPathLiminf:
             bound = Fraction(rng.randint(-10, 40), 10)
             truncated = truncate(M, bound)
             for leaf in _level(3):
-                lhs = min(XR(bound), path_liminf(M, leaf))
+                lhs = min(bound, path_liminf(M, leaf))
                 rhs = path_liminf(truncated, leaf)
                 assert lhs == rhs
 
@@ -249,25 +249,25 @@ class TestShift:
     def test_shift_adds_constant(self, tree_a):
         M = eval_process(tree_a, indicator(2, 2, [(1, 1)]))
         out = shift(M, Fraction(1, 10))
-        assert out.value_at(()) == XR(Fraction(49, 100) + Fraction(1, 10))
+        assert out.value_at(()) == Fraction(49, 100) + Fraction(1, 10)
         assert check_supermartingale(tree_a, out, 0).is_supermartingale
 
 
 class TestProcessValidation:
     def test_rejects_minus_infinity(self):
         with pytest.raises(ValueError):
-            from_values(2, 1, lambda s: XR(float("-inf")) if s == (0,) else XR(0))
+            from_values(2, 1, lambda s: float("-inf") if s == (0,) else 0)
 
     def test_levels_hold_canonical_payloads(self):
         # float("inf") is a fresh object, not math.inf.
-        M = Process(2, 2, ((XR(Fraction(1, 3)),), (POS_INF, Fraction(1, 2)),
+        M = Process(2, 2, ((Fraction(1, 3),), (POS_INF, Fraction(1, 2)),
                            (float("inf"), 0, 2.5, Fraction(3))))
         top, (left, right), leaves = M.levels
         assert (type(top[0]), top[0]) == (Fraction, Fraction(1, 3))
         assert left is math.inf and leaves[0] is math.inf
         assert (type(right), type(leaves[1]), type(leaves[2])) == (Fraction, int, float)
-        assert (M.value_at((1,)), M.min_value()) == (XR(Fraction(1, 2)), XR(0))
-        assert type(M.value_at((1,))) is XR and type(M.min_value()) is XR
+        assert (M.value_at((1,)), M.min_value()) == (Fraction(1, 2), 0)
+        assert type(M.value_at((1,))) is Fraction and type(M.min_value()) is int
         with pytest.raises(ValueError, match="bounded below"):
             Process(2, 0, ((float("-inf"),),))
 
@@ -275,12 +275,12 @@ class TestProcessValidation:
         from gtue import Cut
 
         with pytest.raises(ValueError):
-            Process(2, 1, ((XR(0),), (XR(0), XR(0))), Cut(frozenset({(0,)})))
+            Process(2, 1, ((0,), (0, 0)), Cut(frozenset({(0,)})))
 
     def test_terminal_constancy_enforced(self):
         from gtue import Cut
 
         with pytest.raises(ValueError):
             Process(2, 2,
-                    ((XR(0),), (XR(0), XR(0)), (XR(0), XR(1), XR(0), XR(0))),
+                    ((0,), (0, 0), (0, 1, 0, 0)),
                     Cut(frozenset({(0,), (1,)})))

@@ -5,7 +5,6 @@ from gtue import (
     Cut,
     FinitaryVariable,
     Monotonicity,
-    XR,
     constant,
     explicit_sequence,
     is_complete,
@@ -44,21 +43,21 @@ class TestLift:
     def test_constant_lift(self):
         f = constant(2, 3)
         lifted = lift(f, 2)
-        assert lifted.values == (XR(3),) * 4
+        assert lifted.values == (3,) * 4
 
     def test_depth_one_lift(self):
-        f = FinitaryVariable(2, 1, (XR(0), XR(1)))
-        assert lift(f, 2).values == (XR(0), XR(0), XR(1), XR(1))
+        f = FinitaryVariable(2, 1, (0, 1))
+        assert lift(f, 2).values == (0, 0, 1, 1)
 
     def test_lift_is_identity_at_own_depth(self):
-        f = FinitaryVariable(2, 1, (XR(0), XR(1)))
+        f = FinitaryVariable(2, 1, (0, 1))
         assert lift(f, 1) is f
 
     @given(depth=st.integers(0, 2), extra=st.integers(0, 2), data=st.data())
     def test_lift_preserves_prefix_values(self, depth, extra, data):
         values = data.draw(st.lists(st.integers(-5, 5), min_size=2**depth,
                                     max_size=2**depth))
-        f = FinitaryVariable(2, depth, tuple(XR(v) for v in values))
+        f = FinitaryVariable(2, depth, tuple(values))
         lifted = lift(f, depth + extra)
         for s in situations_at(depth + extra, 2):
             assert lifted.value_at(s) == f.value_at(s)
