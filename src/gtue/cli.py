@@ -26,6 +26,7 @@ exact decimal (or p/q) strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -273,9 +274,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may start with "-" (-1/2, -inf), which argparse would
+# read as another option when it comes as its own token.
+_SIGNED_OPTIONS = ("--a", "--b", "--delta", "--tol")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call of main, not at import."""
+    return build_parser()
+
+
+def _join_signed_values(argv: list) -> list:
+    """Write ``--a -1/2`` as ``--a=-1/2``, so argparse takes the value as a value."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and token.startswith("-") \
+                and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, which would
         # read as a failed verification check.

@@ -5,12 +5,15 @@ list of extreme-point probability mass functions.  Its upper envelope
 
     Q(h) = max over extreme points p of  sum_x p(x) h(x)
 
-is evaluated in one place, ``upper_row``, on raw payloads (int, Fraction
+is evaluated by one kernel, ``upper_row``, on raw payloads (int, Fraction
 or float, with ``math.inf`` for +inf) under the extended-real
 conventions of ``gtue.xreal``: the sum runs over the non-zero masses
 only, so a zero-mass cell never contributes whatever the payoff there,
 and +inf absorbs any sum it enters.  Bounded-below variables with +inf
-entries are thus handled exactly.  ``upper_level`` applies it to one
+entries are thus handled exactly.  The kernel has two bodies with the
+same operations in the same order: a row of many blocks runs column by
+column, and a single block, or a row with +inf in a column some point
+reads, runs the one-block loop.  ``upper_level`` applies it to one
 depth of a tree, whether the depth shares one model or has one per
 node: it is the level kernel of the backward recursion and of the
 supermartingale check.  ``raw_upper`` validates one local variable, a
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import is_
 
 from .errors import NotBoundedAbove, NotBoundedBelow
 from .xreal import payload, raw_neg
@@ -126,9 +131,28 @@ def upper_row(model: CredalSet, row) -> list:
     starts at the int 0 and the first maximiser wins: these are the
     operations of ``xreal.raw_add`` and ``xreal.raw_scale`` in the same order,
     so exact inputs give exact results and floats the same bits.
+
+    A row of several blocks runs column by column when no supported column
+    holds +inf: the same operations in the same order, one comprehension
+    per (point, column).  A single block, or a row where +inf must end a
+    sum, runs the one-block loop, which never does arithmetic on +inf.
     """
     size = model.size
     support = model.support
+    if len(row) > size:
+        columns = _finite_columns(support, row, size)
+        if columns is not None:
+            best = None
+            for point in support:
+                sums = None
+                for i, mass in point:
+                    if sums is None:
+                        sums = [0 + mass * v for v in columns[i]]
+                    else:
+                        sums = [t + mass * v for t, v in zip(sums, columns[i])]
+                best = sums if best is None else \
+                    [t if t > b else b for t, b in zip(sums, best)]
+            return best
     out = []
     for base in range(0, len(row), size):
         best = None
@@ -144,6 +168,24 @@ def upper_row(model: CredalSet, row) -> list:
                 best = total
         out.append(best)
     return out
+
+
+def _finite_columns(support, row, size):
+    """The row's supported columns by state index, or None if one holds +inf.
+
+    The test is by identity, so a Fraction cell costs no ``Fraction.__eq__``;
+    a float overflow's non-canonical inf stays in a column, where both
+    bodies do the same arithmetic on it.
+    """
+    columns = {}
+    for point in support:
+        for i, _ in point:
+            if i not in columns:
+                column = row[i::size]
+                if any(map(is_, column, repeat(_INF))):
+                    return None
+                columns[i] = column
+    return columns
 
 
 def upper_level(level, below: list, first: int) -> list:

@@ -29,10 +29,12 @@ from .tree import (
     Cut,
     FinitaryVariable,
     Monotonicity,
+    Payloads,
     Situation,
     clamp_above_sequence,
     clamp_below_sequence,
     explicit_sequence,
+    plain_payloads,
     situations_at,
 )
 from .xreal import NEG_INF, POS_INF, payload, to_text
@@ -168,18 +170,13 @@ def variable_from_obj(obj, space: StateSpace, where: str = "variable") -> Finita
     if len(values) != space.size**depth:
         raise SchemaError(f"{where}.values: expected {space.size ** depth} entries "
                           f"for depth {depth}, got {len(values)}")
-    # decode_number's rules once for the whole table (number types only, no
-    # bool, no float literal that overflowed), then FinitaryVariable
-    # normalises each cell with payload.
-    kinds = set(map(type, values))
-    if kinds <= {int, float, str, Fraction} and (
-            float not in kinds or not any(x in values for x in _INFINITIES)):
-        try:
-            return FinitaryVariable(space.size, depth, values)
-        except (ValueError, ZeroDivisionError):
-            pass
-    # Decode cell by cell, naming each, to report the bad one.
-    table = [decode_number(raw, f"{where}.values[{i}]") for i, raw in enumerate(values)]
+    # decode_number's rules hold for a plain table (numbers only, no bool, no
+    # float literal that overflowed); any other is decoded cell by cell,
+    # naming each, to report the bad one.
+    table = plain_payloads(values)
+    if table is None:
+        table = Payloads(decode_number(raw, f"{where}.values[{i}]")
+                         for i, raw in enumerate(values))
     return FinitaryVariable(space.size, depth, table)
 
 

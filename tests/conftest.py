@@ -31,3 +31,8 @@ def tree_b(space2):
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def same(got, want) -> bool:
+    """Equal type and repr: exact equality for rationals, bit equality for floats."""
+    return (type(got), repr(got)) == (type(want), repr(want))

@@ -38,7 +38,7 @@ from gtue import (
 from gtue.errors import GTUEError, SchemaError
 from gtue.evaluate import TreeModel
 from gtue.tree import situations_at, subtree_block
-from gtue.xreal import payload
+from gtue.xreal import POS_INF, payload
 
 F = Fraction
 
@@ -391,6 +391,28 @@ class TestCertifyCommands:
         assert report["summary"]["is_supermartingale"] is True
         assert report["process"]["values"][""] == "1"
 
+    @pytest.mark.parametrize("kind, option, value, other, message", [
+        ("doob", "--a", "-1/2", ["--b", "2"], "BadWindow: need 0 < a < b"),
+        ("doob", "--b", "-inf", ["--a", "1"], "BadWindow: window parameters must be finite"),
+        ("levy", "--delta", "-1/2", ["--a", "6/5", "--b", "8/5"],
+         "error: delta must be positive"),
+        ("doob", "--tol", "-1/3", ["--a", "1", "--b", "2"],
+         "error: could not convert string to float"),
+    ])
+    def test_negative_value_as_its_own_token(self, files, capsys, kind, option, value, other,
+                                             message):
+        # argparse would read "-1/2" or "-inf" as another option: the value
+        # must reach the command and give the error the "=" form gives.
+        subject = files("p.json", DOOB_PROCESS) if kind == "doob" else \
+            files("f.json", INDICATOR_11)
+        argv = [f"{kind}-certificate", files("t.json", TREE_RIGHT), subject] + other
+        results = [run_cli(argv + tail, capsys) for tail in ([option, value],
+                                                              [f"{option}={value}"])]
+        assert results[0] == results[1]
+        code, report, err = results[0]
+        assert (code, report) == (1, None)
+        assert err.startswith(message), err
+
 
 class TestRoundTrips:
     def test_process_round_trip_exact_in_rational_mode(self, tmp_path):
@@ -558,10 +580,11 @@ class TestInputEdge:
         assert calls == doc["values"]
         assert f.values == tuple(map(payload, doc["values"]))
 
-    @pytest.mark.parametrize("bad", [True, None, [1], "x", "1/0", float("nan"),
-                                     math.inf, -math.inf],
+    @pytest.mark.parametrize("bad", [True, None, [1], "x", "1/0", float("nan"), math.nan,
+                                     math.inf, -math.inf, float("1e400")],
                              ids=["bool", "null", "array", "text", "zero-denominator",
-                                  "nan", "overflow", "negative-overflow"])
+                                  "nan", "canonical-nan", "overflow", "negative-overflow",
+                                  "fresh-overflow"])
     def test_bad_variable_cell_is_named(self, bad):
         tree = jsonio.tree_from_obj(TREE_A)
         with pytest.raises(SchemaError) as from_table:
@@ -570,6 +593,28 @@ class TestInputEdge:
             jsonio.decode_number(bad, "variable.values[1]")
         assert str(from_table.value) == str(from_cell.value)
 
+    @pytest.mark.parametrize("values", [
+        [0.25, -1.5, 3.0, -0.0, 2.5, 1e300, -4.0, 5e-324],
+        [0.25, "inf", 3, -0.0, "inf", 7, -4.0, 10**400],
+        [F(1, 3), 2, F(-5, 7), 0, "inf", 1, 2, 3],
+    ], ids=["floats", "floats-ints-inf-text", "fractions"])
+    def test_plain_table_makes_no_payload_call(self, monkeypatch, values):
+        tree = jsonio.tree_from_obj(TREE_A)
+        calls = []
+
+        def counting_payload(value):
+            calls.append(value)
+            return payload(value)
+
+        monkeypatch.setattr(jsonio, "payload", counting_payload)
+        monkeypatch.setattr(gtue.tree, "payload", counting_payload)
+        f = jsonio.variable_from_obj({"depth": 3, "values": values}, tree.space)
+        monkeypatch.undo()
+        assert calls == []
+        assert all(type(got) is type(want) and repr(got) == repr(want)
+                   for got, want in zip(f.values, map(payload, values)))
+        assert all((got is POS_INF) == (raw == "inf") for got, raw in zip(f.values, values))
+
     def test_value_too_large_for_floats_is_input_error(self, files, capsys):
         # Exact 10^400 times the float mass 0.5 overflows float arithmetic.
         code, report, err = run_cli(
@@ -577,6 +622,67 @@ class TestInputEdge:
              files("f.json", {"depth": 1, "values": ["1e400", 0]})], capsys)
         assert (code, report) == (1, None)
         assert "too large" in err
+
+
+class TestParserBuiltOnce:
+    def test_import_builds_no_parser(self):
+        # Work at import shows in every set-up of the benchmark.
+        code = ("import argparse\n"
+                "calls = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    calls.append(1)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import gtue.cli\n"
+                "print(len(calls))\n"
+                "gtue.cli.main(['eval'])\n"
+                "print(len(calls))\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        at_import, after_main = map(int, result.stdout.split())
+        assert at_import == 0
+        assert after_main > 0  # the count sees the parser main builds
+
+    def test_main_builds_the_parser_once(self, files, capsys, monkeypatch):
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        tree, f = files("t.json", TREE_A), files("f.json", INDICATOR_11)
+        for argv in (["eval", tree, f], ["eval", tree], ["check", tree, "--axioms",
+                                                         "--trials", "5"],
+                     ["eval", tree, f, "--rational"], ["--help"]):
+            cli.main(argv)
+        capsys.readouterr()
+        assert built == [1]
+
+    @pytest.mark.parametrize("first, then", [
+        (["eval", "T", "F", "--rational"], ["eval", "T", "F"]),
+        (["eval", "T", "F", "--lower"], ["eval", "T", "F"]),
+        (["eval", "T"], ["eval", "T", "F"]),
+        (["doob-certificate", "R", "P", "--a", "1", "--b", "2", "--rational"],
+         ["eval", "T", "F"]),
+        (["eval", "T", "F", "--situation", "1", "--tol", "0.5", "--oracle"],
+         ["eval", "T", "F", "--oracle"]),
+    ], ids=["rational", "lower", "usage-error", "doob", "situation-tol"])
+    def test_a_call_leaves_nothing_for_the_next(self, files, capsys, first, then):
+        paths = {"T": files("t.json", TREE_A), "F": files("f.json", INDICATOR_11),
+                 "R": files("r.json", TREE_RIGHT), "P": files("p.json", DOOB_PROCESS)}
+
+        def run(argv):
+            return run_cli([paths.get(token, token) for token in argv], capsys)
+
+        cli._parser.cache_clear()
+        alone = run(then)
+        cli._parser.cache_clear()
+        run(first)
+        assert run(then) == alone
 
 
 _HUGE = 10**40

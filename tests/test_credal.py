@@ -1,6 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gtue import (
     CredalSet,
@@ -9,10 +11,66 @@ from gtue import (
     StateSpace,
     local_lower,
     local_upper,
+    upper_row,
     vacuous,
 )
 from gtue.errors import NotBoundedAbove, NotBoundedBelow
-from tests.conftest import seeded
+from tests.conftest import same, seeded
+
+_MAX = sys.float_info.max
+# Small exact and float values tie often.  The float extremes make sums
+# that overflow to a non-canonical inf, which a row below may already hold
+# (2 * _MAX), and NaN where two of opposite signs meet.
+_CELLS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    st.floats(-5, 5),
+    st.sampled_from((-0.0, 0.5, 2.0, _MAX, -_MAX, 2 * _MAX, -2 * _MAX)))
+
+
+@st.composite
+def _points(draw, arity):
+    """1-3 extreme points: degenerate ints, Fractions or floats, often with zero masses."""
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("int", "fraction", "float")))
+        if kind == "int":
+            state = draw(st.integers(0, arity - 1))
+            points.append(tuple(int(i == state) for i in range(arity)))
+            continue
+        weights = draw(st.lists(st.integers(0, 4), min_size=arity, max_size=arity)
+                       .filter(any))
+        total = sum(weights)
+        if kind == "fraction":
+            points.append(tuple(Fraction(w, total) for w in weights))
+            continue
+        masses = [w / total for w in weights]
+        if draw(st.booleans()):
+            # Inside PMF_SUM_TOL: two _MAX cells now overflow the sum.
+            masses[masses.index(max(masses))] += 4e-13
+        points.append(tuple(masses))
+    return CredalSet(points)
+
+
+@st.composite
+def _rows(draw):
+    arity = draw(st.integers(2, 4))
+    model = draw(_points(arity))
+    size = arity * draw(st.integers(1, 40))
+    row = draw(st.lists(_CELLS, min_size=size, max_size=size))
+    # A few canonical +inf cells, in zero-mass or supported columns alike.
+    for at in draw(st.lists(st.integers(0, len(row) - 1), max_size=3)):
+        row[at] = POS_INF
+    if draw(st.integers(0, 9)) == 5:
+        # Times a float mass it raises OverflowError; beside +inf, it must not.
+        row[draw(st.integers(0, len(row) - 1))] = 10**400
+    return model, row
+
+
+def _blocks_by_loop(model, row):
+    """upper_row one block at a time: the one-block loop's answer for each block."""
+    size = model.size
+    return [upper_row(model, row[base:base + size])[0] for base in range(0, len(row), size)]
 
 
 class TestLocalEnvelopes:
@@ -67,6 +125,31 @@ class TestLocalEnvelopes:
             local_upper(model_a, [0, float("-inf")])
         with pytest.raises(ValueError, match="length"):
             local_upper(model_a, [0, 1, 2])
+
+
+class TestRowKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_rows())
+    @example((CredalSet([(1, 0, 0), (0.5, 0.5, 0)]), [1, 2, POS_INF] * 5))
+    @example((CredalSet([(1, 0), (Fraction(1, 2), Fraction(1, 2))]), [1, 2, 3, POS_INF, 5, 6]))
+    @example((CredalSet([(0.5, 0.5 + 4e-13)]), [_MAX, _MAX, 1.0, 2.0]))
+    def test_a_row_matches_the_one_block_loop(self, case):
+        model, row = case
+        try:
+            got = upper_row(model, row)
+        except OverflowError:  # a huge int against a float mass
+            got = None
+        try:
+            want = _blocks_by_loop(model, row)
+        except OverflowError:
+            want = None
+        if got is None or want is None:
+            assert got is want
+            return
+        assert len(got) == len(want)
+        for block, (g, w) in enumerate(zip(got, want)):
+            assert same(g, w), (block, g, w)
+            assert (g is POS_INF) == (w is POS_INF), block
 
 
 class TestCredalValidation:

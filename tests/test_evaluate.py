@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gtue.credal
 from gtue import (
     CredalSet,
     FinitaryVariable,
@@ -43,7 +44,7 @@ from gtue.evaluate import backward_levels
 from gtue.oracle import brute_force_upper, selection_count
 from gtue.testing import random_finitary, random_gamble, random_tree
 from gtue.tree import unrank
-from tests.conftest import seeded
+from tests.conftest import same, seeded
 
 F = Fraction
 
@@ -615,11 +616,6 @@ def _mixed_value(rng):
     return rng.uniform(-5, 5)
 
 
-def _same(got, want):
-    """Equal type and repr: exact equality for rationals, bit equality for floats."""
-    return (type(got), repr(got)) == (type(want), repr(want))
-
-
 class TestKernelEquivalence:
     """The raw-payload kernel against the per-node formula, on every situation."""
 
@@ -637,9 +633,9 @@ class TestKernelEquivalence:
             for d in range(depth + 1):
                 for i in range(arity**d):
                     s = unrank(i, d, arity)
-                    assert _same(eval_finitary(tree, f, s), reference[d][i]), (trial, s)
+                    assert same(eval_finitary(tree, f, s), reference[d][i]), (trial, s)
             process = eval_process(tree, f)
-            assert all(_same(got, want) for d in range(depth + 1)
+            assert all(same(got, want) for d in range(depth + 1)
                        for got, want in zip(process.levels[d], reference[d]))
             for i, value in enumerate(f.values if depth else ()):
                 if value == POS_INF:
@@ -649,3 +645,36 @@ class TestKernelEquivalence:
                     inf_at_zero_mass += any(m == 0 for m in masses)
                     inf_at_positive_mass += any(m > 0 for m in masses)
         assert inf_at_zero_mass > 20 and inf_at_positive_mass > 20
+
+    def test_deep_trees_match_level_by_level(self, monkeypatch):
+        # Depth 5-7 rows hold many blocks, so whole levels run column by column.
+        # Odd trials have no +inf; in even ones a few +inf cells send the rows
+        # where they sit at a positive mass through the one-block loop.
+        finite_columns = gtue.credal._finite_columns
+        column_rows = []
+
+        def counting(support, row, size):
+            columns = finite_columns(support, row, size)
+            column_rows.append(columns is not None)
+            return columns
+
+        monkeypatch.setattr(gtue.credal, "_finite_columns", counting)
+        rng = seeded(223)
+        for trial in range(36):
+            arity = rng.choice((2, 3))
+            depth = rng.randint(5, 7)
+            kind = ("stationary", "by_depth", "table")[trial % 3]
+            tree = _mixed_tree(rng, arity, depth, kind)
+            values = [_mixed_value(rng) for _ in range(arity**depth)]
+            for i, value in enumerate(values):
+                if value is POS_INF and (trial % 2 or rng.random() < 0.9):
+                    values[i] = rng.randint(-5, 5)
+            f = FinitaryVariable(arity, depth, tuple(values))
+            reference = _reference_levels(tree, f)
+            process = eval_process(tree, f)
+            for d in range(depth + 1):
+                assert len(process.levels[d]) == len(reference[d])
+                assert all(same(got, want) and (got is POS_INF) == (want is POS_INF)
+                           for got, want in zip(process.levels[d], reference[d])), (trial, d)
+            assert same(eval_finitary(tree, f), reference[0][0])
+        assert column_rows.count(True) > 60 and column_rows.count(False) > 10, column_rows

@@ -1,7 +1,14 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
+import gtue.tree
 from gtue import (
+    NEG_INF,
+    POS_INF,
     Cut,
     FinitaryVariable,
     Monotonicity,
@@ -12,6 +19,7 @@ from gtue import (
 )
 from gtue.errors import MonotonicityViolated
 from gtue.tree import rank, situations_at, subtree_block, unrank
+from gtue.xreal import payload
 
 
 class TestRanking:
@@ -106,6 +114,35 @@ class TestCuts:
                 any(path[:len(m)] == m for m in cut.members)
                 for path in situations_at(4, size))
             assert is_complete(cut, size) == exhaustive
+
+
+class TestTables:
+    def test_finite_floats_are_taken_without_payload(self, monkeypatch):
+        rng = random.Random(7)
+        floats = [-0.0] + [rng.uniform(-5, 5) for _ in range(4095)]
+        mixed = [rng.choice((1.5, 2, "inf", Fraction(1, 3), 10**400)) for _ in range(81)]
+        calls = []
+        monkeypatch.setattr(gtue.tree, "payload", lambda v: calls.append(v) or payload(v))
+        f = FinitaryVariable(2, 12, floats)
+        g = FinitaryVariable(3, 4, mixed)
+        monkeypatch.undo()
+        assert calls == []
+        assert list(f.values) == floats and all(map(float.__instancecheck__, f.values))
+        assert all(got is POS_INF if raw == "inf" else got is raw
+                   for got, raw in zip(g.values, mixed))
+
+    @pytest.mark.parametrize("nan", [math.nan, float("nan")], ids=["math.nan", "fresh"])
+    def test_nan_is_refused(self, nan):
+        with pytest.raises(ValueError, match="NaN"):
+            FinitaryVariable(2, 1, (0.5, nan))
+
+    def test_cells_that_need_payload_get_it(self):
+        f = FinitaryVariable(2, 2, (float("inf"), True, 10**400, " 1/4 "))
+        assert f.values[0] is POS_INF
+        assert [type(v) for v in f.values] == [float, int, int, Fraction]
+        assert f.values[1:] == (1, 10**400, Fraction(1, 4))
+        g = FinitaryVariable(2, 1, (2.5, -float("inf")))
+        assert g.values[1] is NEG_INF
 
 
 class TestSequences:
