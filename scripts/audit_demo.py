@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Audit the axioms on a credal envelope and on the two documented broken functionals.
 
+The three functionals are audited in one call, on one shared probe stream.
+
 Usage: python scripts/audit_demo.py [--trials N] [--seed S]
 """
 
@@ -35,12 +37,13 @@ def main():
     space = StateSpace(("0", "1", "2"))
     model = CredalSet([(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
                        (Fraction(1, 10), Fraction(1, 2), Fraction(2, 5))])
-    show("credal upper envelope",
-         audit_axioms(upper_envelope(model), space, args.trials, args.seed))
-    show("sup + 1 (planted: sup bound)",
-         audit_axioms(broken_sup_plus_one(), space, args.trials, args.seed))
-    show("point mass + spread bonus (planted: monotonicity)",
-         audit_axioms(broken_point_spread_bonus(), space, args.trials, args.seed))
+    functionals = {"credal upper envelope": upper_envelope(model),
+                   "sup + 1 (planted: sup bound)": broken_sup_plus_one(),
+                   "point mass + spread bonus (planted: monotonicity)":
+                       broken_point_spread_bonus()}
+    reports = audit_axioms(functionals.values(), space, args.trials, args.seed)
+    for name, report in zip(functionals, reports):
+        show(name, report)
     return 0
 
 

@@ -1,15 +1,18 @@
-"""Randomized audit of the upper-expectation axioms against a black-box functional.
+"""Randomized audit of the upper-expectation axioms against black-box functionals.
 
-The audit treats the functional as opaque: it samples gambles and
+The audit treats each functional as opaque: it samples gambles and
 bounded-below variables (injecting +inf entries with probability 0.1),
 evaluates both sides of each axiom, and records the first failing probe
-as a concrete counterexample.  Failures are data, not errors.
+as a concrete counterexample.  Failures are data, not errors.  The
+functionals of one audit share one probe stream: each probe is drawn
+and built once and checked against all of them.
 
-The functional maps a tuple of raw payloads (``xreal.payload``'s forms),
+A functional maps a tuple of raw payloads (``xreal.payload``'s forms),
 one per state, to a number, normalised with ``payload``.
 Probes hold int, Fraction and +inf cells, so exact functionals are
-audited exactly; ``upper_envelope`` converts them once per call for a
-float model, with the same bits.
+audited exactly.  ``upper_envelope`` evaluates an exact model in ints
+over one denominator per call, and converts the cells once per call for
+a float model, with the same bits.
 
 Covered properties, named as in the report:
 
@@ -34,7 +37,10 @@ continuity must also pass E1-E4.
 
 from __future__ import annotations
 
+import copy
 import functools
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,7 +70,7 @@ class AuditReport:
     results: dict[str, AxiomResult]
     trials: int
     seed: int
-    tol: float
+    tol: int | Fraction | float  # a payload: the CLI passes an exact 0 in rational mode
     e10_branches: dict[str, int] = field(default_factory=lambda: {"finite": 0, "divergent": 0})
 
     @property
@@ -85,22 +91,26 @@ AXIOM_NAMES = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
                "C1", "C2", "C3", "countable_subadditivity")
 
 
-def audit_axioms(functional, space: StateSpace, trials: int = 500,
-                 seed: int = 0, tol: float = 1e-9) -> AuditReport:
-    """Probe the axioms on random inputs; report pass/fail per axiom."""
+def audit_axioms(functionals, space: StateSpace, trials: int = 500,
+                 seed: int = 0, tol: int | Fraction | float = 1e-9) -> list[AuditReport]:
+    """Probe the axioms on random inputs; one report of pass/fail per axiom per functional.
+
+    The functionals share one probe stream: each probe is drawn and built
+    once and checked against every functional, and each report equals the
+    one an audit of that functional alone gives.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = random.Random(seed)
-    report = AuditReport({name: AxiomResult(name) for name in AXIOM_NAMES},
-                         trials=trials, seed=seed, tol=tol)
+    members = [(lambda h, functional=functional: payload(functional(h)),
+                AuditReport({name: AxiomResult(name) for name in AXIOM_NAMES},
+                            trials=trials, seed=seed, tol=tol))
+               for functional in functionals]
     tol = payload(tol)
-
-    def F(h):
-        return payload(functional(h))
-
+    groups = [(random.Random(seed), members)]
     for _ in range(trials):
-        _probe_once(F, space.size, rng, tol, report)
-    return report
+        groups = [split for rng, group in groups
+                  for split in _probe_once(rng, group, space.size, tol)]
+    return [report for _, report in members]
 
 
 def _rand_finite(rng):
@@ -128,114 +138,141 @@ def _clamp(h: tuple, level) -> tuple:
     return tuple(v if v < level else level for v in h)
 
 
-def _probe_once(F, n, rng, tol, report: AuditReport):
-    res = report.results
+def _probe_once(rng, members, n, tol) -> list:
+    """One trial for the (F, report) members that share ``rng``: their groups after it.
 
+    Only E9's draws depend on the answers: a member stops drawing noise at
+    its first failure, so when others go on it forks onto a copy of the
+    stream there, and every member draws what it would draw alone.
+    """
     c = _rand_finite(rng)
-    got = F((c,) * n)
-    if not raw_close_within(got, c, tol):
-        res["E1"].fail(f"constant {c}: functional returned {to_text(got)}")
-
     f, g = _bounded_below(rng, n), _bounded_below(rng, n)
-    lhs = F(tuple(map(raw_add, f, g)))
-    rhs = raw_add(F(f), F(g))
-    if not raw_le_within(lhs, rhs, tol):
-        res["E2"].fail(f"f={_fmt(f)}, g={_fmt(g)}: F(f+g)={to_text(lhs)} > "
-                       f"F(f)+F(g)={to_text(rhs)}")
-
     h = _nonnegative(rng, n)
-    for lam in (0, Fraction(1, 2), 2, POS_INF):
-        scaled = F(tuple(raw_scale(lam, v) for v in h))
-        expected = raw_scale(lam, F(h))
-        if not raw_close_within(scaled, expected, tol):
-            res["E3"].fail(f"lambda={to_text(lam)}, f={_fmt(h)}: "
-                           f"F(lambda f)={to_text(scaled)} != {to_text(expected)}")
-            break
-
     base = _bounded_below(rng, n)
     upper = tuple(map(raw_add, base, _nonnegative(rng, n)))
-    if not raw_le_within(F(base), F(upper), tol):
-        res["E4"].fail(f"f={_fmt(base)} <= g={_fmt(upper)} but "
-                       f"F(f)={to_text(F(base))} > F(g)={to_text(F(upper))}")
-
     probe = _bounded_below(rng, n)
-    value = F(probe)
-    if value is NEG_INF or not raw_le_within(min(probe), value, tol) \
-            or not raw_le_within(value, max(probe), tol):
-        res["E5"].fail(f"f={_fmt(probe)}: F(f)={to_text(value)} outside "
-                       f"[{to_text(min(probe))}, {to_text(max(probe))}]")
-
     mu = POS_INF if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
-    shifted = F(tuple(raw_add(v, mu) for v in probe))
-    if not raw_close_within(shifted, raw_add(value, mu), tol):
-        res["E6"].fail(f"f={_fmt(probe)}, mu={to_text(mu)}: F(f+mu)={to_text(shifted)} != F(f)+mu")
-
     lam7 = abs(_rand_finite(rng)) if rng.random() < 0.8 else 0
-    scaled7 = F(tuple(raw_scale(lam7, v) for v in probe))
-    if not raw_close_within(scaled7, raw_scale(lam7, value), tol):
-        res["E7"].fail(f"lambda={to_text(lam7)}, f={_fmt(probe)}: "
-                       f"F(lambda f)={to_text(scaled7)} != lambda F(f)")
-
     gf, gg = _gamble(rng, n), _gamble(rng, n)
-    total = tuple(map(raw_add, gf, gg))
-    mixed_lhs = _lower(F, total)
-    mixed_mid = raw_add(F(gf), _lower(F, gg))
-    mixed_rhs = F(total)
-    if not (raw_le_within(mixed_lhs, mixed_mid, tol)
-            and raw_le_within(mixed_mid, mixed_rhs, tol)):
-        res["E8"].fail(f"f={_fmt(gf)}, g={_fmt(gg)}: chain "
-                       f"{to_text(mixed_lhs)} <= {to_text(mixed_mid)} "
-                       f"<= {to_text(mixed_rhs)} broken")
-
     target = _gamble(rng, n)
-    target_value = F(target)
+
+    f_plus_g = tuple(map(raw_add, f, g))
+    scaled_h = [(lam, tuple(raw_scale(lam, v) for v in h))
+                for lam in (0, Fraction(1, 2), 2, POS_INF)]
+    shifted = tuple(raw_add(v, mu) for v in probe)
+    scaled7 = tuple(raw_scale(lam7, v) for v in probe)
+    total = tuple(map(raw_add, gf, gg))
+    neg_total, neg_gg = tuple(map(raw_neg, total)), tuple(map(raw_neg, gg))
+    live = []
+    for F, report in members:
+        res = report.results
+        got = F((c,) * n)
+        if not raw_close_within(got, c, tol):
+            res["E1"].fail(f"constant {c}: functional returned {to_text(got)}")
+
+        lhs, rhs = F(f_plus_g), raw_add(F(f), F(g))
+        if not raw_le_within(lhs, rhs, tol):
+            res["E2"].fail(f"f={_fmt(f)}, g={_fmt(g)}: F(f+g)={to_text(lhs)} > "
+                           f"F(f)+F(g)={to_text(rhs)}")
+
+        value_h = F(h)
+        for lam, scaled in scaled_h:
+            got, expected = F(scaled), raw_scale(lam, value_h)
+            if not raw_close_within(got, expected, tol):
+                res["E3"].fail(f"lambda={to_text(lam)}, f={_fmt(h)}: "
+                               f"F(lambda f)={to_text(got)} != {to_text(expected)}")
+                break
+
+        low, high = F(base), F(upper)
+        if not raw_le_within(low, high, tol):
+            res["E4"].fail(f"f={_fmt(base)} <= g={_fmt(upper)} but "
+                           f"F(f)={to_text(low)} > F(g)={to_text(high)}")
+
+        value = F(probe)
+        if value is NEG_INF or not raw_le_within(min(probe), value, tol) \
+                or not raw_le_within(value, max(probe), tol):
+            res["E5"].fail(f"f={_fmt(probe)}: F(f)={to_text(value)} outside "
+                           f"[{to_text(min(probe))}, {to_text(max(probe))}]")
+
+        got = F(shifted)
+        if not raw_close_within(got, raw_add(value, mu), tol):
+            res["E6"].fail(f"f={_fmt(probe)}, mu={to_text(mu)}: F(f+mu)={to_text(got)} != F(f)+mu")
+
+        got = F(scaled7)
+        if not raw_close_within(got, raw_scale(lam7, value), tol):
+            res["E7"].fail(f"lambda={to_text(lam7)}, f={_fmt(probe)}: "
+                           f"F(lambda f)={to_text(got)} != lambda F(f)")
+
+        mixed_lhs = raw_neg(F(neg_total))
+        mixed_mid = raw_add(F(gf), raw_neg(F(neg_gg)))
+        mixed_rhs = F(total)
+        if not (raw_le_within(mixed_lhs, mixed_mid, tol)
+                and raw_le_within(mixed_mid, mixed_rhs, tol)):
+            res["E8"].fail(f"f={_fmt(gf)}, g={_fmt(gg)}: chain "
+                           f"{to_text(mixed_lhs)} <= {to_text(mixed_mid)} "
+                           f"<= {to_text(mixed_rhs)} broken")
+        live.append((F, report, F(target)))
+
+    groups = []
     for j in (2, 5, 9):
         eps = Fraction(1, 2**j)
         noisy = tuple(raw_add(v, eps * rng.choice((-1, 1))) for v in target)
-        # |F(f) - F(f_n)| <= eps, within tol; unequal infinities differ by +inf.
-        if not raw_close_within(F(noisy), target_value, raw_add(eps, tol)):
-            res["E9"].fail(f"f={_fmt(target)}, sup|f-f_n|={eps}: "
-                           f"|F(f)-F(f_n)| exceeded the uniform distance")
+        going, failed = [], []
+        for F, report, value in live:
+            # |F(f) - F(f_n)| <= eps, within tol; unequal infinities differ by +inf.
+            if raw_close_within(F(noisy), value, raw_add(eps, tol)):
+                going.append((F, report, value))
+            else:
+                report.results["E9"].fail(f"f={_fmt(target)}, sup|f-f_n|={eps}: "
+                                          f"|F(f)-F(f_n)| exceeded the uniform distance")
+                failed.append((F, report))
+        if failed:
+            groups.append((copy.copy(rng) if going else rng, failed))
+        live = going
+        if not live:
             break
+    else:
+        groups.append((rng, [(F, report) for F, report, _ in live]))
 
-    _probe_e10(F, n, rng, tol, report)
+    for stream, group in groups:
+        h = _bounded_below(stream, n)
+        if all(v is not POS_INF for v in h):
+            h = (POS_INF,) + h[1:]
+        cg, cf, cgg = [_gamble(stream, n) for _ in range(3)]
+        cf_plus_cgg = tuple(map(raw_add, cf, cgg))
+        lam_c = Fraction(stream.randint(1, 400), 100)
+        scaled_cf = tuple(raw_scale(lam_c, v) for v in cf)
+        terms = [_nonnegative(stream, n) for _ in range(4)]
+        partials = list(itertools.accumulate(terms, lambda a, b: tuple(map(raw_add, a, b))))
+        for F, report in group:
+            res = report.results
+            _probe_e10(F, h, tol, report)
+            value = F(cg)
+            if not raw_le_within(value, max(cg), tol):
+                res["C1"].fail(f"f={_fmt(cg)}: F(f)={to_text(value)} > sup f")
+            value_cf = F(cf)
+            if not raw_le_within(F(cf_plus_cgg), raw_add(value_cf, F(cgg)), tol):
+                res["C2"].fail(f"f={_fmt(cf)}, g={_fmt(cgg)}: gamble sub-additivity broken")
+            if not raw_close_within(F(scaled_cf), raw_scale(lam_c, value_cf), tol):
+                res["C3"].fail(f"lambda={to_text(lam_c)}, f={_fmt(cf)}: "
+                               "positive homogeneity broken on a gamble")
 
-    cg = _gamble(rng, n)
-    if not raw_le_within(F(cg), max(cg), tol):
-        res["C1"].fail(f"f={_fmt(cg)}: F(f)={to_text(F(cg))} > sup f")
-    cf, cgg = _gamble(rng, n), _gamble(rng, n)
-    if not raw_le_within(F(tuple(map(raw_add, cf, cgg))), raw_add(F(cf), F(cgg)), tol):
-        res["C2"].fail(f"f={_fmt(cf)}, g={_fmt(cgg)}: gamble sub-additivity broken")
-    lam_c = Fraction(rng.randint(1, 400), 100)
-    if not raw_close_within(F(tuple(raw_scale(lam_c, v) for v in cf)),
-                            raw_scale(lam_c, F(cf)), tol):
-        res["C3"].fail(f"lambda={to_text(lam_c)}, f={_fmt(cf)}: "
-                       "positive homogeneity broken on a gamble")
-
-    terms = [_nonnegative(rng, n) for _ in range(4)]
-    partial, bound = (0,) * n, 0
-    for k, term in enumerate(terms, start=1):
-        partial = tuple(map(raw_add, partial, term))
-        bound = raw_add(bound, F(term))
-        if not raw_le_within(F(partial), bound, tol):
-            res["countable_subadditivity"].fail(
-                f"prefix length {k}: F(sum)={to_text(F(partial))} > "
-                f"sum of F terms {to_text(bound)}")
-            break
+            bound = 0
+            for k, (term, partial) in enumerate(zip(terms, partials), start=1):
+                bound = raw_add(bound, F(term))
+                value = F(partial)
+                if not raw_le_within(value, bound, tol):
+                    res["countable_subadditivity"].fail(
+                        f"prefix length {k}: F(sum)={to_text(value)} > "
+                        f"sum of F terms {to_text(bound)}")
+                    break
+    return groups
 
 
-def _lower(F, h: tuple):
-    """The conjugate -F(-h) of the probe functional."""
-    return raw_neg(F(tuple(map(raw_neg, h))))
-
-
-def _probe_e10(F, n, rng, tol, report: AuditReport):
-    """Both branches of non-decreasing continuity; extended-real elements
-    (finite cells clamped, +inf cells kept) must reach F(h) at a finite index."""
+def _probe_e10(F, h, tol, report: AuditReport):
+    """Both branches of non-decreasing continuity on ``h`` (with a +inf cell); extended-real
+    elements (finite cells clamped, +inf cells kept) must reach F(h) at a finite index."""
     res = report.results["E10"]
-    h = _bounded_below(rng, n)
-    if all(v is not POS_INF for v in h):
-        h = (POS_INF,) + h[1:]
     limit_value = F(h)
 
     finite_top = max((v for v in h if v is not POS_INF), default=0)
@@ -273,7 +310,7 @@ def _probe_e10(F, n, rng, tol, report: AuditReport):
     # Above top, min(h, L) = f + g for the gambles f = (L - top) 1{h = +inf} and
     # g = min(h, top), so E8 gives F(min(h, L)) >= F(f) - F(-g).
     top, g = level, _clamp(h, level)
-    floor = _lower(F, g)
+    floor = raw_neg(F(tuple(map(raw_neg, g))))  # the conjugate -F(-g)
     for level in (2 * top, 4 * top):
         clamped = F(_clamp(h, level))
         if not raw_le_within(previous, clamped, tol):
@@ -297,17 +334,22 @@ def _probe_e10(F, n, rng, tol, report: AuditReport):
 def upper_envelope(model: CredalSet) -> callable:
     """The coherent functional induced by a credal set: ``credal.raw_upper`` on it.
 
+    It returns ``raw_upper``'s value and type, after the same ``check_local``.
     When every support mass is a float, Python computes ``mass * v`` as
     ``mass * float(v)`` for an int or Fraction ``v``, so lifting the probe's
-    supported cells to float once per call, after ``check_local``, gives
-    ``raw_upper``'s bits without a ``Fraction.__rmul__`` per extreme point.
-    Zero-mass cells are never lifted (a 10^400 there stays unused), and a
-    row with a value too large for a float is evaluated unlifted, raising
-    or not just as ``raw_upper`` does.
+    supported cells to float once per call gives ``raw_upper``'s bits
+    without a ``Fraction.__rmul__`` per extreme point.  Zero-mass cells are
+    never lifted (a 10^400 there stays unused), and a row with a value too
+    large for a float is evaluated unlifted, raising or not just as
+    ``raw_upper`` does.  When every support mass is exact, the sums run in
+    ints (``_scaled_upper``); a model that mixes the two is ``raw_upper``.
     """
-    if not all(type(mass) is float for point in model.support for _, mass in point):
-        return functools.partial(raw_upper, model)
+    masses = [mass for point in model.support for _, mass in point]
     cells = sorted({i for point in model.support for i, _ in point})
+    if all(isinstance(mass, (int, Fraction)) for mass in masses):
+        return _scaled_upper(model, cells)
+    if not all(type(mass) is float for mass in masses):
+        return functools.partial(raw_upper, model)
 
     def lifted_upper(h):
         check_local(model, h)
@@ -320,6 +362,47 @@ def upper_envelope(model: CredalSet) -> callable:
             row = h
         return upper_row(model, row)[0]
     return lifted_upper
+
+
+def _scaled_upper(model: CredalSet, cells) -> callable:
+    """``raw_upper`` on an exact model: masses scaled to ints once, supported cells per call.
+
+    A supported +inf ends a point's sum and strict ``>`` keeps the first
+    maximiser, as in ``upper_row``.  The winner's sum is an int when its
+    masses and the cells it reads are ints, else one Fraction.  Any other
+    supported cell (a float but the canonical +inf) goes to ``upper_row``.
+    """
+    scale = math.lcm(*(mass.denominator for point in model.support for _, mass in point))
+    points = [(all(isinstance(mass, int) for _, mass in point),
+               tuple((i, mass.numerator * (scale // mass.denominator)) for i, mass in point))
+              for point in model.support]
+
+    def scaled_upper(h):
+        check_local(model, h)
+        row = list(h)
+        finite = [i for i in cells if row[i] is not POS_INF]
+        if not all(type(row[i]) is Fraction or isinstance(row[i], int) for i in finite):
+            return upper_row(model, h)[0]
+        den = math.lcm(*(row[i].denominator for i in finite))
+        for i in finite:
+            row[i] = row[i].numerator * (den // row[i].denominator)
+        best = None
+        for int_masses, point in points:
+            total = 0
+            for i, mass in point:
+                if row[i] is POS_INF:
+                    total = POS_INF
+                    break
+                total += mass * row[i]
+            if best is None or total > best:
+                best, winner = total, (int_masses, point)
+        int_masses, point = winner
+        if best is POS_INF:
+            return best
+        if int_masses and all(isinstance(h[i], int) for i, _ in point):
+            return best // (scale * den)
+        return Fraction(best, scale * den)
+    return scaled_upper
 
 
 def vacuous_functional() -> callable:

@@ -150,19 +150,15 @@ def cmd_check(args) -> int:
         raise SchemaError("check needs a process file, --axioms, or both")
 
     if args.axioms:
-        audits = []
-        for model in tree.distinct_models():
-            audit = audit_axioms(upper_envelope(model), tree.space,
-                                 trials=args.trials, seed=config.seed,
-                                 tol=config.tol)
-            audits.append({
-                "all_passed": audit.all_passed,
-                "alternative_characterisation_consistent":
-                    audit.alt_characterisation_consistent,
-                "failures": [{"axiom": r.name, "counterexample": r.counterexample}
-                             for r in audit.failures()]})
-            ok = ok and audit.all_passed
-        report["axioms"] = audits
+        audits = audit_axioms([upper_envelope(model) for model in tree.distinct_models()],
+                              tree.space, trials=args.trials, seed=config.seed,
+                              tol=config.tol)
+        report["axioms"] = [{
+            "all_passed": audit.all_passed,
+            "alternative_characterisation_consistent": audit.alt_characterisation_consistent,
+            "failures": [{"axiom": r.name, "counterexample": r.counterexample}
+                         for r in audit.failures()]} for audit in audits]
+        ok = ok and all(audit.all_passed for audit in audits)
 
     _emit(report)
     return EXIT_OK if ok else EXIT_FAILED_CHECK

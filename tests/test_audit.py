@@ -22,7 +22,7 @@ def test_credal_functional_passes_everything():
     space = StateSpace(("0", "1", "2"))
     model = CredalSet([(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
                        (Fraction(1, 10), Fraction(1, 2), Fraction(2, 5))])
-    report = audit_axioms(upper_envelope(model), space, trials=200, seed=7)
+    [report] = audit_axioms([upper_envelope(model)], space, trials=200, seed=7)
     assert report.all_passed, [r.counterexample for r in report.failures()]
     assert report.alt_characterisation_consistent
 
@@ -33,7 +33,7 @@ def test_e10_exercises_both_branches():
     # confined to it have zero upper probability: the finite branch.
     model = CredalSet([(Fraction(1, 2), Fraction(1, 2), 0),
                        (Fraction(1, 10), Fraction(9, 10), 0)])
-    report = audit_axioms(upper_envelope(model), space, trials=200, seed=3)
+    [report] = audit_axioms([upper_envelope(model)], space, trials=200, seed=3)
     assert report.all_passed, [r.counterexample for r in report.failures()]
     assert report.e10_branches["finite"] > 0
     assert report.e10_branches["divergent"] > 0
@@ -41,13 +41,13 @@ def test_e10_exercises_both_branches():
 
 def test_vacuous_functional_is_coherent():
     space = StateSpace(("0", "1"))
-    report = audit_axioms(vacuous_functional(), space, trials=150, seed=2)
+    [report] = audit_axioms([vacuous_functional()], space, trials=150, seed=2)
     assert report.all_passed, [r.counterexample for r in report.failures()]
 
 
 def test_sup_plus_one_fails_the_sup_bound():
     space = StateSpace(("0", "1", "2"))
-    report = audit_axioms(broken_sup_plus_one(), space, trials=200, seed=11)
+    [report] = audit_axioms([broken_sup_plus_one()], space, trials=200, seed=11)
     assert not report.results["E5"].passed
     assert report.results["E5"].counterexample is not None
     assert not report.results["C1"].passed
@@ -61,7 +61,7 @@ def test_sup_plus_one_keeps_e10():
     # min(h, L) + 1 rises to F(h) = +inf: the functional is continuous along
     # non-decreasing sequences although it breaks E7.
     space = StateSpace(("0", "1", "2"))
-    report = audit_axioms(broken_sup_plus_one(), space, trials=200, seed=11)
+    [report] = audit_axioms([broken_sup_plus_one()], space, trials=200, seed=11)
     assert not report.results["E7"].passed
     assert report.e10_branches["divergent"] > 0
     assert report.results["E10"].passed, report.results["E10"].counterexample
@@ -77,7 +77,7 @@ def test_divergent_bound_failures_are_charged_to_e8():
         a, b = h
         return min(raw_add(raw_scale(p, a), raw_scale(q, b)) for p, q in points)
 
-    report = audit_axioms(lower_envelope, StateSpace(("0", "1")), trials=100, seed=4)
+    [report] = audit_axioms([lower_envelope], StateSpace(("0", "1")), trials=100, seed=4)
     assert not report.results["E8"].passed
     assert report.e10_branches["divergent"] > 0
     assert report.results["E10"].passed, report.results["E10"].counterexample
@@ -92,8 +92,11 @@ _FLOAT_HALVES = CredalSet([(0.5, 0.5)])
 
 
 def _outcome(functional, h):
-    """A result's type and exact value, with floats compared by their bits."""
-    value = functional(h)
+    """A result's type and exact value, with floats compared by their bits, or OverflowError."""
+    try:
+        value = functional(h)
+    except OverflowError:
+        return OverflowError
     return type(value), value.hex() if isinstance(value, float) else value
 
 
@@ -131,7 +134,7 @@ def test_float_envelope_lifts_only_what_raw_upper_multiplies():
 
 def test_point_spread_bonus_fails_monotonicity():
     space = StateSpace(("0", "1", "2"))
-    report = audit_axioms(broken_point_spread_bonus(), space, trials=500, seed=11)
+    [report] = audit_axioms([broken_point_spread_bonus()], space, trials=500, seed=11)
     assert not report.results["E4"].passed
     assert report.results["E4"].counterexample is not None
     # Constants and sub-additivity still hold for this functional.
@@ -142,7 +145,7 @@ def test_point_spread_bonus_fails_monotonicity():
 def test_report_shape():
     space = StateSpace(("0", "1"))
     model = CredalSet([(Fraction(1, 2), Fraction(1, 2))])
-    report = audit_axioms(upper_envelope(model), space, trials=40, seed=0)
+    [report] = audit_axioms([upper_envelope(model)], space, trials=40, seed=0)
     assert set(report.results) >= {"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8",
                                    "E9", "E10", "C1", "C2", "C3",
                                    "countable_subadditivity"}
@@ -154,8 +157,8 @@ def test_tiny_charge_on_the_inf_cells_is_audited_exactly():
     # The upper probability 1/10^400 of the +inf cell underflows a float to 0.0.
     tiny = Fraction(1, 10**400)
     model = CredalSet([(tiny, 1 - tiny)])
-    report = audit_axioms(upper_envelope(model), StateSpace(("0", "1")), trials=30,
-                          seed=0, tol=0)
+    [report] = audit_axioms([upper_envelope(model)], StateSpace(("0", "1")), trials=30,
+                            seed=0, tol=0)
     assert report.all_passed, [r.counterexample for r in report.failures()]
     assert report.e10_branches["divergent"] > 0
 
@@ -176,7 +179,7 @@ def test_audit_calls_stay_well_below_the_clamp_ladder():
         calls += 1
         return envelope(h)
 
-    report = audit_axioms(counted, StateSpace(("0", "1", "2")), trials=20, seed=1, tol=0)
+    [report] = audit_axioms([counted], StateSpace(("0", "1", "2")), trials=20, seed=1, tol=0)
     assert report.all_passed
     assert report.e10_branches["divergent"] == 20
     assert calls <= 0.6 * CLAMP_LADDER_CALLS, calls
@@ -198,34 +201,40 @@ def _exact_credal_sets(draw):
 def test_exact_credal_sets_pass_every_axiom_with_zero_tolerance(case, seed):
     arity, model = case
     space = StateSpace(tuple(str(i) for i in range(arity)))
-    report = audit_axioms(upper_envelope(model), space, trials=10, seed=seed, tol=0)
+    [report] = audit_axioms([upper_envelope(model)], space, trials=10, seed=seed, tol=0)
     assert report.all_passed, [r.counterexample for r in report.failures()]
 
 
 @st.composite
 def _credal_sets(draw):
-    """Float, exact and mixed credal sets, with zero masses and int masses in float points."""
+    """Float, exact and mixed credal sets, with zero masses, int masses in float points
+    and exact degenerate points with an int or a Fraction mass."""
     arity = draw(st.integers(2, 4))
     points = []
     for _ in range(draw(st.integers(1, 3))):
         weights = draw(st.lists(st.integers(0, 5), min_size=arity, max_size=arity)
                        .filter(any))
-        kind = draw(st.sampled_from(("exact", "float", "float-int-zeros", "float-int-one")))
+        kind = draw(st.sampled_from(("exact", "float", "float-int-zeros", "float-int-one",
+                                     "exact-int-one", "exact-fraction-one")))
+        top = weights.index(max(weights))
         if kind == "exact":
             points.append(tuple(Fraction(w, sum(weights)) for w in weights))
         elif kind == "float":
             points.append(tuple(w / sum(weights) for w in weights))
         elif kind == "float-int-zeros":
             points.append(tuple(w / sum(weights) if w else 0 for w in weights))
-        else:
-            top = weights.index(max(weights))
+        elif kind == "float-int-one":
             points.append(tuple(1 if i == top else 0.0 for i in range(arity)))
+        else:
+            one = 1 if kind == "exact-int-one" else Fraction(1)
+            points.append(tuple(one if i == top else 0 for i in range(arity)))
     return CredalSet(points)
 
 
-# The audit's probe kinds: int, Fraction and +inf cells; float cells besides.
+# The audit's probe kinds: int, Fraction and +inf cells; huge exact and float cells besides.
 _PROBE_CELLS = st.one_of(st.integers(-1000, 1000).map(lambda k: Fraction(k, 100)),
                          st.integers(-40, 40), st.just(math.inf),
+                         st.sampled_from((10**400, Fraction(1, 3**300))),
                          st.floats(-10, 10, allow_nan=False))
 
 
@@ -240,8 +249,51 @@ def test_upper_envelope_matches_raw_upper_bit_for_bit(model, data):
 def test_float_model_audits_match_raw_upper(seed):
     space = StateSpace(("0", "1", "2"))
     for model in (CredalSet([(0.5, 0.25, 0.25), (0.1, 0.5, 0.4)]),
-                  CredalSet([(0.3, 0.7, 0), (0.6, 0.4, 0.0)])):
-        lifted = audit_axioms(upper_envelope(model), space, trials=40, seed=seed)
-        plain = audit_axioms(partial(raw_upper, model), space, trials=40, seed=seed)
+                  CredalSet([(0.3, 0.7, 0), (0.6, 0.4, 0.0)]),
+                  CredalSet([(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), (1, 0, 0)])):
+        [lifted] = audit_axioms([upper_envelope(model)], space, trials=40, seed=seed)
+        [plain] = audit_axioms([partial(raw_upper, model)], space, trials=40, seed=seed)
         assert lifted.results == plain.results
         assert lifted.e10_branches == plain.e10_branches
+
+
+def _joint_functionals():
+    """Valid exact, float and int-mass envelopes, and functionals that fail E9 early."""
+    return [upper_envelope(CredalSet([(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                                      (Fraction(1, 10), Fraction(1, 2), Fraction(2, 5))])),
+            broken_point_spread_bonus(),
+            upper_envelope(CredalSet([(0.5, 0.25, 0.25), (0.1, 0.5, 0.4)])),
+            upper_envelope(CredalSet([(1, 0, 0), (0, Fraction(1, 3), Fraction(2, 3))])),
+            broken_point_spread_bonus(state=2, bonus=Fraction(1, 5))]
+
+
+def _summary(report):
+    return ({name: (r.passed, r.counterexample) for name, r in report.results.items()},
+            report.e10_branches)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_joint_audit_equals_one_audit_per_functional(seed):
+    space = StateSpace(("0", "1", "2"))
+    functionals = _joint_functionals()
+    joint = audit_axioms(functionals, space, trials=30, seed=seed)
+    alone = [audit_axioms([f], space, trials=30, seed=seed)[0] for f in functionals]
+    assert list(map(_summary, joint)) == list(map(_summary, alone))
+    # The broken functionals fail E9 while the envelopes go on, so the stream forks.
+    assert not joint[1].results["E9"].passed and joint[0].all_passed
+
+
+def test_point_spread_bonus_report_is_pinned():
+    # Its first trial fails E9 at sup|f - f_n| = 1/4, which skips the later
+    # noise draws, and E4 first fails at trial 7, on the stream after that skip.
+    [report] = audit_axioms([broken_point_spread_bonus()], StateSpace(("0", "1", "2")),
+                            trials=30, seed=0)
+    assert _summary(report) == (
+        {name: (True, None) for name in report.results} | {
+            "E4": (False, "f=(-7.4, 4.93, -8.87) <= g=(-7.25, 5, -6.55) but "
+                          "F(f)=-6.02 > F(g)=-6.025"),
+            "E5": (False, "f=(-3.24, -7.94, -3.53): F(f)=-2.77 outside [-7.94, -3.24]"),
+            "E9": (False, "f=(6.48, 8.81, 1.23), sup|f-f_n|=1/4: "
+                          "|F(f)-F(f_n)| exceeded the uniform distance"),
+            "C1": (False, "f=(7.76, -3.18, -5.01): F(f)=9.037 > sup f")},
+        {"finite": 0, "divergent": 30})

@@ -19,6 +19,7 @@ from gtue import (
     Process,
     StateSpace,
     add,
+    audit,
     check_supermartingale,
     clamp_above_sequence,
     clamp_below_sequence,
@@ -304,6 +305,31 @@ class TestCheckCommand:
             ["check", files("t.json", TREE_A), "--axioms", "--trials", "40"], capsys)
         assert code == 0
         assert report["axioms"][0]["all_passed"] is True
+
+    @pytest.mark.parametrize("make", [
+        audit.upper_envelope,
+        # A planted failure per model, so each entry's counterexamples are its own.
+        lambda model: audit.broken_point_spread_bonus(
+            state=model.extreme_points[0].index(max(model.extreme_points[0])))],
+        ids=["envelope", "planted"])
+    def test_table_tree_audit_has_one_entry_per_model(self, make, files, capsys, monkeypatch):
+        tree = {"states": ["0", "1", "2"], "max_depth": 2,
+                "model": {"type": "table", "entries": {
+                    "": [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], "0": [[0.1, 0.8, 0.1]],
+                    "1": [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], "2": [[0.7, 0.2, 0.1]]}}}
+        monkeypatch.setattr(cli, "upper_envelope", make)
+        code, report, _ = run_cli(["check", files("t.json", tree), "--axioms",
+                                   "--trials", "30", "--seed", "5"], capsys)
+        models = jsonio.tree_from_obj(tree).distinct_models()
+        assert len(models) == 3
+        alone = [audit.audit_axioms([make(model)], StateSpace(("0", "1", "2")),
+                                    trials=30, seed=5)[0] for model in models]
+        assert report["axioms"] == [{
+            "all_passed": r.all_passed,
+            "alternative_characterisation_consistent": r.alt_characterisation_consistent,
+            "failures": [{"axiom": f.name, "counterexample": f.counterexample}
+                         for f in r.failures()]} for r in alone]
+        assert code == (0 if make is audit.upper_envelope else 2)
 
     def test_rational_axiom_audit_is_exact(self, files, capsys):
         # A float tolerance would turn the exact right-hand sides inexact
