@@ -19,8 +19,8 @@ bracket alone would be empty whenever the U cut is, which contradicts
 the case analysis the bounds rely on.
 
 The realized-bound checkers never read the walker's state: they replay
-the emitted cuts top-down (``CutSystem.realized``, one ``_step`` per
-node), so a certificate whose cuts disagree with its process fails.
+the emitted cuts top-down (``CutSystem.realized``, one step per node,
+on ranks), so a certificate whose cuts disagree with its process fails.
 
 Window parameters are rationals and all transform arithmetic runs on
 exact raw payloads through the ``xreal.raw_*`` forms (finite floats are
@@ -55,7 +55,8 @@ class CutSystem:
 
     The crossing state of a situation is (hits, open_v): the completed
     (v_k, u_k) pairs on its chain and the V member of the open window, or
-    None when the path is idle.  ``_step`` is the one transition rule.
+    None when the path is idle.  ``realized`` steps every node on ranks;
+    ``chain_state`` and ``hits_along`` replay one chain of situations.
     """
 
     root: Situation
@@ -63,37 +64,31 @@ class CutSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "root", tuple(self.root))
-        for k, (v_cut, u_cut) in enumerate(self.pairs, start=1):
-            for u in u_cut:
-                if not _below_some(u, v_cut):
-                    raise ValueError(f"U_{k} member {u} follows no V_{k} member")
-            if k > 1:
-                prev_u = self.pairs[k - 2][1]
-                for v in v_cut:
-                    if not _below_some(v, prev_u):
-                        raise ValueError(f"V_{k} member {v} follows no U_{k - 1} member")
-
-    def _step(self, state, s: Situation):
-        """The crossing state at s, given the state at its parent."""
-        hits, open_v = state
-        if len(hits) < len(self.pairs):
-            v_cut, u_cut = self.pairs[len(hits)]
-            if open_v is None:
-                if s in v_cut.members:
-                    return hits, s
-            elif s in u_cut.members:
-                return hits + ((open_v, s),), None
-        return state
+        # V_1, U_1, V_2, ...: every member of each cut follows, strictly, a member
+        # of the cut before it.
+        chain = [(f"{kind}_{k}", cut) for k, pair in enumerate(self.pairs, start=1)
+                 for kind, cut in zip("VU", pair)]
+        for (before, earlier), (name, cut) in zip(chain, chain[1:]):
+            for m in cut:
+                if not m or earlier.member_before(m[:-1]) is None:
+                    raise ValueError(f"{name} member {m} follows no {before} member")
 
     def _replay(self, s: Situation):
         """The crossing state at s, replayed down its chain; None off the subtree."""
         s = tuple(s)
         if s[:len(self.root)] != self.root:
             return None
-        state = ((), None)
+        hits, open_v = (), None
         for depth in range(len(self.root), len(s) + 1):
-            state = self._step(state, s[:depth])
-        return state
+            node = s[:depth]
+            if len(hits) < len(self.pairs):
+                v_cut, u_cut = self.pairs[len(hits)]
+                if open_v is None:
+                    if node in v_cut.members:
+                        open_v = node
+                elif node in u_cut.members:
+                    hits, open_v = hits + ((open_v, node),), None
+        return hits, open_v
 
     def chain_state(self, s: Situation) -> tuple[int, bool] | None:
         """(completed upcrossings, active?) for a situation below the root."""
@@ -106,26 +101,35 @@ class CutSystem:
         return [] if state is None else list(state[0])
 
     def realized(self, arity: int, horizon: int):
-        """Replay every situation of the root's subtree, top-down in level order.
+        """Replay every node of the root's subtree, top-down in level order, on ranks.
 
-        Yields (s, index, hits, active) with index the rank of s at its
-        depth; one ``_step`` per node, so a whole pass is O(nodes).
+        Yields (depth, index, hits, active) with index the node's rank and
+        hits its completed pairs as ((depth, rank) of v_k, (depth, rank) of
+        u_k); one step per node, so a whole pass is O(nodes).
         """
-        level = [(self.root, rank(self.root, arity), self._step(((), None), self.root))]
+        # ranks[depth][k]: V_{k+1}'s and U_{k+1}'s member ranks there; past the last pair, none.
+        ranks = [[(set(), set()) for _ in self.pairs] + [((), ())] for _ in range(horizon + 1)]
+        on_tree = frozenset(range(arity))
+        for k, pair in enumerate(self.pairs):
+            for side, cut in enumerate(pair):
+                for m in cut.members:
+                    if len(m) <= horizon and on_tree.issuperset(m):
+                        ranks[len(m)][k][side].add(rank(m, arity))
+        states = [((), None)]  # across the subtree block, in rank order
         for depth in range(len(self.root), horizon + 1):
-            below = []
-            for s, i, state in level:
-                yield s, i, state[0], state[1] is not None
-                if depth < horizon:
-                    for x in range(arity):
-                        child = s + (x,)
-                        below.append((child, i * arity + x, self._step(state, child)))
-            level = below
-
-
-def _below_some(s: Situation, cut: Cut) -> bool:
-    """Whether some member of the cut strictly precedes s."""
-    return any(s[:depth] in cut.members for depth in range(len(s)))
+            here = ranks[depth]
+            stepped = []
+            for i, state in zip(subtree_block(self.root, depth, arity), states):
+                hits, open_v = state
+                v_here, u_here = here[len(hits)]
+                if open_v is None:
+                    if i in v_here:
+                        state = hits, (depth, i)
+                elif i in u_here:
+                    state = hits + ((open_v, (depth, i)),), None
+                yield depth, i, state[0], state[1] is not None
+                stepped.append(state)
+            states = [state for state in stepped for _ in range(arity)]
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,8 @@ def _crossing_walk(driver, arity: int, root: Situation, root_value, a, b,
     out = [[root_value] * arity**d for d in range(horizon + 1)]
     top = len(root)
     opens = open_at_root and driver[top][rank(root, arity)] < a
-    v_hits: dict[int, set] = {1: {root}} if opens else {}
-    u_hits: dict[int, set] = {}
+    # k -> (depth, rank) of the members of V_k and of U_k, unranked once at the end.
+    hits: dict[int, tuple[list, list]] = {1: ([(top, rank(root, arity))], [])} if opens else {}
     states = [(0, opens)]  # (completed, active) across the subtree block one level up
     for depth in range(top + 1, horizon + 1):
         here, out_here = driver[depth], out[depth]
@@ -195,18 +199,18 @@ def _crossing_walk(driver, arity: int, root: Situation, root_value, a, b,
             if active:
                 out_here[i] = step(out_above[parent], here[i], above[parent])
                 if here[i] > b:
-                    u_hits.setdefault(completed + 1, set()).add(unrank(i, depth, arity))
+                    hits[completed + 1][1].append((depth, i))
                     completed, active = completed + 1, False
             else:
                 out_here[i] = out_above[parent]
                 if here[i] < a:
-                    v_hits.setdefault(completed + 1, set()).add(unrank(i, depth, arity))
+                    hits.setdefault(completed + 1, ([], []))[0].append((depth, i))
                     active = True
             block.append((completed, active))
         states = block
 
-    pairs = tuple((Cut(frozenset(v_hits.get(k, ()))), Cut(frozenset(u_hits.get(k, ()))))
-                  for k in range(1, max(v_hits, default=0) + 1))
+    pairs = tuple(tuple(Cut(frozenset(unrank(i, d, arity) for d, i in side)) for side in sides)
+                  for sides in hits.values())
     return Transform(Process(arity, horizon, out, terminal_cut), CutSystem(root, pairs), (a, b))
 
 
@@ -261,25 +265,22 @@ def doob_gain_checks(M: Process, transform: Transform) -> list[GainCheck]:
     cuts = transform.cuts
     width = b - a
 
-    def exact_at(s):
-        return _exact(M.levels[len(s)][rank(s, M.arity)])
-
-    root_value = exact_at(cuts.root)
+    root_value = _exact(M.levels[len(cuts.root)][rank(cuts.root, M.arity)])
     checks = []
-    for s, i, hits, active in cuts.realized(M.arity, M.horizon):
+    for depth, i, hits, active in cuts.realized(M.arity, M.horizon):
         if active or not hits:
             continue
         telescoped = 0
         terms_ok = True
-        for v_node, u_node in hits:
-            term = raw_add(exact_at(u_node), raw_neg(exact_at(v_node)))
+        for (v_depth, v), (u_depth, u) in hits:
+            term = raw_add(_exact(M.levels[u_depth][u]), raw_neg(_exact(M.levels[v_depth][v])))
             if not term > width:
                 terms_ok = False
             telescoped = raw_add(telescoped, term)
-        gain = raw_add(transform.process.levels[len(s)][i], raw_neg(root_value))
+        gain = raw_add(transform.process.levels[depth][i], raw_neg(root_value))
         target = raw_scale(len(hits), width)
         checks.append(GainCheck(
-            s, len(hits), gain, telescoped,
+            unrank(i, depth, M.arity), len(hits), gain, telescoped,
             identity_ok=(gain == telescoped),
             terms_exceed_width=terms_ok,
             bound_ok=not (gain < target)))
@@ -382,11 +383,11 @@ def levy_bound_checks(transform: Transform) -> list[GrowthCheck]:
     a, b = transform.window
     process = transform.process
     checks = []
-    for s, i, hits, active in transform.cuts.realized(process.arity, process.horizon):
+    for depth, i, hits, active in transform.cuts.realized(process.arity, process.horizon):
         if active or not hits:
             continue
         threshold = (b / a) ** len(hits)
-        value = process.levels[len(s)][i]
-        checks.append(GrowthCheck(s, len(hits), value, threshold,
+        value = process.levels[depth][i]
+        checks.append(GrowthCheck(unrank(i, depth, process.arity), len(hits), value, threshold,
                                   bound_ok=value > threshold))
     return checks

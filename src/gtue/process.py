@@ -60,7 +60,7 @@ class Process:
             raise ValueError("terminal cut lies beyond the horizon")
         if not is_complete(cut, self.arity):
             raise ValueError("terminal cut must be complete")
-        for member in cut:
+        for member in (m for m in cut if len(m) < self.horizon):  # nothing lies below the horizon
             tail = self.levels[len(member)][rank(member, self.arity)]
             for depth in range(len(member) + 1, self.horizon + 1):
                 block = subtree_block(member, depth, self.arity)
@@ -71,7 +71,7 @@ class Process:
 
     def value_at(self, s: Situation):
         if len(s) > self.horizon:
-            if self.terminal_cut is not None and self.terminal_cut.member_before(s):
+            if self.terminal_cut is not None and self.terminal_cut.member_before(s) is not None:
                 return self.value_at(s[:self.horizon])
             raise ValueError(f"situation {s} lies beyond horizon {self.horizon}")
         return self.levels[len(s)][rank(s, self.arity)]

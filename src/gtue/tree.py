@@ -11,6 +11,7 @@ them as they are.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,10 +23,6 @@ from .xreal import NEG_INF, POS_INF, payload
 Situation = tuple[int, ...]
 
 ROOT: Situation = ()
-
-
-def precedes_or_equal(s: Situation, t: Situation) -> bool:
-    return len(s) <= len(t) and t[:len(s)] == s
 
 
 def rank(s: Situation, arity: int) -> int:
@@ -56,8 +53,8 @@ def subtree_block(s: Situation, depth: int, arity: int) -> range:
 
 
 def situations_at(depth: int, arity: int):
-    for i in range(arity**depth):
-        yield unrank(i, depth, arity)
+    """The situations of a depth in rank order (``unrank`` of 0, 1, ...)."""
+    return itertools.product(range(arity), repeat=depth)
 
 
 @dataclass(frozen=True)
@@ -67,16 +64,18 @@ class Cut:
     members: frozenset[Situation]
 
     def __post_init__(self):
-        members = frozenset(tuple(m) for m in self.members)
+        members = frozenset(map(tuple, self.members))
         object.__setattr__(self, "members", members)
-        ordered = sorted(members)
-        for a, b in zip(ordered, ordered[1:]):
-            # Lexicographic neighbours are the only candidate prefix pairs.
-            if precedes_or_equal(a, b):
-                raise ValueError(f"cut members {a} and {b} are comparable")
+        object.__setattr__(self, "_ordered", tuple(sorted(members)))
+        if len(set(map(len, members))) > 1:
+            # Distinct situations of one depth are never comparable; across depths,
+            # lexicographic neighbours are the only candidate prefix pairs.
+            for a, b in zip(self._ordered, self._ordered[1:]):
+                if b[:len(a)] == a:
+                    raise ValueError(f"cut members {a} and {b} are comparable")
 
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(self._ordered)
 
     def __len__(self):
         return len(self.members)
@@ -89,7 +88,7 @@ class Cut:
         return None
 
     def max_depth(self) -> int:
-        return max((len(m) for m in self.members), default=0)
+        return max(map(len, self.members), default=0)
 
 
 def level_cut(arity: int, depth: int) -> Cut:
@@ -97,9 +96,9 @@ def level_cut(arity: int, depth: int) -> Cut:
 
 
 def is_complete(cut: Cut, arity: int) -> bool:
-    """Exact coverage test: the leaf measures of the members sum to one."""
-    total = sum((Fraction(1, arity ** len(m)) for m in cut.members), Fraction(0))
-    return total == 1
+    """Exact coverage test: the leaf measures arity**-len(m) sum to one, scaled to ints."""
+    deepest = cut.max_depth()
+    return sum(arity ** (deepest - len(m)) for m in cut.members) == arity**deepest
 
 
 class Payloads(tuple):

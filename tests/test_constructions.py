@@ -16,6 +16,7 @@ from gtue import (
     doob_gain_checks,
     doob_mixture,
     doob_transform,
+    eval_process,
     from_values,
     indicator,
     level_cut,
@@ -24,7 +25,7 @@ from gtue import (
 )
 from gtue.errors import BadWindow, NonFiniteRoot, WindowOutsideRange
 from gtue.testing import random_gamble, random_supermartingale, random_tree
-from gtue.tree import situations_at
+from gtue.tree import situations_at, unrank
 from tests.conftest import seeded
 
 F = Fraction
@@ -370,10 +371,12 @@ class TestReplay:
             seen["doob" if M is not None else "levy"] += 1
             seen["deep root"] += len(cuts.root) > 0
             visited = []
-            for s, i, hits, active in cuts.realized(process.arity, process.horizon):
+            for depth, i, hits, active in cuts.realized(process.arity, process.horizon):
+                s = unrank(i, depth, 2)
                 assert (len(hits), active) == cuts.chain_state(s)
-                assert list(hits) == cuts.hits_along(s)
-                assert process.levels[len(s)][i] == process.value_at(s)
+                assert [tuple(unrank(r, d, 2) for d, r in pair) for pair in hits] \
+                    == cuts.hits_along(s)
+                assert process.levels[depth][i] == process.value_at(s)
                 seen["hits"] += len(hits)
                 visited.append(s)
             below = [s for d in range(process.horizon + 1) for s in situations_at(d, 2)
@@ -389,6 +392,37 @@ class TestReplay:
                 assert c.passed
         assert all(seen.values()), seen
 
+    def test_pairs_equal_a_first_hit_walk_on_situations(self):
+        """Both transforms' cuts equal those of a recursive walk over situation tuples."""
+        rng = seeded(777)
+        compared = {"doob": 0, "levy": 0, "pairs": 0}
+        for n in range(12):
+            size = 2 + n % 2
+            tree = random_tree(rng, size, 5, zero_state=n % 3 or None)
+            M = random_supermartingale(tree, rng, 5, leaf_high=4, slack_high=F(1, 4))
+            f = random_gamble(rng, size, 5)
+            delta = F(1)
+            shifted = f.map(lambda v: v - f.inf() + delta)
+            conditional = eval_process(tree, shifted)
+            for root in ((), (rng.randrange(size),)):
+                for a, b in ((F(1), F(2)), (F(1, 2), F(3, 2))):
+                    transform = doob_transform(tree, M, root, a, b)
+                    want = first_hit_pairs(M.value_at, size, M.horizon, root, a, b, True)
+                    assert [(v.members, u.members) for v, u in transform.cuts.pairs] == want
+                    compared["doob"] += 1
+                    compared["pairs"] += len(want)
+                top = shifted.sup()
+                a, b = 1 + (top - 1) / 4, top * 3 / 4
+                try:
+                    transform = levy_transform(tree, f, root, a, b, delta)
+                except WindowOutsideRange:
+                    continue
+                want = first_hit_pairs(conditional.value_at, size, f.depth, root, a, b, False)
+                assert [(v.members, u.members) for v, u in transform.cuts.pairs] == want
+                compared["levy"] += 1
+                compared["pairs"] += len(want)
+        assert all(compared.values()), compared
+
     def test_cuts_that_disagree_with_the_process_fail(self):
         """The checkers take the realized nodes from the cuts, not from the process."""
         forged_checks = 0
@@ -403,3 +437,25 @@ class TestReplay:
             assert not any(c.passed for c in checks)
             forged_checks += len(checks)
         assert forged_checks
+
+
+def first_hit_pairs(value_at, arity, horizon, root, a, b, open_at_root):
+    """[(V_k, U_k)] by a recursive first-hit walk over situation tuples below root."""
+    found = {}
+
+    def visit(s, completed, active):
+        x = value_at(s)
+        if active and x > b:
+            found.setdefault((completed + 1, "U"), set()).add(s)
+            completed, active = completed + 1, False
+        elif not active and x < a and (open_at_root or s != root):
+            found.setdefault((completed + 1, "V"), set()).add(s)
+            active = True
+        if len(s) < horizon:
+            for x in range(arity):
+                visit(s + (x,), completed, active)
+
+    visit(tuple(root), 0, False)
+    count = max((k for k, _ in found), default=0)
+    return [(frozenset(found.get((k, "V"), ())), frozenset(found.get((k, "U"), ())))
+            for k in range(1, count + 1)]

@@ -8,9 +8,15 @@ from hypothesis import event, given, settings, strategies as st
 from gtue import (
     NEG_INF,
     POS_INF,
+    CredalSet,
+    Cut,
     Process,
+    StateSpace,
+    TreeModel,
     add,
+    certificate_bound,
     check_supermartingale,
+    constant,
     constant_process,
     from_values,
     indicator,
@@ -220,6 +226,16 @@ class TestPathLiminf:
         M = constant_process(2, 2, 7)
         with pytest.raises(NotTerminal):
             path_liminf(M, (0, 0))
+
+    def test_root_cut_answers_past_the_horizon(self):
+        """{()} is a complete terminal cut: every situation past the horizon follows ()."""
+        M = constant_process(2, 2, 7, Cut(frozenset({()})))
+        tree = TreeModel.stationary(StateSpace(("0", "1")), CredalSet([(1, 0), (0, 1)]), 3)
+        assert path_liminf(M, (0, 1, 1)) == 7
+        assert M.value_at((0, 1, 1)) == 7
+        assert certificate_bound(tree, M, constant(2, 5), (0, 1, 1)) == 7
+        with pytest.raises(ValueError, match="beyond horizon"):
+            constant_process(2, 2, 7).value_at((0, 1, 1))
 
     def test_min_liminf_switch_exact(self):
         rng = seeded(31)

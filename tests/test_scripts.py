@@ -1,5 +1,6 @@
 """Smoke tests: each script runs to completion on tiny arguments."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -37,3 +38,28 @@ def test_bench_pairs_compares_a_checkout_with_itself():
     assert all(" parent " in row and " change " in row and "/1 " in row
                for row in rows.values())
     assert sum(line.startswith("pair 0 ") for line in result.stdout.splitlines()) == 2
+
+
+def test_line_coverage_counts_one_test_file():
+    result = subprocess.run(
+        [sys.executable, os.path.join("scripts", "line_coverage.py"),
+         os.path.join("tests", "test_xreal.py"), "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    package = os.path.join(ROOT, "src", "gtue")
+    unreached = {line.split(":")[0]: int(line.split()[1]) for line in lines
+                 if line.startswith(os.path.join("src", "gtue", ""))}
+    assert sorted(unreached) == sorted(os.path.join("src", "gtue", name)
+                                       for name in os.listdir(package) if name.endswith(".py"))
+    spec = importlib.util.spec_from_file_location(
+        "line_coverage", os.path.join(ROOT, "scripts", "line_coverage.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    totals = {path: len(script.statements(os.path.join(ROOT, path))) for path in unreached}
+    assert lines[-1] == (f"total: {sum(unreached.values())} of {sum(totals.values())} "
+                         f"statements unreached")
+    # The xreal tests reach part of xreal.py and none of audit.py's function bodies.
+    xreal, audit = os.path.join("src", "gtue", "xreal.py"), os.path.join("src", "gtue", "audit.py")
+    assert 0 < unreached[xreal] < totals[xreal]
+    assert unreached[audit] == totals[audit]

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import gtue.tree
 from gtue import (
@@ -30,6 +30,12 @@ class TestRanking:
 
     def test_lexicographic_layout(self):
         assert list(situations_at(2, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_situations_at_is_unrank_order(self, arity):
+        for depth in range(6):
+            assert list(situations_at(depth, arity)) == \
+                [unrank(i, depth, arity) for i in range(arity**depth)]
 
     @given(arity=st.integers(2, 4), depth=st.integers(0, 5), data=st.data())
     def test_subtree_block_is_the_prefix_filter(self, arity, depth, data):
@@ -114,6 +120,35 @@ class TestCuts:
                 any(path[:len(m)] == m for m in cut.members)
                 for path in situations_at(4, size))
             assert is_complete(cut, size) == exhaustive
+
+
+@st.composite
+def _split_cuts(draw):
+    """(arity, cut): an antichain grown from {()} by splitting members into their children.
+
+    Every split keeps the cut complete; dropping members afterwards (which
+    from {()} leaves the empty cut) makes it incomplete.
+    """
+    arity = draw(st.integers(1, 3))
+    members = [()]
+    for choice in draw(st.lists(st.integers(0, 10**6), max_size=8)):
+        m = members[choice % len(members)]
+        if len(m) < 5:
+            members.remove(m)
+            members.extend(m + (x,) for x in range(arity))
+    for choice in draw(st.lists(st.integers(0, 10**6), max_size=3)):
+        if members:
+            members.pop(choice % len(members))
+    return arity, Cut(frozenset(members))
+
+
+@given(_split_cuts())
+@example((2, Cut(frozenset())))
+@example((3, Cut(frozenset({()}))))
+def test_int_completeness_equals_the_fraction_leaf_measure(case):
+    arity, cut = case
+    measure = sum((Fraction(1, arity ** len(m)) for m in cut.members), Fraction(0))
+    assert is_complete(cut, arity) == (measure == 1)
 
 
 class TestTables:
