@@ -10,9 +10,7 @@ and built once and checked against all of them.
 A functional maps a tuple of raw payloads (``xreal.payload``'s forms),
 one per state, to a number, normalised with ``payload``.
 Probes hold int, Fraction and +inf cells, so exact functionals are
-audited exactly.  ``upper_envelope`` evaluates an exact model in ints
-over one denominator per call, and converts the cells once per call for
-a float model, with the same bits.
+audited exactly.
 
 Covered properties, named as in the report:
 
@@ -40,12 +38,11 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .credal import CredalSet, StateSpace, check_local, raw_upper, upper_row
+from .credal import CredalSet, StateSpace, raw_upper
 from .xreal import (NEG_INF, POS_INF, payload, raw_add, raw_close_within, raw_le_within,
                     raw_neg, raw_scale, to_text)
 
@@ -270,21 +267,10 @@ def _probe_once(rng, members, n, tol) -> list:
 
 
 def _probe_e10(F, h, tol, report: AuditReport):
-    """Both branches of non-decreasing continuity on ``h`` (with a +inf cell); extended-real
-    elements (finite cells clamped, +inf cells kept) must reach F(h) at a finite index."""
+    """Both branches of non-decreasing continuity on ``h`` (with a +inf cell)."""
     res = report.results["E10"]
     limit_value = F(h)
-
     finite_top = max((v for v in h if v is not POS_INF), default=0)
-    reach = int(finite_top) + 2 if finite_top > 0 else 2
-
-    # Extended-real elements: clamp only the finite cells.
-    staged = F(tuple(v if v is POS_INF else min(v, reach) for v in h))
-    if not raw_close_within(staged, limit_value, tol):
-        res.fail(f"h={_fmt(h)}: extended-element sequence stalls at "
-                 f"{to_text(staged)} instead of {to_text(limit_value)}")
-        return
-
     charge = F(tuple(1 if v is POS_INF else 0 for v in h))
 
     # Geometric clamp ladder, always ending strictly above every finite entry.
@@ -332,77 +318,8 @@ def _probe_e10(F, h, tol, report: AuditReport):
 # -- reference functionals for audit testing ---------------------------------
 
 def upper_envelope(model: CredalSet) -> callable:
-    """The coherent functional induced by a credal set: ``credal.raw_upper`` on it.
-
-    It returns ``raw_upper``'s value and type, after the same ``check_local``.
-    When every support mass is a float, Python computes ``mass * v`` as
-    ``mass * float(v)`` for an int or Fraction ``v``, so lifting the probe's
-    supported cells to float once per call gives ``raw_upper``'s bits
-    without a ``Fraction.__rmul__`` per extreme point.  Zero-mass cells are
-    never lifted (a 10^400 there stays unused), and a row with a value too
-    large for a float is evaluated unlifted, raising or not just as
-    ``raw_upper`` does.  When every support mass is exact, the sums run in
-    ints (``_scaled_upper``); a model that mixes the two is ``raw_upper``.
-    """
-    masses = [mass for point in model.support for _, mass in point]
-    cells = sorted({i for point in model.support for i, _ in point})
-    if all(isinstance(mass, (int, Fraction)) for mass in masses):
-        return _scaled_upper(model, cells)
-    if not all(type(mass) is float for mass in masses):
-        return functools.partial(raw_upper, model)
-
-    def lifted_upper(h):
-        check_local(model, h)
-        row = list(h)
-        try:
-            for i in cells:
-                if not isinstance(row[i], float):
-                    row[i] = float(row[i])
-        except OverflowError:
-            row = h
-        return upper_row(model, row)[0]
-    return lifted_upper
-
-
-def _scaled_upper(model: CredalSet, cells) -> callable:
-    """``raw_upper`` on an exact model: masses scaled to ints once, supported cells per call.
-
-    A supported +inf ends a point's sum and strict ``>`` keeps the first
-    maximiser, as in ``upper_row``.  The winner's sum is an int when its
-    masses and the cells it reads are ints, else one Fraction.  Any other
-    supported cell (a float but the canonical +inf) goes to ``upper_row``.
-    """
-    scale = math.lcm(*(mass.denominator for point in model.support for _, mass in point))
-    points = [(all(isinstance(mass, int) for _, mass in point),
-               tuple((i, mass.numerator * (scale // mass.denominator)) for i, mass in point))
-              for point in model.support]
-
-    def scaled_upper(h):
-        check_local(model, h)
-        row = list(h)
-        finite = [i for i in cells if row[i] is not POS_INF]
-        if not all(type(row[i]) is Fraction or isinstance(row[i], int) for i in finite):
-            return upper_row(model, h)[0]
-        den = math.lcm(*(row[i].denominator for i in finite))
-        for i in finite:
-            row[i] = row[i].numerator * (den // row[i].denominator)
-        best = None
-        for int_masses, point in points:
-            total = 0
-            for i, mass in point:
-                if row[i] is POS_INF:
-                    total = POS_INF
-                    break
-                total += mass * row[i]
-            if best is None or total > best:
-                best, winner = total, (int_masses, point)
-        int_masses, point = winner
-        if best is POS_INF:
-            return best
-        if int_masses and all(isinstance(h[i], int) for i, _ in point):
-            return best // (scale * den)
-        return Fraction(best, scale * den)
-    return scaled_upper
+    """The coherent functional induced by a credal set: ``credal.raw_upper`` on it."""
+    return functools.partial(raw_upper, model)
 
 
 def vacuous_functional() -> callable:

@@ -120,8 +120,8 @@ def cmd_eval(args) -> int:
     if args.oracle:
         if args.lower:
             raise SchemaError("--oracle cross-checks the upper expectation only")
-        report["selection_count"] = selection_count(tree, subject.depth, situation)
         oracle_value = brute_force_upper(tree, subject, situation, cap=config.oracle_cap)
+        report["selection_count"] = selection_count(tree, subject.depth, situation)
         matches = close_within(oracle_value, value, config.tol)
         report["oracle_value"] = jsonio.encode_number(oracle_value, rational)
         report["oracle_match"] = matches

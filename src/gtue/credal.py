@@ -16,8 +16,10 @@ column, and a single block, or a row with +inf in a column some point
 reads, runs the one-block loop.  ``upper_level`` applies it to one
 depth of a tree, whether the depth shares one model or has one per
 node: it is the level kernel of the backward recursion and of the
-supermartingale check.  ``raw_upper`` validates one local variable, a
-tuple of payloads, and evaluates it; ``local_upper`` and ``local_lower``
+supermartingale check.  ``raw_upper`` is the one evaluator of a single
+local variable, a tuple of payloads: it picks a form from the model (ints
+for an exact one, cells lifted once for a float one, else ``upper_row``),
+with ``upper_row``'s value and type.  ``local_upper`` and ``local_lower``
 are its front ends on any sequence of numbers ``payload`` reads.
 
 Redundant (non-extreme) points are permitted: evaluation is a maximum,
@@ -77,7 +79,7 @@ class CredalSet:
     one by PMF_SUM_TOL.
     """
 
-    __slots__ = ("extreme_points", "support")
+    __slots__ = ("extreme_points", "support", "_forms")
 
     def __init__(self, extreme_points):
         points = tuple(tuple(p) for p in extreme_points)
@@ -100,6 +102,7 @@ class CredalSet:
         # skipping the zero masses is how 0 * inf = 0 holds in upper_row.
         self.support = tuple(tuple((i, mass) for i, mass in enumerate(p) if mass != 0)
                              for p in points)
+        self._forms = None  # raw_upper's, built on its first call
 
     @property
     def size(self) -> int:
@@ -204,23 +207,77 @@ def upper_level(level, below: list, first: int) -> list:
     return row
 
 
-def check_local(model: CredalSet, h) -> None:
-    """Refuse a local variable of the wrong length (ValueError) or with a -inf cell.
+def raw_upper(model: CredalSet, h):
+    """Upper expectation of a bounded-below local variable, a tuple of raw payloads.
 
-    Only a float can be -inf, so an int or Fraction cell skips the slow
-    ``Fraction.__eq__(float)``; ``isinstance`` still refuses a float subclass.
+    A wrong length (ValueError) and a -inf cell, which only a float can be,
+    are refused before any arithmetic.  The result is ``upper_row``'s value
+    and type, by the model's form.  Exact model, with int or Fraction finite
+    supported cells: the sums run in ints over one denominator for the
+    masses and one for the cells; a +inf ends a sum, strict ``>`` keeps the
+    first maximiser, and the winner is an int when its masses and cells are.
+    Float model: Python multiplies a float mass by ``float(v)`` anyway, so
+    the supported cells are lifted once, unless one is too large for a float.
     """
     if len(h) != model.size:
         raise ValueError("variable length does not match the credal set")
     for v in h:
         if isinstance(v, float) and v == _NEG:
             raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
-
-
-def raw_upper(model: CredalSet, h):
-    """Upper expectation of a bounded-below local variable, a tuple of raw payloads."""
-    check_local(model, h)
+    cells, scale, points = model._forms or _build_forms(model)
+    if points is not None:
+        finite = [i for i in cells if h[i] is not _INF]
+        if all(type(h[i]) is Fraction or isinstance(h[i], int) for i in finite):
+            den = math.lcm(*(h[i].denominator for i in finite))
+            row = list(h)
+            for i in finite:
+                row[i] = h[i].numerator * (den // h[i].denominator)
+            best = None
+            for int_masses, point in points:
+                total = 0
+                for i, mass in point:
+                    if row[i] is _INF:
+                        total = _INF
+                        break
+                    total += mass * row[i]
+                if best is None or total > best:
+                    best, winner, int_winner = total, point, int_masses
+            if best is _INF:
+                return best
+            if int_winner and all(isinstance(h[i], int) for i, _ in winner):
+                return best // (scale * den)
+            return Fraction(best, scale * den)
+    elif cells:
+        row = list(h)
+        try:
+            for i in cells:
+                if not isinstance(row[i], float):
+                    row[i] = float(row[i])
+            h = row
+        except OverflowError:
+            pass
     return upper_row(model, h)[0]
+
+
+def _build_forms(model: CredalSet) -> tuple:
+    """``raw_upper``'s (supported cells, scale, points) for a model, kept in ``_forms``.
+
+    An exact model gets its mass denominator and its points as (all masses int,
+    int-scaled (index, mass) pairs); a model neither exact nor float gets no cells.
+    """
+    support = model.support
+    masses = [mass for point in support for _, mass in point]
+    cells = sorted({i for point in support for i, _ in point})
+    scale = points = None
+    if all(isinstance(mass, (int, Fraction)) for mass in masses):
+        scale = math.lcm(*(mass.denominator for mass in masses))
+        points = [(all(isinstance(mass, int) for _, mass in point),
+                   tuple((i, mass.numerator * (scale // mass.denominator)) for i, mass in point))
+                  for point in support]
+    elif not all(type(mass) is float for mass in masses):
+        cells = ()
+    model._forms = cells, scale, points
+    return model._forms
 
 
 def local_upper(model: CredalSet, h):

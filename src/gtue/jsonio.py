@@ -266,9 +266,9 @@ def load_process(path: str, space: StateSpace, rational: bool) -> Process:
 
 def dump_process(M: Process, space: StateSpace, rational: bool):
     values = {}
-    for depth in range(M.horizon + 1):
-        for s in situations_at(depth, space.size):
-            values[situation_to_text(space, s)] = encode_number(M.value_at(s), rational)
+    for depth, level in enumerate(M.levels):
+        for s, v in zip(situations_at(depth, space.size), level):
+            values[situation_to_text(space, s)] = encode_number(v, rational)
     out = {"horizon": M.horizon, "values": values}
     if M.terminal_cut is not None:
         out["terminal_cut"] = [situation_to_text(space, m) for m in M.terminal_cut]

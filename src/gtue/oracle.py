@@ -34,19 +34,7 @@ DEFAULT_CAP = 10**7
 
 def selection_count(tree, n: int, s: Situation = ROOT) -> int:
     """Number of precise-tree selections for depth-n variables in s's subtree."""
-    arity = tree.space.size
-    s = tuple(s)
-    subtree_block(s, len(s), arity)  # refuses a situation off the tree
-    total = 1
-    for depth in range(len(s), min(n, tree.max_depth)):
-        block = subtree_block(s, depth, arity)
-        level = tree.level(depth)
-        if isinstance(level, CredalSet):
-            total *= len(level.extreme_points) ** len(block)
-        else:
-            for model in level[block.start:block.stop]:
-                total *= len(model.extreme_points)
-    return total
+    return _count(tree, n, tuple(s), None)
 
 
 def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
@@ -58,10 +46,32 @@ def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
     s = tuple(s)
     if any(v is NEG_INF for v in f.on_subtree(s)):
         raise NotBoundedBelow("the oracle needs a bounded-below variable")
-    count = selection_count(tree, f.depth, s)
+    count = _count(tree, f.depth, s, cap)
     if count > cap:
-        raise CapExceeded(f"{count} selections exceed the cap {cap}")
+        raise CapExceeded(f"at least {count} selections exceed the cap {cap}")
     return max(_expectations(tree, f, s))
+
+
+def _count(tree, n: int, s: Situation, cap) -> int:
+    """The selection count, or with a ``cap`` a number above it once the product passes it
+    (every factor is at least 1; a shared model's power stops at ``cap.bit_length() + 1``)."""
+    arity = tree.space.size
+    subtree_block(s, len(s), arity)  # refuses a situation off the tree
+    total = 1
+    for depth in range(len(s), min(n, tree.max_depth)):
+        block = subtree_block(s, depth, arity)
+        level = tree.level(depth)
+        if isinstance(level, CredalSet):
+            nodes = len(block) if cap is None else min(len(block), cap.bit_length() + 1)
+            total *= len(level.extreme_points) ** nodes
+        else:
+            for model in level[block.start:block.stop]:
+                total *= len(model.extreme_points)
+                if cap is not None and total > cap:
+                    break
+        if cap is not None and total > cap:
+            return total
+    return total
 
 
 def _expectations(tree, f: FinitaryVariable, s: Situation) -> list:

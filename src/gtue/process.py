@@ -70,11 +70,12 @@ class Process:
                         f"process is not constant beyond terminal member {member}")
 
     def value_at(self, s: Situation):
+        block = subtree_block(s, len(s), self.arity)  # refuses a state off the tree
         if len(s) > self.horizon:
             if self.terminal_cut is not None and self.terminal_cut.member_before(s) is not None:
                 return self.value_at(s[:self.horizon])
             raise ValueError(f"situation {s} lies beyond horizon {self.horizon}")
-        return self.levels[len(s)][rank(s, self.arity)]
+        return self.levels[len(s)][block.start]
 
     def map(self, fn) -> "Process":
         """Apply fn to every payload; it may return any number ``payload`` reads."""

@@ -121,6 +121,18 @@ class TestEvalCommand:
         assert report is None
         assert "CapExceeded" in err
 
+    def test_oracle_cap_refusal_names_the_cap_on_a_deep_tree(self, files, capsys):
+        """The exact count 3**(2**14 - 1) has 7,817 digits, past str()'s default limit."""
+        tree = {"states": ["0", "1"],
+                "model": {"type": "stationary",
+                          "extreme_points": [["1/2", "1/2"], ["1/3", "2/3"], ["1/4", "3/4"]]},
+                "max_depth": 14}
+        f = {"depth": 14, "values": [0] * 2**14}
+        code, report, err = run_cli(
+            ["eval", files("t.json", tree), files("f.json", f), "--oracle", "--rational"], capsys)
+        assert (code, report) == (1, None)
+        assert err.strip() == "CapExceeded: at least 14348907 selections exceed the cap 10000000"
+
     def test_oracle_cap_counts_the_queried_subtree(self, files, capsys):
         tree = {"states": ["0", "1"],
                 "model": {"type": "stationary",

@@ -89,6 +89,27 @@ class TestBruteForce:
         with pytest.raises(CapExceeded):
             brute_force_upper(tree_a, indicator(2, 2, [(1, 1)]), cap=7)
 
+    def test_refusal_stops_counting_past_the_cap(self, space2):
+        """At depth 40 the exact count 3**(2**40 - 1) would take about 2 * 10**12 bits."""
+
+        class DeepVariable:  # a real depth-40 table would hold 2**40 cells
+            depth = 40
+
+            def on_subtree(self, s):
+                return ()
+
+        model = CredalSet([(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 4), F(3, 4))])
+        tree = TreeModel.stationary(space2, model, 40)
+        with pytest.raises(CapExceeded, match=r"^at least \d+ selections exceed the cap 10000000$"):
+            brute_force_upper(tree, DeepVariable())
+        assert selection_count(tree, 12) == 3**(2**12 - 1)
+
+    def test_table_refusal_stops_within_a_level(self, space2, model_a):
+        single = CredalSet([(F(1, 2), F(1, 2))])
+        tree = TreeModel.table(space2, {(): single, (0,): model_a, (1,): model_a}, 2)
+        with pytest.raises(CapExceeded, match="at least 2 selections exceed the cap 1"):
+            brute_force_upper(tree, indicator(2, 2, [(1, 1)]), cap=1)
+
     def test_zero_probability_infinity(self, tree_b):
         f = constant(2, 0, 1).combine(indicator(2, 1, [(1,)]),
                                       lambda a, b: POS_INF if b == 1 else a)

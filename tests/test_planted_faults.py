@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtue import Cut, CutSystem, Transform, doob_gain_checks, from_values, payload
+from gtue import (POS_INF, Cut, CutSystem, StateSpace, Transform, audit_axioms,
+                  doob_gain_checks, from_values, payload)
 
 F = Fraction
 
@@ -34,3 +35,18 @@ def test_a_window_passage_no_wider_than_the_window_fails_the_term_check():
 def test_payload_refuses_a_non_number(value):
     with pytest.raises(TypeError, match="cannot build an extended real"):
         payload(value)
+
+
+def test_a_functional_blind_to_infinity_fails_e6_and_divergent_e10():
+    """h -> max of h's finite cells (0 if none) ignores a +inf shift and stays finite on a
+    +inf cell of positive charge, while E7 and E8 hold: E10 charges its divergent branch."""
+
+    def finite_max(h):
+        return max((v for v in h if v is not POS_INF), default=0)
+
+    [report] = audit_axioms([finite_max], StateSpace(("0", "1", "2")), trials=20, seed=0)
+    results = report.results
+    assert results["E6"].counterexample == "f=(2.94, -7.53, 3.69), mu=inf: F(f+mu)=0 != F(f)+mu"
+    assert results["E7"].passed and results["E8"].passed
+    assert results["E10"].counterexample == \
+        "h=(inf, 6.45, 6.44): clamp sequence diverges but F(h)=6.45"

@@ -237,6 +237,18 @@ class TestPathLiminf:
         with pytest.raises(ValueError, match="beyond horizon"):
             constant_process(2, 2, 7).value_at((0, 1, 1))
 
+    @pytest.mark.parametrize("s", [(0, 3), (-1,), (2,), (0, 0, 2)],
+                             ids=["rank-of-1.1", "negative", "index-error", "past-horizon"])
+    def test_value_at_refuses_a_state_off_the_tree(self, s):
+        """(0, 3) shares its rank with (1, 1) and (-1,) indexes from the end: no value is right."""
+        M = from_values(2, 2, lambda s: sum(s) * 10 + len(s), level_cut(2, 2))
+        with pytest.raises(ValueError, match="leaves the tree: states run from 0 to 1"):
+            M.value_at(s)
+        tree = TreeModel.stationary(StateSpace(("0", "1")), CredalSet([(1, 0), (0, 1)]), 3)
+        bound = constant_process(2, 2, 7, level_cut(2, 2))
+        with pytest.raises(ValueError, match="leaves the tree"):
+            certificate_bound(tree, bound, constant(2, 5), s)
+
     def test_min_liminf_switch_exact(self):
         rng = seeded(31)
         for _ in range(50):
