@@ -6,6 +6,8 @@ files of src/gtue, then prints each module's unreached statements (by
 first line) and their total.  A statement counts when its first line holds
 bytecode, so docstrings do not.  Tests that run gtue in a subprocess
 (``test_scripts.py``, ``test_same_outputs.py``) reach nothing here.
+Hypothesis runs derandomized and without its example database, so two
+runs at one commit give the same count.
 
 Usage: python scripts/line_coverage.py [pytest arguments, e.g. tests/test_tree.py -q]
 """
@@ -16,6 +18,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "gtue")
@@ -51,6 +54,8 @@ def main(argv) -> int:
     src = os.path.dirname(PACKAGE)
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     sys.path[:0] = [src, ROOT]
+    settings.register_profile("line_coverage", derandomize=True, database=None)
+    settings.load_profile("line_coverage")
     sys.settrace(lambda frame, event, arg:
                  on_line if frame.f_code.co_filename in reached else None)
     try:

@@ -272,46 +272,45 @@ def _probe_e10(F, h, tol, report: AuditReport):
     limit_value = F(h)
     finite_top = max((v for v in h if v is not POS_INF), default=0)
     charge = F(tuple(1 if v is POS_INF else 0 for v in h))
+    divergent = not raw_le_within(charge, 0, tol)
 
-    # Geometric clamp ladder, always ending strictly above every finite entry.
+    # Geometric clamp ladder up to top, the first level strictly above every finite
+    # entry, and two levels past it when the +inf cells carry a charge.
+    top = 1
+    while finite_top >= top:
+        top *= 2
     level = 1
     previous = F(_clamp(h, level))
-    while finite_top >= level:
+    while level < (4 * top if divergent else top):
+        if level == top:
+            report.e10_branches["divergent"] += 1
+            # Above top, min(h, L) = f + g for the gambles f = (L - top) 1{h = +inf} and
+            # g = min(h, top), so E8 gives F(min(h, L)) >= F(f) - F(-g).
+            g = _clamp(h, top)
+            floor = raw_neg(F(tuple(map(raw_neg, g))))  # the conjugate -F(-g)
         level *= 2
         clamped = F(_clamp(h, level))
         if not raw_le_within(previous, clamped, tol):
             res.fail(f"h={_fmt(h)}: clamped values decreased "
                      f"({to_text(previous)} -> {to_text(clamped)})")
             return
+        if level > top:
+            f = tuple(level - top if v is POS_INF else 0 for v in h)
+            bound = raw_add(F(f), floor)
+            if not raw_le_within(bound, clamped, tol):
+                report.results["E8"].fail(f"f={_fmt(f)}, g={_fmt(g)}: F(f)-F(-g)="
+                                          f"{to_text(bound)} > F(f+g)={to_text(clamped)}")
         previous = clamped
 
-    if raw_le_within(charge, 0, tol):
+    if not divergent:
         report.e10_branches["finite"] += 1
         if not raw_close_within(previous, limit_value, tol):
             res.fail(f"h={_fmt(h)}: zero charge on the +inf cells but the clamp "
                      f"sequence stops at {to_text(previous)} != {to_text(limit_value)}")
-        return
-
-    report.e10_branches["divergent"] += 1
-    # Above top, min(h, L) = f + g for the gambles f = (L - top) 1{h = +inf} and
-    # g = min(h, top), so E8 gives F(min(h, L)) >= F(f) - F(-g).
-    top, g = level, _clamp(h, level)
-    floor = raw_neg(F(tuple(map(raw_neg, g))))  # the conjugate -F(-g)
-    for level in (2 * top, 4 * top):
-        clamped = F(_clamp(h, level))
-        if not raw_le_within(previous, clamped, tol):
-            res.fail(f"h={_fmt(h)}: clamped values decreased "
-                     f"({to_text(previous)} -> {to_text(clamped)})")
-            return
-        f = tuple(level - top if v is POS_INF else 0 for v in h)
-        bound = raw_add(F(f), floor)
-        if not raw_le_within(bound, clamped, tol):
-            report.results["E8"].fail(f"f={_fmt(f)}, g={_fmt(g)}: F(f)-F(-g)="
-                                      f"{to_text(bound)} > F(f+g)={to_text(clamped)}")
-        previous = clamped
-    # Under E7 that bound rises at slope F(1{h = +inf}) > 0, so E10 needs F(h) = +inf;
-    # a finite F(h) is charged to E10 only while E7 and E8 hold on every probe.
-    if limit_value is not POS_INF and report.results["E7"].passed and report.results["E8"].passed:
+    elif limit_value is not POS_INF and report.results["E7"].passed \
+            and report.results["E8"].passed:
+        # Under E7 that bound rises at slope F(1{h = +inf}) > 0, so E10 needs F(h) = +inf;
+        # a finite F(h) is charged to E10 only while E7 and E8 hold on every probe.
         res.fail(f"h={_fmt(h)}: clamp sequence diverges but F(h)={to_text(limit_value)}")
 
 

@@ -14,6 +14,8 @@ Subcommands:
                         and verification summary;
 * ``levy-certificate``  the multiplicative transform likewise.
 
+``main`` resolves each run once: the settings, then the tree, then the
+subcommand, which returns its report and whether its checks passed.
 Exit codes: 0 success, 1 input or usage error, 2 a verification check
 failed.  Reports go to stdout as a single JSON document; parse failures
 print only to stderr.
@@ -30,7 +32,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
@@ -43,7 +44,7 @@ from .constructions import (
 )
 from .errors import GTUEError, SchemaError
 from .evaluate import STATUS_EXACT, eval_finitary, eval_limit, eval_lower_finitary
-from .oracle import brute_force_upper, selection_count
+from .oracle import DEFAULT_CAP, brute_force_upper, selection_count
 from .process import check_supermartingale
 from .tree import FinitarySequence, FinitaryVariable
 from .xreal import NEG_INF, POS_INF, close_within, payload
@@ -53,32 +54,20 @@ EXIT_INPUT = 1
 EXIT_FAILED_CHECK = 2
 
 
-@dataclass
-class RunConfig:
-    tol: object = 1e-9
-    rational_mode: bool = False
-    seed: int = 0
-    oracle_cap: int = 10**7
-
-    def __post_init__(self):
-        tol = payload(self.tol)
-        if tol is POS_INF or tol is NEG_INF:
-            # An infinite tolerance would pass every verification.
-            raise ValueError("tol must be finite")
-        if tol < 0:
-            raise ValueError("tol must be non-negative")
-
-
-def _config_from_args(args) -> RunConfig:
-    rational = os.environ.get("GTUE_RATIONAL", "") == "1" or getattr(args, "rational", False)
+def _settings(args) -> tuple:
+    """The run's ``(rational, tol)``, from GTUE_RATIONAL, ``--rational`` and ``--tol``."""
+    rational = os.environ.get("GTUE_RATIONAL", "") == "1" or args.rational
     if args.tol is None:
-        tol = 0 if rational else 1e-9
-    else:
-        # Exact inputs get an exact tolerance; a float would make every
-        # comparison against it inexact.
-        tol = Fraction(args.tol) if rational else float(args.tol)
-    return RunConfig(tol=tol, rational_mode=rational, seed=args.seed,
-                     oracle_cap=args.oracle_cap)
+        return rational, 0 if rational else 1e-9
+    # Exact inputs get an exact tolerance; a float would make every
+    # comparison against it inexact.
+    tol = payload(Fraction(args.tol) if rational else float(args.tol))
+    if tol is POS_INF or tol is NEG_INF:
+        # An infinite tolerance would pass every verification.
+        raise ValueError("tol must be finite")
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    return rational, tol
 
 
 def _emit(document):
@@ -93,21 +82,17 @@ def _add_worst_violation(entry, verdict, space, rational):
                                     "gap": jsonio.encode_number(gap, rational)}
 
 
-def cmd_eval(args) -> int:
-    config = _config_from_args(args)
-    tree = jsonio.load_tree(args.tree, config.rational_mode)
-    subject = jsonio.load_variable_or_sequence(args.variable, tree.space, config.rational_mode)
+def cmd_eval(args, tree, rational, tol) -> tuple:
+    subject = jsonio.load_variable_or_sequence(args.variable, tree.space, rational)
     situation = jsonio.situation_from_text(tree.space, args.situation)
-    rational = config.rational_mode
 
     if isinstance(subject, FinitarySequence):
         if args.lower or args.oracle:
             raise SchemaError("--lower and --oracle apply to finitary variables, not sequences")
         result = eval_limit(tree, subject, situation)
-        _emit({"value": jsonio.encode_number(result.value, rational),
-               "status": result.status, "iterations": result.iterations,
-               "method": result.method})
-        return EXIT_OK
+        return {"value": jsonio.encode_number(result.value, rational),
+                "status": result.status, "iterations": result.iterations,
+                "method": result.method}, True
 
     assert isinstance(subject, FinitaryVariable)
     if args.lower:
@@ -116,31 +101,24 @@ def cmd_eval(args) -> int:
         value = eval_finitary(tree, subject, situation)
     report = {"value": jsonio.encode_number(value, rational), "status": STATUS_EXACT,
               "iterations": 0}
-    exit_code = EXIT_OK
-    if args.oracle:
-        if args.lower:
-            raise SchemaError("--oracle cross-checks the upper expectation only")
-        oracle_value = brute_force_upper(tree, subject, situation, cap=config.oracle_cap)
-        report["selection_count"] = selection_count(tree, subject.depth, situation)
-        matches = close_within(oracle_value, value, config.tol)
-        report["oracle_value"] = jsonio.encode_number(oracle_value, rational)
-        report["oracle_match"] = matches
-        if not matches:
-            exit_code = EXIT_FAILED_CHECK
-    _emit(report)
-    return exit_code
+    if not args.oracle:
+        return report, True
+    if args.lower:
+        raise SchemaError("--oracle cross-checks the upper expectation only")
+    oracle_value = brute_force_upper(tree, subject, situation, cap=args.oracle_cap)
+    report["selection_count"] = selection_count(tree, subject.depth, situation)
+    report["oracle_value"] = jsonio.encode_number(oracle_value, rational)
+    report["oracle_match"] = close_within(oracle_value, value, tol)
+    return report, report["oracle_match"]
 
 
-def cmd_check(args) -> int:
-    config = _config_from_args(args)
-    tree = jsonio.load_tree(args.tree, config.rational_mode)
-    rational = config.rational_mode
+def cmd_check(args, tree, rational, tol) -> tuple:
     report = {}
     ok = True
 
     if args.process is not None:
-        process = jsonio.load_process(args.process, tree.space, config.rational_mode)
-        verdict = check_supermartingale(tree, process, tol=config.tol)
+        process = jsonio.load_process(args.process, tree.space, rational)
+        verdict = check_supermartingale(tree, process, tol=tol)
         # Process refuses -inf, so the key is always true; the report format keeps it.
         entry = {"is_supermartingale": verdict.is_supermartingale, "is_bounded_below": True}
         _add_worst_violation(entry, verdict, tree.space, rational)
@@ -151,8 +129,7 @@ def cmd_check(args) -> int:
 
     if args.axioms:
         audits = audit_axioms([upper_envelope(model) for model in tree.distinct_models()],
-                              tree.space, trials=args.trials, seed=config.seed,
-                              tol=config.tol)
+                              tree.space, trials=args.trials, seed=args.seed, tol=tol)
         report["axioms"] = [{
             "all_passed": audit.all_passed,
             "alternative_characterisation_consistent": audit.alt_characterisation_consistent,
@@ -160,19 +137,15 @@ def cmd_check(args) -> int:
                          for r in audit.failures()]} for audit in audits]
         ok = ok and all(audit.all_passed for audit in audits)
 
-    _emit(report)
-    return EXIT_OK if ok else EXIT_FAILED_CHECK
+    return report, ok
 
 
-def cmd_certify(args) -> int:
-    config = _config_from_args(args)
-    tree = jsonio.load_tree(args.tree, config.rational_mode)
-    rational = config.rational_mode
+def cmd_certify(args, tree, rational, tol) -> tuple:
     space = tree.space
     root = jsonio.situation_from_text(space, args.situation)
 
     if args.kind == "doob":
-        process = jsonio.load_process(args.subject, space, config.rational_mode)
+        process = jsonio.load_process(args.subject, space, rational)
         transform = doob_transform(tree, process, root, args.a, args.b)
         checks = doob_gain_checks(process, transform)
         check_rows = [{"situation": jsonio.situation_to_text(space, c.situation),
@@ -180,7 +153,7 @@ def cmd_certify(args) -> int:
                        "gain": jsonio.encode_number(c.gain, rational),
                        "passed": c.passed} for c in checks]
     else:
-        variable = jsonio.load_variable_or_sequence(args.subject, space, config.rational_mode)
+        variable = jsonio.load_variable_or_sequence(args.subject, space, rational)
         if not isinstance(variable, FinitaryVariable):
             raise SchemaError("levy-certificate expects a finitary variable file")
         transform = levy_transform(tree, variable, root, args.a, args.b, args.delta)
@@ -191,7 +164,7 @@ def cmd_certify(args) -> int:
                        "threshold": jsonio.encode_number(c.threshold, rational),
                        "passed": c.passed} for c in checks]
 
-    verdict = check_supermartingale(tree, transform.process, tol=config.tol)
+    verdict = check_supermartingale(tree, transform.process, tol=tol)
     all_ok = verdict.is_supermartingale and all(c.passed for c in checks)
     summary = {"is_supermartingale": verdict.is_supermartingale,
                "realized_checks": check_rows,
@@ -206,8 +179,7 @@ def cmd_certify(args) -> int:
     if args.out_cuts:
         with open(args.out_cuts, "w", encoding="utf-8") as handle:
             json.dump(cuts_doc, handle, indent=2)
-    _emit({"process": process_doc, "cuts": cuts_doc, "summary": summary})
-    return EXIT_OK if all_ok else EXIT_FAILED_CHECK
+    return {"process": process_doc, "cuts": cuts_doc, "summary": summary}, all_ok
 
 
 def _add_common(parser):
@@ -215,7 +187,7 @@ def _add_common(parser):
                         help="comparison tolerance (default 1e-9, or 0 in rational mode, "
                              "where it is parsed exactly)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
-    parser.add_argument("--oracle-cap", type=int, default=10**7,
+    parser.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
                         help="refusal cap on brute-force selections")
     parser.add_argument("--rational", action="store_true",
                         help="exact rational arithmetic (same as GTUE_RATIONAL=1)")
@@ -302,7 +274,10 @@ def main(argv=None) -> int:
         # read as a failed verification check.
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        rational, tol = _settings(args)
+        tree = jsonio.load_tree(args.tree, rational)
+        document, ok = args.func(args, tree, rational, tol)
+        _emit(document)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -314,6 +289,7 @@ def main(argv=None) -> int:
         # it meets, e.g. a 400-digit integer times a float mass.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK if ok else EXIT_FAILED_CHECK
 
 
 if __name__ == "__main__":

@@ -13,10 +13,8 @@ and +inf absorbs any sum it enters.  Bounded-below variables with +inf
 entries are thus handled exactly.  The kernel has two bodies with the
 same operations in the same order: a row of many blocks runs column by
 column, and a single block, or a row with +inf in a column some point
-reads, runs the one-block loop.  ``upper_level`` applies it to one
-depth of a tree, whether the depth shares one model or has one per
-node: it is the level kernel of the backward recursion and of the
-supermartingale check.  ``raw_upper`` is the one evaluator of a single
+reads, runs the one-block loop.  ``TreeModel.upper_level`` applies it
+to one depth of a tree.  ``raw_upper`` is the one evaluator of a single
 local variable, a tuple of payloads: it picks a form from the model (ints
 for an exact one, cells lifted once for a float one, else ``upper_row``),
 with ``upper_row``'s value and type.  ``local_upper`` and ``local_lower``
@@ -189,22 +187,6 @@ def _finite_columns(support, row, size):
                     return None
                 columns[i] = column
     return columns
-
-
-def upper_level(level, below: list, first: int) -> list:
-    """Raw local upper expectations at a rank block of one depth, from the raw row below.
-
-    ``level`` is ``TreeModel.level(depth)``: one credal set the whole
-    depth shares, or the depth's models in rank order.  The block starts
-    at rank ``first`` and has one node per ``size`` children in ``below``.
-    """
-    if isinstance(level, CredalSet):
-        return upper_row(level, below)
-    size = level[0].size
-    row = []
-    for j, model in enumerate(level[first:first + len(below) // size]):
-        row += upper_row(model, below[j * size:(j + 1) * size])
-    return row
 
 
 def raw_upper(model: CredalSet, h):

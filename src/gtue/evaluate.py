@@ -10,14 +10,15 @@ certificate_bound and the brute-force oracle.
 
 Levels use the tables' rank layout throughout.  A TreeModel holds, per
 depth, either one credal set the whole level shares (stationary and
-by_depth trees) or a tuple of them in rank order (table trees).  The
-value at s depends only on s's subtree, which is one contiguous rank
-block per depth (``tree.subtree_block``), so backward_levels walks that
-block only: the whole levels at the root, nothing above s.  It runs on
-raw payloads: it slices the variable's table, which already holds them,
-applies ``credal.upper_level`` to whole rows (one model per level, or a
-slice of the level's tuple), and returns raw level tables; the values
-that leave through the public API are raw payloads too.
+by_depth trees) or a tuple of them in rank order (table trees), and it
+alone reads that layout: ``upper_level``, ``models_at`` and
+``local_model_at`` serve every caller.  The value at s depends only on
+s's subtree, which is one contiguous rank block per depth
+(``tree.subtree_block``), so backward_levels walks that block only: the
+whole levels at the root, nothing above s.  It runs on raw payloads: it
+slices the variable's table, which already holds them, applies
+``TreeModel.upper_level`` to whole rows, and returns raw level tables;
+the values that leave through the public API are raw payloads too.
 
 Limits of declared-monotone sequences come from the paper's continuity
 theorems, and every sequence carries its limit: the clamp ladder
@@ -32,7 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .credal import CredalSet, StateSpace, upper_level
+from .credal import CredalSet, StateSpace, upper_row
 from .errors import (
     DepthExceeded,
     DominanceFailed,
@@ -110,11 +111,31 @@ class TreeModel:
 
     def level(self, depth: int) -> CredalSet | tuple[CredalSet, ...]:
         """The credal set a whole depth shares, or the depth's models in rank order."""
-        if isinstance(self._levels, CredalSet):
-            return self._levels
         if depth >= self.max_depth:
             raise DepthExceeded(f"no local model at depth {depth}")
+        if isinstance(self._levels, CredalSet):
+            return self._levels
         return self._levels[depth]
+
+    def upper_level(self, depth: int, below: list, first: int = 0) -> list:
+        """Raw local upper expectations at the rank block of ``depth`` that starts at
+        ``first``: one per ``space.size`` children in the raw row ``below``."""
+        level = self.level(depth)
+        if isinstance(level, CredalSet):
+            return upper_row(level, below)
+        size = self.space.size
+        row = []
+        for j, model in enumerate(level[first:first + len(below) // size]):
+            row += upper_row(model, below[j * size:(j + 1) * size])
+        return row
+
+    def models_at(self, depth: int, block: range):
+        """(model, node count) pairs over a rank block of one depth: one pair when
+        the depth shares its model, else one pair per node in rank order."""
+        level = self.level(depth)
+        if isinstance(level, CredalSet):
+            return ((level, len(block)),)
+        return ((model, 1) for model in level[block.start:block.stop])
 
     def local_model_at(self, s: Situation) -> CredalSet:
         s = tuple(s)
@@ -189,7 +210,7 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
         raise NotBoundedBelow("the upper expectation needs a bounded-below variable")
     for depth in range(f.depth - 1, len(s) - 1, -1):
         first = subtree_block(s, depth, f.arity).start
-        levels[depth] = upper_level(tree.level(depth), levels[depth + 1], first)
+        levels[depth] = tree.upper_level(depth, levels[depth + 1], first)
     return levels
 
 

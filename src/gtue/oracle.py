@@ -24,7 +24,7 @@ oracle exists to check.  The sums run on raw payloads through
 from __future__ import annotations
 
 from .errors import CapExceeded, NotBoundedBelow
-from .credal import CredalSet
+from .evaluate import _check_variable
 from .tree import FinitaryVariable, ROOT, Situation, rank, subtree_block
 from .xreal import NEG_INF, raw_add, raw_scale
 
@@ -43,6 +43,7 @@ def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
 
     Only the values on s's subtree must be bounded below.
     """
+    _check_variable(tree, f)
     s = tuple(s)
     if any(v is NEG_INF for v in f.on_subtree(s)):
         raise NotBoundedBelow("the oracle needs a bounded-below variable")
@@ -59,18 +60,12 @@ def _count(tree, n: int, s: Situation, cap) -> int:
     subtree_block(s, len(s), arity)  # refuses a situation off the tree
     total = 1
     for depth in range(len(s), min(n, tree.max_depth)):
-        block = subtree_block(s, depth, arity)
-        level = tree.level(depth)
-        if isinstance(level, CredalSet):
-            nodes = len(block) if cap is None else min(len(block), cap.bit_length() + 1)
-            total *= len(level.extreme_points) ** nodes
-        else:
-            for model in level[block.start:block.stop]:
-                total *= len(model.extreme_points)
-                if cap is not None and total > cap:
-                    break
-        if cap is not None and total > cap:
-            return total
+        for model, nodes in tree.models_at(depth, subtree_block(s, depth, arity)):
+            if cap is not None:
+                nodes = min(nodes, cap.bit_length() + 1)
+            total *= len(model.extreme_points) ** nodes
+            if cap is not None and total > cap:
+                return total
     return total
 
 

@@ -11,7 +11,7 @@ path-limit queries; at a finite horizon a liminf is undecidable
 otherwise, and the engine refuses rather than approximates.
 
 check_supermartingale runs by rows: per depth it applies the backward
-recursion's level kernel (``credal.upper_level``) to the level below and
+recursion's level kernel (``TreeModel.upper_level``) to the level below and
 compares each result with the process value above, so a supermartingale
 is checked through the same local upper expectation the recursion
 applies.  ``truncate``, ``shift`` and ``mix`` use the ``raw_*`` forms.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .credal import upper_level
 from .errors import (
     HorizonMismatch,
     NegativeWeight,
@@ -122,7 +121,7 @@ def check_supermartingale(tree, M: Process, tol=0) -> SupermartingaleVerdict:
     tol = payload(tol)
     worst = None  # (depth, rank, raw gap); strict > keeps the first of equal gaps
     for depth in range(M.horizon):
-        uppers = upper_level(tree.level(depth), M.levels[depth + 1], 0)
+        uppers = tree.upper_level(depth, M.levels[depth + 1])
         for i, (q, m) in enumerate(zip(uppers, M.levels[depth])):
             if not raw_le_within(q, m, tol):
                 gap = raw_add(q, raw_neg(m))
@@ -189,7 +188,9 @@ def path_liminf(M: Process, prefix: Situation):
     """
     if M.terminal_cut is None:
         raise NotTerminal("path limits are only defined for terminal processes")
-    member = M.terminal_cut.member_before(tuple(prefix))
+    prefix = tuple(prefix)
+    subtree_block(prefix, len(prefix), M.arity)  # refuses a state off the tree
+    member = M.terminal_cut.member_before(prefix)
     if member is None:
         raise ValueError(f"prefix {prefix} does not reach the terminal cut")
     return M.value_at(member)
@@ -200,6 +201,7 @@ def min_tail(M: Process, s: Situation):
     if M.terminal_cut is None:
         raise NotTerminal("tail values need a terminal process")
     s = tuple(s)
+    subtree_block(s, len(s), M.arity)  # refuses a state off the tree
     member = M.terminal_cut.member_before(s)
     if member is not None:
         return M.value_at(member)

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from .credal import CredalSet, StateSpace, upper_level
+from .credal import CredalSet, StateSpace
 from .evaluate import TreeModel
 from .process import Process
 from .tree import FinitaryVariable, level_cut, unrank
@@ -94,7 +94,7 @@ def random_supermartingale(tree: TreeModel, rng: random.Random, horizon: int,
     levels[horizon] = [draw(leaf_high) for _ in range(size**horizon)]
     for depth in range(horizon - 1, -1, -1):
         levels[depth] = [q + draw(slack_high)
-                         for q in upper_level(tree.level(depth), levels[depth + 1], 0)]
+                         for q in tree.upper_level(depth, levels[depth + 1])]
     cut = level_cut(size, horizon) if terminal else None
     return Process(size, horizon, tuple(levels), cut)
 

@@ -365,7 +365,7 @@ class TestCheckCommand:
 
     def test_rational_tol_is_parsed_exactly(self):
         def tol(*argv):
-            return cli._config_from_args(cli.build_parser().parse_args(argv)).tol
+            return cli._settings(cli.build_parser().parse_args(argv))[1]
 
         assert tol("check", "t.json", "--rational", "--tol", "1e-9") == F(1, 10**9)
         assert tol("check", "t.json", "--tol", "1e-9") == 1e-9

@@ -546,9 +546,24 @@ class TestTreeLayout:
             tree.local_model_at((0, 0))
         assert TreeModel.by_depth(space2, [b, a, c], 2).distinct_models() == (b, a)
 
+    def test_models_at_pairs_each_model_with_its_node_count(self, space2, model_a):
+        b = CredalSet([(1, 0)])
+        shared = TreeModel.by_depth(space2, [b, model_a], 2)
+        assert list(shared.models_at(1, range(0, 2))) == [(model_a, 2)]
+        table = TreeModel.table(space2, {(): b, (0,): model_a, (1,): b}, 2)
+        assert list(table.models_at(1, range(1, 2))) == [(b, 1)]
+        assert list(table.models_at(1, range(0, 2))) == [(model_a, 1), (b, 1)]
+
     def test_stationary_depth_is_not_materialised(self, space2, model_a):
         tree = TreeModel.stationary(space2, model_a, 10**12)
         assert tree.local_model_at((1,) * 50) == model_a
+        # Still bounded by max_depth, as the other kinds are.
+        for shallow in (TreeModel.stationary(space2, model_a, 2),
+                        TreeModel.by_depth(space2, [model_a] * 2, 2)):
+            with pytest.raises(DepthExceeded):
+                shallow.local_model_at((0, 0))
+            with pytest.raises(DepthExceeded):
+                shallow.upper_level(2, [0] * 8)
         assert tree.map_masses(float).distinct_models() == \
             (CredalSet([(0.7, 0.3), (0.3, 0.7)]),)
 

@@ -14,7 +14,7 @@ from gtue import (
     indicator,
     selection_count,
 )
-from gtue.errors import CapExceeded
+from gtue.errors import CapExceeded, DepthExceeded, SpaceMismatch
 from gtue.testing import random_finitary, random_tree
 from gtue.tree import situations_at
 from tests.conftest import seeded
@@ -93,7 +93,7 @@ class TestBruteForce:
         """At depth 40 the exact count 3**(2**40 - 1) would take about 2 * 10**12 bits."""
 
         class DeepVariable:  # a real depth-40 table would hold 2**40 cells
-            depth = 40
+            arity, depth = 2, 40
 
             def on_subtree(self, s):
                 return ()
@@ -109,6 +109,19 @@ class TestBruteForce:
         tree = TreeModel.table(space2, {(): single, (0,): model_a, (1,): model_a}, 2)
         with pytest.raises(CapExceeded, match="at least 2 selections exceed the cap 1"):
             brute_force_upper(tree, indicator(2, 2, [(1, 1)]), cap=1)
+
+    def test_refuses_a_variable_the_tree_does_not_cover(self, space2, model_a):
+        """Another arity or a depth past max_depth is refused as eval_finitary refuses it,
+        on a stationary tree too, whose one model would fit any depth and any arity."""
+        ternary = FinitaryVariable(3, 1, [1, 2, 3])
+        deep = FinitaryVariable(2, 3, list(range(8)))
+        for tree, f, error in ((TreeModel.stationary(space2, model_a, 1), ternary, SpaceMismatch),
+                               (TreeModel.stationary(space2, model_a, 2), deep, DepthExceeded),
+                               (TreeModel.by_depth(space2, [model_a] * 2, 2), deep, DepthExceeded)):
+            with pytest.raises(error):
+                eval_finitary(tree, f)
+            with pytest.raises(error):
+                brute_force_upper(tree, f)
 
     def test_zero_probability_infinity(self, tree_b):
         f = constant(2, 0, 1).combine(indicator(2, 1, [(1,)]),

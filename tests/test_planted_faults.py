@@ -50,3 +50,15 @@ def test_a_functional_blind_to_infinity_fails_e6_and_divergent_e10():
     assert results["E7"].passed and results["E8"].passed
     assert results["E10"].counterexample == \
         "h=(inf, 6.45, 6.44): clamp sequence diverges but F(h)=6.45"
+
+
+def test_a_functional_that_falls_along_the_clamp_ladder_fails_e10():
+    """h -> sup h below 2, else 0: the clamps min(h, 1) and min(h, 2) of a variable with a
+    +inf cell read 1, then 0."""
+
+    def drop_at_two(h):
+        return max(h) if max(h) < 2 else 0
+
+    [report] = audit_axioms([drop_at_two], StateSpace(("0", "1")), trials=20, seed=0)
+    assert report.results["E10"].counterexample == \
+        "h=(inf, 6.48): clamped values decreased (1 -> 0)"

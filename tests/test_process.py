@@ -249,6 +249,16 @@ class TestPathLiminf:
         with pytest.raises(ValueError, match="leaves the tree"):
             certificate_bound(tree, bound, constant(2, 5), s)
 
+    @pytest.mark.parametrize("s", [(0, 3), (0, -1, 9), (0, 5), (2,)])
+    def test_path_queries_refuse_a_state_off_the_tree(self, s):
+        """(0, 3) and (0, -1, 9) follow the member (0,) by their first state, but no
+        situation has them, so no value is right."""
+        M = from_values(2, 2, lambda s: 4 if s[:1] == (0,) else sum(s) + len(s),
+                        Cut(frozenset({(0,), (1, 0), (1, 1)})))
+        for query in (path_liminf, min_tail):
+            with pytest.raises(ValueError, match="leaves the tree: states run from 0 to 1"):
+                query(M, s)
+
     def test_min_liminf_switch_exact(self):
         rng = seeded(31)
         for _ in range(50):

@@ -41,10 +41,13 @@ def test_bench_pairs_compares_a_checkout_with_itself():
 
 
 def test_line_coverage_counts_one_test_file():
-    result = subprocess.run(
-        [sys.executable, os.path.join("scripts", "line_coverage.py"),
-         os.path.join("tests", "test_xreal.py"), "-q", "-p", "no:cacheprovider"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    def run():
+        return subprocess.run(
+            [sys.executable, os.path.join("scripts", "line_coverage.py"),
+             os.path.join("tests", "test_xreal.py"), "-q", "-p", "no:cacheprovider"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+    result = run()
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     package = os.path.join(ROOT, "src", "gtue")
@@ -63,3 +66,5 @@ def test_line_coverage_counts_one_test_file():
     xreal, audit = os.path.join("src", "gtue", "xreal.py"), os.path.join("src", "gtue", "audit.py")
     assert 0 < unreached[xreal] < totals[xreal]
     assert unreached[audit] == totals[audit]
+    # Hypothesis draws the same examples each run, so the count repeats.
+    assert run().stdout.splitlines()[-1] == lines[-1]
