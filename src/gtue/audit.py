@@ -8,9 +8,10 @@ functionals of one audit share one probe stream: each probe is drawn
 and built once and checked against all of them.
 
 A functional maps a tuple of raw payloads (``xreal.payload``'s forms),
-one per state, to a number, normalised with ``payload``.
-Probes hold int, Fraction and +inf cells, so exact functionals are
-audited exactly.
+one per state, to a number, normalised with ``payload``.  Probes hold
+int, Fraction and +inf cells, so exact functionals are audited exactly.
+Each draw is the int numerator k of a cell k/100, or +inf: the harness
+sums, orders and clamps these ints, and builds each cell's Fraction once.
 
 Covered properties, named as in the report:
 
@@ -110,8 +111,29 @@ def audit_axioms(functionals, space: StateSpace, trials: int = 500,
     return [report for _, report in members]
 
 
+class _Cells(dict):
+    """Numerator k -> the cell Fraction(k, 100), built once; +inf maps to itself.
+    Probe numerators satisfy |k| <= 4000 (four summed terms): at most 8,001 cells."""
+
+    def __missing__(self, k):
+        self[k] = cell = Fraction(k, 100)
+        return cell
+
+
+_cell = _Cells({POS_INF: POS_INF}).__getitem__
+
+
+def _cells(ks) -> tuple:
+    """The payloads a functional receives for the numerators ``ks``."""
+    return tuple(map(_cell, ks))
+
+
+def _sum(a, b) -> tuple:
+    return tuple(POS_INF if x is POS_INF or y is POS_INF else x + y for x, y in zip(a, b))
+
+
 def _rand_finite(rng):
-    return Fraction(rng.randint(GAMBLE_LOW * 100, GAMBLE_HIGH * 100), 100)
+    return rng.randint(GAMBLE_LOW * 100, GAMBLE_HIGH * 100)
 
 
 def _gamble(rng, n) -> tuple:
@@ -124,15 +146,17 @@ def _bounded_below(rng, n) -> tuple:
 
 
 def _nonnegative(rng, n) -> tuple:
-    return tuple(v if v is POS_INF else abs(v) for v in _bounded_below(rng, n))
+    return tuple(k if k is POS_INF else abs(k) for k in _bounded_below(rng, n))
 
 
 def _fmt(h: tuple) -> str:
     return "(" + ", ".join(map(to_text, h)) + ")"
 
 
-def _clamp(h: tuple, level) -> tuple:
-    return tuple(v if v < level else level for v in h)
+def _clamp(ks: tuple, level) -> tuple:
+    """min(h, level) on the numerators ``ks`` of h: a cell below ``level``, else ``level``."""
+    cut = 100 * level
+    return tuple(_cell(k) if k is not POS_INF and k < cut else level for k in ks)
 
 
 def _probe_once(rng, members, n, tol) -> list:
@@ -142,24 +166,27 @@ def _probe_once(rng, members, n, tol) -> list:
     its first failure, so when others go on it forks onto a copy of the
     stream there, and every member draws what it would draw alone.
     """
-    c = _rand_finite(rng)
+    c = _cell(_rand_finite(rng))
     f, g = _bounded_below(rng, n), _bounded_below(rng, n)
-    h = _nonnegative(rng, n)
+    h = _cells(_nonnegative(rng, n))
     base = _bounded_below(rng, n)
-    upper = tuple(map(raw_add, base, _nonnegative(rng, n)))
+    upper = _cells(_sum(base, _nonnegative(rng, n)))
     probe = _bounded_below(rng, n)
     mu = POS_INF if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
-    lam7 = abs(_rand_finite(rng)) if rng.random() < 0.8 else 0
+    lam7 = _cell(abs(_rand_finite(rng))) if rng.random() < 0.8 else 0
     gf, gg = _gamble(rng, n), _gamble(rng, n)
-    target = _gamble(rng, n)
+    target = _cells(_gamble(rng, n))
 
-    f_plus_g = tuple(map(raw_add, f, g))
+    # Sums, negations and bounds on the numerators; the products leave the 1/100 grid.
+    f_plus_g, f, g, base = _cells(_sum(f, g)), _cells(f), _cells(g), _cells(base)
     scaled_h = [(lam, tuple(raw_scale(lam, v) for v in h))
                 for lam in (0, Fraction(1, 2), 2, POS_INF)]
-    shifted = tuple(raw_add(v, mu) for v in probe)
+    shifted = _cells(_sum(probe, (mu,) * n))
+    low, high, mu, probe = _cell(min(probe)), _cell(max(probe)), _cell(mu), _cells(probe)
     scaled7 = tuple(raw_scale(lam7, v) for v in probe)
-    total = tuple(map(raw_add, gf, gg))
-    neg_total, neg_gg = tuple(map(raw_neg, total)), tuple(map(raw_neg, gg))
+    total = _sum(gf, gg)
+    neg_total, neg_gg = _cells(-k for k in total), _cells(-k for k in gg)
+    total, gf, gg = _cells(total), _cells(gf), _cells(gg)
     live = []
     for F, report in members:
         res = report.results
@@ -180,16 +207,16 @@ def _probe_once(rng, members, n, tol) -> list:
                                f"F(lambda f)={to_text(got)} != {to_text(expected)}")
                 break
 
-        low, high = F(base), F(upper)
-        if not raw_le_within(low, high, tol):
+        value_base, value_upper = F(base), F(upper)
+        if not raw_le_within(value_base, value_upper, tol):
             res["E4"].fail(f"f={_fmt(base)} <= g={_fmt(upper)} but "
-                           f"F(f)={to_text(low)} > F(g)={to_text(high)}")
+                           f"F(f)={to_text(value_base)} > F(g)={to_text(value_upper)}")
 
         value = F(probe)
-        if value is NEG_INF or not raw_le_within(min(probe), value, tol) \
-                or not raw_le_within(value, max(probe), tol):
+        if value is NEG_INF or not raw_le_within(low, value, tol) \
+                or not raw_le_within(value, high, tol):
             res["E5"].fail(f"f={_fmt(probe)}: F(f)={to_text(value)} outside "
-                           f"[{to_text(min(probe))}, {to_text(max(probe))}]")
+                           f"[{to_text(low)}, {to_text(high)}]")
 
         got = F(shifted)
         if not raw_close_within(got, raw_add(value, mu), tol):
@@ -233,19 +260,21 @@ def _probe_once(rng, members, n, tol) -> list:
 
     for stream, group in groups:
         h = _bounded_below(stream, n)
-        if all(v is not POS_INF for v in h):
+        if all(k is not POS_INF for k in h):
             h = (POS_INF,) + h[1:]
         cg, cf, cgg = [_gamble(stream, n) for _ in range(3)]
-        cf_plus_cgg = tuple(map(raw_add, cf, cgg))
+        cg_high, cf_plus_cgg = _cell(max(cg)), _cells(_sum(cf, cgg))
+        cg, cf, cgg = _cells(cg), _cells(cf), _cells(cgg)
         lam_c = Fraction(stream.randint(1, 400), 100)
         scaled_cf = tuple(raw_scale(lam_c, v) for v in cf)
         terms = [_nonnegative(stream, n) for _ in range(4)]
-        partials = list(itertools.accumulate(terms, lambda a, b: tuple(map(raw_add, a, b))))
+        partials = list(map(_cells, itertools.accumulate(terms, _sum)))
+        terms = list(map(_cells, terms))
         for F, report in group:
             res = report.results
             _probe_e10(F, h, tol, report)
             value = F(cg)
-            if not raw_le_within(value, max(cg), tol):
+            if not raw_le_within(value, cg_high, tol):
                 res["C1"].fail(f"f={_fmt(cg)}: F(f)={to_text(value)} > sup f")
             value_cf = F(cf)
             if not raw_le_within(F(cf_plus_cgg), raw_add(value_cf, F(cgg)), tol):
@@ -266,36 +295,37 @@ def _probe_once(rng, members, n, tol) -> list:
     return groups
 
 
-def _probe_e10(F, h, tol, report: AuditReport):
-    """Both branches of non-decreasing continuity on ``h`` (with a +inf cell)."""
+def _probe_e10(F, ks, tol, report: AuditReport):
+    """Both branches of non-decreasing continuity on the numerators ``ks`` (with a +inf cell)."""
     res = report.results["E10"]
+    h = _cells(ks)
     limit_value = F(h)
-    finite_top = max((v for v in h if v is not POS_INF), default=0)
-    charge = F(tuple(1 if v is POS_INF else 0 for v in h))
+    finite_top = max((k for k in ks if k is not POS_INF), default=0)
+    charge = F(tuple(1 if k is POS_INF else 0 for k in ks))
     divergent = not raw_le_within(charge, 0, tol)
 
     # Geometric clamp ladder up to top, the first level strictly above every finite
     # entry, and two levels past it when the +inf cells carry a charge.
     top = 1
-    while finite_top >= top:
+    while finite_top >= 100 * top:
         top *= 2
     level = 1
-    previous = F(_clamp(h, level))
+    previous = F(_clamp(ks, level))
     while level < (4 * top if divergent else top):
         if level == top:
             report.e10_branches["divergent"] += 1
             # Above top, min(h, L) = f + g for the gambles f = (L - top) 1{h = +inf} and
             # g = min(h, top), so E8 gives F(min(h, L)) >= F(f) - F(-g).
-            g = _clamp(h, top)
+            g = _clamp(ks, top)
             floor = raw_neg(F(tuple(map(raw_neg, g))))  # the conjugate -F(-g)
         level *= 2
-        clamped = F(_clamp(h, level))
+        clamped = F(_clamp(ks, level))
         if not raw_le_within(previous, clamped, tol):
             res.fail(f"h={_fmt(h)}: clamped values decreased "
                      f"({to_text(previous)} -> {to_text(clamped)})")
             return
         if level > top:
-            f = tuple(level - top if v is POS_INF else 0 for v in h)
+            f = tuple(level - top if k is POS_INF else 0 for k in ks)
             bound = raw_add(F(f), floor)
             if not raw_le_within(bound, clamped, tol):
                 report.results["E8"].fail(f"f={_fmt(f)}, g={_fmt(g)}: F(f)-F(-g)="

@@ -15,9 +15,10 @@ same operations in the same order: a row of many blocks runs column by
 column, and a single block, or a row with +inf in a column some point
 reads, runs the one-block loop.  ``TreeModel.upper_level`` applies it
 to one depth of a tree.  ``raw_upper`` is the one evaluator of a single
-local variable, a tuple of payloads: it picks a form from the model (ints
-for an exact one, cells lifted once for a float one, else ``upper_row``),
-with ``upper_row``'s value and type.  ``local_upper`` and ``local_lower``
+local variable, a tuple of payloads: one loop over the model's points
+serves an exact model (ints over one denominator) and a float one (cells
+lifted to float once); any other model or cell goes to ``upper_row``.  It
+has ``upper_row``'s value and type.  ``local_upper`` and ``local_lower``
 are its front ends on any sequence of numbers ``payload`` reads.
 
 Redundant (non-extreme) points are permitted: evaluation is a maximum,
@@ -199,7 +200,8 @@ def raw_upper(model: CredalSet, h):
     masses and one for the cells; a +inf ends a sum, strict ``>`` keeps the
     first maximiser, and the winner is an int when its masses and cells are.
     Float model: Python multiplies a float mass by ``float(v)`` anyway, so
-    the supported cells are lifted once, unless one is too large for a float.
+    the supported cells are lifted once, unless one is too large for a float,
+    and the same loop does the one-block operations of ``upper_row`` on them.
     """
     if len(h) != model.size:
         raise ValueError("variable length does not match the credal set")
@@ -207,45 +209,49 @@ def raw_upper(model: CredalSet, h):
         if isinstance(v, float) and v == _NEG:
             raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
     cells, scale, points = model._forms or _build_forms(model)
-    if points is not None:
+    if points is None:
+        return upper_row(model, h)[0]
+    row = list(h)
+    if scale is not None:
         finite = [i for i in cells if h[i] is not _INF]
-        if all(type(h[i]) is Fraction or isinstance(h[i], int) for i in finite):
-            den = math.lcm(*(h[i].denominator for i in finite))
-            row = list(h)
-            for i in finite:
-                row[i] = h[i].numerator * (den // h[i].denominator)
-            best = None
-            for int_masses, point in points:
-                total = 0
-                for i, mass in point:
-                    if row[i] is _INF:
-                        total = _INF
-                        break
-                    total += mass * row[i]
-                if best is None or total > best:
-                    best, winner, int_winner = total, point, int_masses
-            if best is _INF:
-                return best
-            if int_winner and all(isinstance(h[i], int) for i, _ in winner):
-                return best // (scale * den)
-            return Fraction(best, scale * den)
-    elif cells:
-        row = list(h)
+        if not all(type(h[i]) is Fraction or isinstance(h[i], int) for i in finite):
+            return upper_row(model, h)[0]
+        den = math.lcm(*(h[i].denominator for i in finite))
+        for i in finite:
+            row[i] = h[i].numerator * (den // h[i].denominator)
+    else:
         try:
             for i in cells:
-                if not isinstance(row[i], float):
-                    row[i] = float(row[i])
-            h = row
+                v = row[i]
+                if type(v) is Fraction:  # the int true division Fraction's float() runs
+                    row[i] = v.numerator / v.denominator
+                elif not isinstance(v, float):
+                    row[i] = float(v)
         except OverflowError:
-            pass
-    return upper_row(model, h)[0]
+            return upper_row(model, h)[0]
+    best = None
+    for int_masses, point in points:
+        total = 0
+        for i, mass in point:
+            if row[i] is _INF:
+                total = _INF
+                break
+            total += mass * row[i]
+        if best is None or total > best:
+            best, winner, int_winner = total, point, int_masses
+    if scale is None or best is _INF:
+        return best
+    if int_winner and all(isinstance(h[i], int) for i, _ in winner):
+        return best // (scale * den)
+    return Fraction(best, scale * den)
 
 
 def _build_forms(model: CredalSet) -> tuple:
     """``raw_upper``'s (supported cells, scale, points) for a model, kept in ``_forms``.
 
-    An exact model gets its mass denominator and its points as (all masses int,
-    int-scaled (index, mass) pairs); a model neither exact nor float gets no cells.
+    Points are (all masses int, (index, mass) pairs).  An exact model gets its mass
+    denominator and int-scaled pairs; a float model no scale and its support's
+    pairs; a model neither exact nor float no points.
     """
     support = model.support
     masses = [mass for point in support for _, mass in point]
@@ -256,8 +262,8 @@ def _build_forms(model: CredalSet) -> tuple:
         points = [(all(isinstance(mass, int) for _, mass in point),
                    tuple((i, mass.numerator * (scale // mass.denominator)) for i, mass in point))
                   for point in support]
-    elif not all(type(mass) is float for mass in masses):
-        cells = ()
+    elif all(type(mass) is float for mass in masses):
+        points = [(False, point) for point in support]
     model._forms = cells, scale, points
     return model._forms
 

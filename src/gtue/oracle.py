@@ -59,7 +59,7 @@ def _count(tree, n: int, s: Situation, cap) -> int:
     arity = tree.space.size
     subtree_block(s, len(s), arity)  # refuses a situation off the tree
     total = 1
-    for depth in range(len(s), min(n, tree.max_depth)):
+    for depth in range(len(s), n):  # TreeModel.level refuses a depth past max_depth
         for model, nodes in tree.models_at(depth, subtree_block(s, depth, arity)):
             if cap is not None:
                 nodes = min(nodes, cap.bit_length() + 1)

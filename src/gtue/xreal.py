@@ -108,6 +108,8 @@ def raw_scale(lam, a):
 
 def raw_le_within(a, b, tol) -> bool:
     """True iff a <= b + tol (order-based, safe at infinities)."""
+    if not tol and type(tol) is not float:  # b + 0 is b; a float 0.0 would make an exact b inexact
+        return not (a > b)
     return not (a > raw_add(b, tol))
 
 

@@ -1,11 +1,13 @@
 import math
+import random
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtue import CredalSet, StateSpace
+from gtue import CredalSet, FinitaryVariable, StateSpace, eval_finitary
 from gtue.audit import (
     audit_axioms,
     broken_point_spread_bonus,
@@ -15,6 +17,7 @@ from gtue.audit import (
 )
 from gtue.credal import raw_upper, upper_row
 from gtue.errors import NotBoundedBelow
+from gtue.testing import random_tree
 from gtue.xreal import raw_add, raw_scale
 
 
@@ -249,6 +252,30 @@ def test_raw_upper_matches_the_one_block_loop_bit_for_bit(model, data):
     assert _outcome(partial(raw_upper, model), h) == _outcome(_loop(model), h)
 
 
+@st.composite
+def _float_credal_sets(draw):
+    """Credal sets whose every mass is a float, zero masses included."""
+    arity = draw(st.integers(2, 4))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(st.integers(0, 5), min_size=arity, max_size=arity)
+                       .filter(any))
+        points.append(tuple(w / sum(weights) for w in weights))
+    return CredalSet(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_float_credal_sets(), data=st.data())
+def test_a_float_model_runs_one_loop_with_the_bits_of_upper_row(model, data):
+    h = data.draw(st.tuples(*[_PROBE_CELLS] * model.size))
+    want = _outcome(_loop(model), h)
+    with mock.patch("gtue.credal.upper_row", wraps=upper_row) as fallback:
+        assert _outcome(partial(raw_upper, model), h) == want
+    # upper_row runs only for a supported cell too large for a float.
+    supported = {i for point in model.support for i, _ in point}
+    assert fallback.called == any(h[i] == 10**400 for i in supported)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 9001])
 def test_float_model_audits_match_raw_upper(seed):
     space = StateSpace(("0", "1", "2"))
@@ -301,3 +328,27 @@ def test_point_spread_bonus_report_is_pinned():
                           "|F(f)-F(f_n)| exceeded the uniform distance"),
             "C1": (False, "f=(7.76, -3.18, -5.01): F(f)=9.037 > sup f")},
         {"finite": 0, "divergent": 30})
+
+
+def test_the_global_operator_passes_every_axiom_exactly():
+    # By the paper's results the global upper expectation satisfies E1-E10, so
+    # h -> eval_finitary(tree, h) on the arity^n states of X^n passes every audit.
+    rng = random.Random(13)
+    trees = [random_tree(rng, 2, 2, kind="stationary"),
+             random_tree(rng, 2, 3, kind="by_depth"),
+             random_tree(rng, 3, 2, kind="table"),
+             random_tree(rng, 3, 2, kind="by_depth"),
+             # Zero mass on one state at every point and depth: +inf cells behind it
+             # have zero upper probability, so E10's finite branch runs.
+             random_tree(rng, 3, 2, kind="stationary", zero_state=0),
+             random_tree(rng, 2, 2, kind="table", zero_state=1)]
+    branches = {"finite": 0, "divergent": 0}
+    for tree in trees:
+        arity, n = tree.space.size, tree.max_depth
+        space = StateSpace(tuple(map(str, range(arity**n))))
+        [report] = audit_axioms([lambda h: eval_finitary(tree, FinitaryVariable(arity, n, h))],
+                                space, trials=40, seed=5, tol=0)
+        assert report.all_passed, [r.counterexample for r in report.failures()]
+        for branch, count in report.e10_branches.items():
+            branches[branch] += count
+    assert branches["finite"] > 0 and branches["divergent"] > 0, branches

@@ -36,6 +36,16 @@ class TestSelectionCount:
     def test_depth_zero(self, tree_a):
         assert selection_count(tree_a, 0) == 1
 
+    @pytest.mark.parametrize("s", [(), (1,)])
+    def test_refuses_depths_past_the_tree(self, space2, model_a, s):
+        # As eval_finitary does: a depth-2 tree has no models for depth-3 variables.
+        tree = TreeModel.stationary(space2, model_a, 2)
+        for n in (3, 5):
+            with pytest.raises(DepthExceeded):
+                selection_count(tree, n, s)
+            with pytest.raises(DepthExceeded):
+                eval_finitary(tree, FinitaryVariable(2, n, (0,) * 2**n), s)
+
     def test_table_models_multiply_per_node(self, space2, model_a):
         single = CredalSet([(F(1, 2), F(1, 2))])
         tree = TreeModel.table(space2, {(): model_a, (0,): single, (1,): model_a}, 2)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -38,6 +39,33 @@ def test_bench_pairs_compares_a_checkout_with_itself():
     assert all(" parent " in row and " change " in row and "/1 " in row
                for row in rows.values())
     assert sum(line.startswith("pair 0 ") for line in result.stdout.splitlines()) == 2
+
+
+def test_ab_ops_compares_a_checkout_with_itself():
+    result = subprocess.run(
+        [sys.executable, os.path.join("scripts", "ab_ops.py"), ROOT, ROOT,
+         "--workload", "small-mixed", "--tiny", "--rounds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    rows = {line.split()[0]: line for line in result.stdout.splitlines()
+            if line.startswith("  ")}
+    assert sorted(rows) == ["axioms", "clamp", "oracle", "pass"]
+    assert all(" parent " in row and " change " in row for row in rows.values())
+    assert result.stdout.splitlines()[-1].startswith("per-round ratio parent/change: median ")
+
+
+def test_ab_ops_refuses_to_time_a_changed_report(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "gtue" / "cli.py"
+    cli.write_text(cli.read_text().replace("json.dumps(document, indent=2)",
+                                           "json.dumps(document)"))
+    result = subprocess.run(
+        [sys.executable, os.path.join("scripts", "ab_ops.py"), ROOT, str(tmp_path),
+         "--workload", "small-mixed", "--tiny", "--rounds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1
+    assert "ops differ, not timing" in result.stderr and not result.stdout
 
 
 def test_line_coverage_counts_one_test_file():

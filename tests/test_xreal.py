@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -170,3 +171,24 @@ def test_public_forms_mirror_the_raw_forms(a, b, tol):
     assert _outcome(scale, a, b) == _outcome(raw_scale, x, y)
     assert le_within(a, b, tol) == raw_le_within(x, y, tol)
     assert close_within(a, b, tol) == raw_close_within(x, y, tol)
+
+
+def test_an_exact_zero_tolerance_compares_exactly():
+    third = Fraction(1, 3)
+    assert raw_le_within(third, third, 0)
+    assert raw_le_within(third, third, Fraction(0))
+    # A float 0.0 keeps the add, which turns the exact 1/3 into the float below it.
+    assert not raw_le_within(third, third, 0.0)
+    assert raw_le_within(third, third + Fraction(1, 10**20), 0)
+    assert not raw_le_within(third + Fraction(1, 10**20), third, Fraction(0))
+
+
+@given(a=payloads, b=payloads, zero=st.sampled_from((0, Fraction(0), 0.0, -0.0)))
+def test_a_zero_tolerance_agrees_with_the_add_path(a, b, zero):
+    expected = not a > raw_add(b, zero)
+    if isinstance(zero, float):
+        assert raw_le_within(a, b, zero) == expected
+    else:
+        # An int or Fraction zero compares a > b with no add: b + 0 is b.
+        with mock.patch("gtue.xreal.raw_add", side_effect=AssertionError("added")):
+            assert raw_le_within(a, b, zero) == expected
