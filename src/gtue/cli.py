@@ -186,9 +186,6 @@ def _add_common(parser):
     parser.add_argument("--tol", default=None,
                         help="comparison tolerance (default 1e-9, or 0 in rational mode, "
                              "where it is parsed exactly)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
-    parser.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
-                        help="refusal cap on brute-force selections")
     parser.add_argument("--rational", action="store_true",
                         help="exact rational arithmetic (same as GTUE_RATIONAL=1)")
 
@@ -207,6 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--lower", action="store_true", help="conjugate lower expectation")
     p_eval.add_argument("--oracle", action="store_true",
                         help="cross-check against the brute-force oracle")
+    p_eval.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
+                        help="refusal cap on brute-force selections")
     _add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -217,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="audit the tree's local models")
     p_check.add_argument("--trials", type=int, default=200,
                          help="audit trials per local model")
+    p_check.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 

@@ -137,7 +137,9 @@ def upper_row(model: CredalSet, row) -> list:
     A row of several blocks runs column by column when no supported column
     holds +inf: the same operations in the same order, one comprehension
     per (point, column).  A single block, or a row where +inf must end a
-    sum, runs the one-block loop, which never does arithmetic on +inf.
+    sum, runs the one-block loop, which never does arithmetic on +inf; a
+    block where some point reads +inf is +inf even if a product in it
+    overflows a float, whatever the state order.
     """
     size = model.size
     support = model.support
@@ -158,16 +160,22 @@ def upper_row(model: CredalSet, row) -> list:
     out = []
     for base in range(0, len(row), size):
         best = None
-        for point in support:
-            total = 0
-            for i, mass in point:
-                value = row[base + i]
-                if value is _INF:
-                    total = _INF
-                    break
-                total += mass * value
-            if best is None or total > best:
-                best = total
+        try:
+            for point in support:
+                total = 0
+                for i, mass in point:
+                    value = row[base + i]
+                    if value is _INF:
+                        total = _INF
+                        break
+                    total += mass * value
+                if best is None or total > best:
+                    best = total
+        except OverflowError:
+            # +inf absorbs the block even where a product before it overflows.
+            if not any(row[base + i] is _INF for point in support for i, _ in point):
+                raise
+            best = _INF
         out.append(best)
     return out
 

@@ -9,16 +9,16 @@ infimum over supermartingales; the infimum enters only through
 certificate_bound and the brute-force oracle.
 
 Levels use the tables' rank layout throughout.  A TreeModel holds, per
-depth, either one credal set the whole level shares (stationary and
-by_depth trees) or a tuple of them in rank order (table trees), and it
-alone reads that layout: ``upper_level``, ``models_at`` and
-``local_model_at`` serve every caller.  The value at s depends only on
-s's subtree, which is one contiguous rank block per depth
-(``tree.subtree_block``), so backward_levels walks that block only: the
-whole levels at the root, nothing above s.  It runs on raw payloads: it
-slices the variable's table, which already holds them, applies
-``TreeModel.upper_level`` to whole rows, and returns raw level tables;
-the values that leave through the public API are raw payloads too.
+depth, a tuple of credal sets in rank order, a 1-tuple when the whole
+level shares one (stationary and by_depth trees), and it alone reads
+that layout: ``upper_level``, ``models_at`` and ``local_model_at`` serve
+every caller.  The value at s depends only on s's subtree, which is one
+contiguous rank block per depth (``tree.subtree_block``), so
+backward_levels walks that block only: the whole levels at the root,
+nothing above s.  It runs on raw payloads: it slices the variable's
+table, which already holds them, applies ``TreeModel.upper_level`` to
+whole rows, and returns raw level tables; the values that leave through
+the public API are raw payloads too.
 
 Limits of declared-monotone sequences come from the paper's continuity
 theorems, and every sequence carries its limit: the clamp ladder
@@ -69,10 +69,10 @@ class TreeModel:
     """A state space, a depth bound, and a credal set for every situation.
 
     The models sit in the tables' rank layout: each depth below
-    ``max_depth`` holds one credal set the whole level shares (stationary
-    and by_depth trees) or a tuple of them in rank order (table trees).
-    A stationary tree keeps its one model in place of the level tuple,
-    so a large ``max_depth`` costs nothing.
+    ``max_depth`` holds a tuple of credal sets in rank order, one per
+    node (table trees), or a 1-tuple whose model the whole depth shares
+    (stationary and by_depth trees).  A stationary tree keeps one such
+    level for every depth, so a large ``max_depth`` costs nothing.
     """
 
     __slots__ = ("space", "max_depth", "_levels")
@@ -89,7 +89,7 @@ class TreeModel:
 
     @classmethod
     def stationary(cls, space: StateSpace, model: CredalSet, max_depth: int) -> "TreeModel":
-        return cls(space, max_depth, model, (model,))
+        return cls(space, max_depth, ((model,),), (model,))
 
     @classmethod
     def by_depth(cls, space: StateSpace, models, max_depth: int) -> "TreeModel":
@@ -97,7 +97,7 @@ class TreeModel:
         if len(models) < max_depth:
             raise ValueError(
                 f"by_depth assignment needs {max_depth} levels, got {len(models)}")
-        return cls(space, max_depth, models[:max_depth], models)
+        return cls(space, max_depth, tuple((m,) for m in models[:max_depth]), models)
 
     @classmethod
     def table(cls, space: StateSpace, models: dict, max_depth: int) -> "TreeModel":
@@ -109,20 +109,19 @@ class TreeModel:
             raise ValueError(f"table assignment misses situation {exc.args[0]}") from None
         return cls(space, max_depth, levels, models.values())
 
-    def level(self, depth: int) -> CredalSet | tuple[CredalSet, ...]:
-        """The credal set a whole depth shares, or the depth's models in rank order."""
+    def level(self, depth: int) -> tuple[CredalSet, ...]:
+        """A depth's models in rank order, or the 1-tuple of the model it shares."""
         if depth >= self.max_depth:
             raise DepthExceeded(f"no local model at depth {depth}")
-        if isinstance(self._levels, CredalSet):
-            return self._levels
-        return self._levels[depth]
+        levels = self._levels
+        return levels[depth] if depth < len(levels) else levels[0]
 
     def upper_level(self, depth: int, below: list, first: int = 0) -> list:
         """Raw local upper expectations at the rank block of ``depth`` that starts at
         ``first``: one per ``space.size`` children in the raw row ``below``."""
         level = self.level(depth)
-        if isinstance(level, CredalSet):
-            return upper_row(level, below)
+        if len(level) == 1:
+            return upper_row(level[0], below)
         size = self.space.size
         row = []
         for j, model in enumerate(level[first:first + len(below) // size]):
@@ -133,14 +132,14 @@ class TreeModel:
         """(model, node count) pairs over a rank block of one depth: one pair when
         the depth shares its model, else one pair per node in rank order."""
         level = self.level(depth)
-        if isinstance(level, CredalSet):
-            return ((level, len(block)),)
+        if len(level) == 1:
+            return ((level[0], len(block)),)
         return ((model, 1) for model in level[block.start:block.stop])
 
     def local_model_at(self, s: Situation) -> CredalSet:
         s = tuple(s)
         level = self.level(len(s))
-        return level if isinstance(level, CredalSet) else level[rank(s, self.space.size)]
+        return level[0] if len(level) == 1 else level[rank(s, self.space.size)]
 
     def map_masses(self, fn) -> "TreeModel":
         """The same tree with fn applied to every PMF entry (e.g. Fraction or float).
@@ -152,30 +151,14 @@ class TreeModel:
 
     def map_points(self, fn) -> "TreeModel":
         """The same tree with fn applied to every extreme point (a tuple of masses)."""
-        lifted = []
-
-        def lift(model: CredalSet) -> CredalSet:
-            lifted.append(CredalSet(tuple(fn(p) for p in model.extreme_points)))
-            return lifted[-1]
-
-        levels = self._levels
-        if isinstance(levels, CredalSet):
-            levels = lift(levels)
-        else:
-            levels = tuple(lift(level) if isinstance(level, CredalSet)
-                           else tuple(lift(m) for m in level) for level in levels)
-        return TreeModel(self.space, self.max_depth, levels, lifted)
+        levels = tuple(tuple(CredalSet(tuple(fn(p) for p in model.extreme_points))
+                             for model in level) for level in self._levels)
+        return TreeModel(self.space, self.max_depth, levels,
+                         (model for level in levels for model in level))
 
     def distinct_models(self):
         """The distinct local models, depth by depth and then in rank order."""
-        if isinstance(self._levels, CredalSet):
-            return (self._levels,)
-        seen = []
-        for level in self._levels:
-            for m in (level,) if isinstance(level, CredalSet) else level:
-                if m not in seen:
-                    seen.append(m)
-        return tuple(seen)
+        return tuple(dict.fromkeys(model for level in self._levels for model in level))
 
 
 @dataclass

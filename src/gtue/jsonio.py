@@ -198,12 +198,9 @@ def sequence_from_obj(obj, space: StateSpace):
     if "kind" not in obj:
         return variable_from_obj(obj, space)
     kind = obj["kind"]
-    if kind == "clamp_above":
+    if kind in ("clamp_above", "clamp_below"):
         base = variable_from_obj(_require(obj, "base", "sequence"), space, "sequence.base")
-        return clamp_above_sequence(base)
-    if kind == "clamp_below":
-        base = variable_from_obj(_require(obj, "base", "sequence"), space, "sequence.base")
-        return clamp_below_sequence(base)
+        return (clamp_above_sequence if kind == "clamp_above" else clamp_below_sequence)(base)
     if kind == "explicit":
         items_raw = _require(obj, "items", "sequence")
         if not isinstance(items_raw, list) or not items_raw:

@@ -18,6 +18,7 @@ from gtue.audit import (
 from gtue.credal import raw_upper, upper_row
 from gtue.errors import NotBoundedBelow
 from gtue.testing import random_tree
+from gtue.tree import subtree_block
 from gtue.xreal import raw_add, raw_scale
 
 
@@ -330,9 +331,13 @@ def test_point_spread_bonus_report_is_pinned():
         {"finite": 0, "divergent": 30})
 
 
-def test_the_global_operator_passes_every_axiom_exactly():
+@pytest.mark.parametrize("masses, s, tol", [(None, (), 0), (float, (), 1e-9), (None, (1,), 0)],
+                         ids=["exact", "float", "depth-1-situation"])
+def test_the_global_operator_passes_every_axiom_exactly(masses, s, tol):
     # By the paper's results the global upper expectation satisfies E1-E10, so
-    # h -> eval_finitary(tree, h) on the arity^n states of X^n passes every audit.
+    # h -> eval_finitary(tree, h, s) on the states of s's subtree in X^n passes every
+    # audit, with h filling that subtree and 0 the rest of X^n.  Float masses pass
+    # within 1e-9.
     rng = random.Random(13)
     trees = [random_tree(rng, 2, 2, kind="stationary"),
              random_tree(rng, 2, 3, kind="by_depth"),
@@ -344,10 +349,15 @@ def test_the_global_operator_passes_every_axiom_exactly():
              random_tree(rng, 2, 2, kind="table", zero_state=1)]
     branches = {"finite": 0, "divergent": 0}
     for tree in trees:
+        if masses is not None:
+            tree = tree.map_masses(masses)
         arity, n = tree.space.size, tree.max_depth
-        space = StateSpace(tuple(map(str, range(arity**n))))
-        [report] = audit_axioms([lambda h: eval_finitary(tree, FinitaryVariable(arity, n, h))],
-                                space, trials=40, seed=5, tol=0)
+        block = subtree_block(s, n, arity)
+        before, after = (0,) * block.start, (0,) * (arity**n - block.stop)
+        space = StateSpace(tuple(map(str, range(len(block)))))
+        [report] = audit_axioms(
+            [lambda h: eval_finitary(tree, FinitaryVariable(arity, n, before + h + after), s)],
+            space, trials=40, seed=5, tol=tol)
         assert report.all_passed, [r.counterexample for r in report.failures()]
         for branch, count in report.e10_branches.items():
             branches[branch] += count

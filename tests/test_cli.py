@@ -278,7 +278,12 @@ class TestEvalCommand:
     def test_usage_error_exits_one(self, files, capsys):
         # argparse's own exit code 2 would read as a failed verification check.
         tree, f = files("t.json", TREE_A), files("f.json", INDICATOR_11)
-        for argv in (["eval", tree], ["eval", tree, f, "--budget", "8"]):
+        doob = ["doob-certificate", tree, files("p.json", DOOB_PROCESS), "--a", "1", "--b", "2"]
+        # Each option sits only on the subcommand that reads it.
+        for argv in (["eval", tree], ["eval", tree, f, "--budget", "8"],
+                     ["eval", tree, f, "--seed", "1"],
+                     ["check", tree, "--axioms", "--oracle-cap", "7"],
+                     doob + ["--seed", "1"], doob + ["--oracle-cap", "7"]):
             code, report, err = run_cli(argv, capsys)
             assert (code, report) == (1, None)
             assert "usage" in err
@@ -660,6 +665,14 @@ class TestInputEdge:
              files("f.json", {"depth": 1, "values": ["1e400", 0]})], capsys)
         assert (code, report) == (1, None)
         assert "too large" in err
+
+    @pytest.mark.parametrize("values", [[10**400, "inf"], ["inf", 10**400]])
+    def test_plus_inf_beside_a_value_too_large_for_floats_reads_inf(self, files, capsys,
+                                                                     values):
+        code, report, err = run_cli(
+            ["eval", files("t.json", TREE_HALF),
+             files("f.json", {"depth": 1, "values": values})], capsys)
+        assert (code, report["value"], err) == (0, "inf", "")
 
 
 class TestParserBuiltOnce:

@@ -22,8 +22,16 @@ from gtue import (
     level_cut,
     levy_bound_checks,
     levy_transform,
+    vacuous,
 )
-from gtue.errors import BadWindow, NonFiniteRoot, WindowOutsideRange
+from gtue.errors import (
+    BadWindow,
+    HorizonMismatch,
+    NonFiniteRoot,
+    SpaceMismatch,
+    WeightSumMismatch,
+    WindowOutsideRange,
+)
 from gtue.testing import random_gamble, random_supermartingale, random_tree
 from gtue.tree import situations_at, unrank
 from tests.conftest import seeded
@@ -232,6 +240,27 @@ class TestDoobMixture:
         M = constant_process(2, 2, 1)
         with pytest.raises(WeightSumMismatch):
             doob_mixture(tree_a, M, (), ((F(1), F(2)),), (F(1, 2),))
+
+
+_TERNARY = TreeModel.stationary(StateSpace(("0", "1", "2")), vacuous(3), 3)
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda tree: doob_transform(_TERNARY, constant_process(2, 2, 1), (), 1, 2),
+     SpaceMismatch, "state space"),
+    (lambda tree: doob_transform(tree, constant_process(2, 5, 1), (), 1, 2),
+     HorizonMismatch, "depth bound"),
+    (lambda tree: doob_mixture(tree, constant_process(2, 2, 1), (), ((1, 2),), (F(1, 2),) * 2),
+     ValueError, "one weight per window"),
+    (lambda tree: doob_mixture(tree, constant_process(2, 2, 1), (), ((1, 2), (2, 3)), (0, 1)),
+     WeightSumMismatch, "must be positive"),
+    (lambda tree: doob_mixture(tree, constant_process(2, 2, 0), (), ((1, 2),), (1,)),
+     ValueError, "finite positive value at the root"),
+], ids=["doob-space", "doob-horizon", "mixture-weight-count", "mixture-zero-weight",
+        "mixture-zero-root"])
+def test_refuses_invalid_input(tree_a, refused, error, match):
+    with pytest.raises(error, match=match):
+        refused(tree_a)
 
 
 class TestLevyTransform:

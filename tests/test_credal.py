@@ -152,6 +152,28 @@ class TestRowKernel:
             assert (g is POS_INF) == (w is POS_INF), block
 
 
+class TestOverflowBesidePlusInf:
+    """A block where some point reads +inf is +inf in either state order, even
+    where a product before the +inf overflows a float; without a supported
+    +inf the overflow still raises."""
+
+    HALVES = CredalSet([(0.5, 0.5)])
+
+    @pytest.mark.parametrize("h", [(10**400, POS_INF), (POS_INF, 10**400)])
+    def test_plus_inf_absorbs_an_overflowing_product(self, h):
+        assert upper_row(self.HALVES, list(h))[0] is POS_INF
+        assert all(v is POS_INF for v in upper_row(self.HALVES, list(h) * 3))
+        assert local_upper(self.HALVES, h) is POS_INF
+
+    def test_a_zero_mass_plus_inf_does_not_absorb(self):
+        model = CredalSet([(0.5, 0.5, 0)])
+        for h in ((10**400, 1, POS_INF), (10**400, 1, 2)):
+            with pytest.raises(OverflowError):
+                upper_row(model, list(h))
+            with pytest.raises(OverflowError):
+                local_upper(model, h)
+
+
 class TestCredalValidation:
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):

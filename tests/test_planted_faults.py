@@ -62,3 +62,19 @@ def test_a_functional_that_falls_along_the_clamp_ladder_fails_e10():
     [report] = audit_axioms([drop_at_two], StateSpace(("0", "1")), trials=20, seed=0)
     assert report.results["E10"].counterexample == \
         "h=(inf, 6.48): clamped values decreased (1 -> 0)"
+
+
+def test_a_functional_deaf_to_clamps_fails_zero_charge_e10():
+    """h -> +inf on a +inf cell, else 0: the +inf cells carry no charge (F of their
+    indicator is 0), so E10 takes its finite branch, where the clamps all read 0
+    but F(h) is +inf."""
+
+    def inf_or_zero(h):
+        return POS_INF if any(v is POS_INF for v in h) else 0
+
+    [report] = audit_axioms([inf_or_zero], StateSpace(("0", "1", "2")), trials=20, seed=0,
+                            tol=0)
+    assert report.e10_branches["finite"] > 0
+    assert report.results["E10"].counterexample == \
+        "h=(inf, 6.45, 6.44): zero charge on the +inf cells but the clamp sequence " \
+        "stops at 0 != inf"

@@ -29,11 +29,13 @@ from gtue import (
     path_liminf,
     shift,
     truncate,
+    vacuous,
 )
 from gtue.errors import (
     HorizonMismatch,
     NegativeWeight,
     NotTerminal,
+    SpaceMismatch,
 )
 from gtue.testing import random_supermartingale, random_tree
 from gtue.tree import situations_at
@@ -207,6 +209,18 @@ class TestMix:
         out = mix([a, b], [Fraction(1, 3), Fraction(2, 3)])
         assert out.min_value() >= 0
 
+    def test_a_zero_weight_is_accepted(self):
+        p = from_values(2, 2, lambda s: len(s))
+        q = from_values(2, 2, lambda s: sum(s) + 1)
+        assert mix([p, q], [0, 1]).levels == q.levels
+
+    def test_a_terminal_cut_is_kept_only_when_all_share_it(self):
+        p = constant_process(2, 2, 1, level_cut(2, 2))
+        q = constant_process(2, 2, 3, level_cut(2, 2))
+        r = constant_process(2, 2, 5, level_cut(2, 1))
+        assert mix([p, q], [1, 1]).terminal_cut == level_cut(2, 2)
+        assert mix([p, r], [1, 1]).terminal_cut is None
+
 
 class TestPathLiminf:
     def test_constant_tail(self):
@@ -322,3 +336,36 @@ class TestProcessValidation:
             Process(2, 2,
                     ((0,), (0, 0), (0, 1, 0, 0)),
                     Cut(frozenset({(0,), (1,)})))
+
+
+_ONE = constant_process(2, 1, 1)
+# Complete by its measure, but the member (2,) leaves the binary tree, so no member
+# precedes or follows (1,).
+_OFF_TREE_CUT = Cut(frozenset({(0,), (2,)}))
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda: Process(2, 1, ((0,),)), ValueError, "expected 2 levels, got 1"),
+    (lambda: Process(2, 1, ((0,), (0,))), ValueError, "level 1 has 1 entries"),
+    (lambda: constant_process(2, 1, 0, level_cut(2, 2)), ValueError, "beyond the horizon"),
+    (lambda: check_supermartingale(
+        TreeModel.stationary(StateSpace(("0", "1", "2")), vacuous(3), 2), _ONE),
+     SpaceMismatch, "state space"),
+    (lambda: truncate(_ONE, POS_INF), ValueError, "truncation level must be finite"),
+    (lambda: shift(_ONE, NEG_INF), ValueError, "shift constant must be finite"),
+    (lambda: mix([_ONE], [1, 1]), ValueError, "one weight per process"),
+    (lambda: mix([], []), ValueError, "cannot mix zero processes"),
+    (lambda: mix([_ONE], [POS_INF]), ValueError, "weights must be finite"),
+    (lambda: mix([_ONE, constant_process(2, 2, 1)], [1, 1]), HorizonMismatch, "horizon"),
+    (lambda: mix([_ONE, constant_process(3, 1, 1)], [1, 1]), SpaceMismatch, "state space"),
+    (lambda: path_liminf(constant_process(2, 2, 1, level_cut(2, 2)), (0,)), ValueError,
+     "does not reach the terminal cut"),
+    (lambda: min_tail(_ONE, ()), NotTerminal, "terminal process"),
+    (lambda: min_tail(constant_process(2, 1, 1, _OFF_TREE_CUT), (1,)), ValueError,
+     "no terminal members follow"),
+], ids=["level-count", "level-length", "cut-past-horizon", "check-space", "truncate-inf",
+        "shift-inf", "mix-lengths", "mix-empty", "mix-inf-weight", "mix-horizon",
+        "mix-space", "liminf-short-prefix", "tail-not-terminal", "tail-none-follows"])
+def test_refuses_invalid_input(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()
