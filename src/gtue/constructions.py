@@ -309,8 +309,7 @@ def doob_mixture(tree: TreeModel, M: Process, t: Situation, windows, weights) ->
     root_value = combined.value_at(t)
     if root_value is POS_INF or root_value == 0:
         raise ValueError("normalization needs a finite positive value at the root")
-    factor = Fraction(1) / root_value if isinstance(root_value, (int, Fraction)) \
-        else 1.0 / root_value
+    factor = Fraction(1) / root_value  # exact: each transform is, and so are the weights
     return combined.map(lambda v: raw_scale(factor, v))
 
 

@@ -12,7 +12,10 @@ expansion, so round trips are bit-exact.
 
 Situations are dot-separated state labels; the empty string is the
 initial situation.  A state label is therefore non-empty and contains
-no ".".
+no ".".  Each table (a variable's values, a PMF, one depth of a process)
+decodes through ``decode_table``.  Process values are read and written by
+the rank-order texts of each depth's situations; if one is missing or a
+key names none, every key and its value is first read in file order.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 from .credal import CredalSet, StateSpace
 from .errors import SchemaError
@@ -29,15 +33,12 @@ from .tree import (
     Cut,
     FinitaryVariable,
     Monotonicity,
-    Payloads,
     Situation,
     clamp_above_sequence,
     clamp_below_sequence,
     explicit_sequence,
-    plain_payloads,
-    situations_at,
 )
-from .xreal import NEG_INF, POS_INF, payload, to_text
+from .xreal import NEG_INF, POS_INF, Payloads, payload, plain_payloads, to_text
 
 # json's non-standard constants.  The infinities read as their strings, so a
 # float infinity reaching decode_number comes from an overflowed literal.
@@ -61,6 +62,11 @@ def situation_to_text(space: StateSpace, s: Situation) -> str:
     return ".".join(space.labels[x] for x in s)
 
 
+def situation_texts(space: StateSpace, depth: int) -> list:
+    """The situations of a depth as text, in rank order (``tree.situations_at``)."""
+    return list(map(".".join, product(space.labels, repeat=depth)))
+
+
 def decode_number(raw, where: str):
     """A JSON number or numeric string as a raw payload (``xreal.payload``)."""
     kind = type(raw)
@@ -72,6 +78,12 @@ def decode_number(raw, where: str):
         return payload(raw)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"{where}: cannot parse {raw!r} as a number") from None
+
+
+def decode_table(cells, name) -> Payloads:
+    """JSON cells as payloads: ``plain_payloads``, else ``decode_number`` on cell ``name(i)``."""
+    return plain_payloads(cells) or Payloads(decode_number(raw, name(i))
+                                              for i, raw in enumerate(cells))
 
 
 def encode_number(value, rational: bool):
@@ -96,13 +108,6 @@ def _natural(mapping, key, where: str) -> int:
     return value
 
 
-def _plain_mass(raw, where: str):
-    value = decode_number(raw, where)
-    if value in _INFINITIES:
-        raise SchemaError(f"{where}: probability masses must be finite")
-    return value
-
-
 def load_credal(raw, where: str) -> CredalSet:
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{where}: expected a non-empty array of PMF arrays")
@@ -110,7 +115,11 @@ def load_credal(raw, where: str) -> CredalSet:
     for i, pmf in enumerate(raw):
         if not isinstance(pmf, list):
             raise SchemaError(f"{where}[{i}]: expected a PMF array")
-        points.append(tuple(_plain_mass(m, f"{where}[{i}][{j}]") for j, m in enumerate(pmf)))
+        pmf = decode_table(pmf, lambda j: f"{where}[{i}][{j}]")
+        for j, mass in enumerate(pmf):
+            if mass is POS_INF or mass is NEG_INF:
+                raise SchemaError(f"{where}[{i}][{j}]: probability masses must be finite")
+        points.append(pmf)
     try:
         return CredalSet(points)
     except ValueError as exc:
@@ -170,14 +179,8 @@ def variable_from_obj(obj, space: StateSpace, where: str = "variable") -> Finita
     if len(values) != space.size**depth:
         raise SchemaError(f"{where}.values: expected {space.size ** depth} entries "
                           f"for depth {depth}, got {len(values)}")
-    # decode_number's rules hold for a plain table (numbers only, no bool, no
-    # float literal that overflowed); any other is decoded cell by cell,
-    # naming each, to report the bad one.
-    table = plain_payloads(values)
-    if table is None:
-        table = Payloads(decode_number(raw, f"{where}.values[{i}]")
-                         for i, raw in enumerate(values))
-    return FinitaryVariable(space.size, depth, table)
+    return FinitaryVariable(space.size, depth,
+                            decode_table(values, lambda i: f"{where}.values[{i}]"))
 
 
 def dump_variable(f: FinitaryVariable, rational: bool):
@@ -225,23 +228,23 @@ def process_from_obj(obj, space: StateSpace) -> Process:
     values = _require(obj, "values", "process")
     if not isinstance(values, dict):
         raise SchemaError("process.values: expected an object keyed by situations")
-    table = {}
-    for key, raw in values.items():
-        try:
-            s = situation_from_text(space, key)
-        except ValueError as exc:
-            raise SchemaError(f"process.values[{key!r}]: {exc}") from None
-        table[s] = decode_number(raw, f"process.values[{key!r}]")
-    levels = []
-    for depth in range(horizon + 1):
-        row = []
-        for s in situations_at(depth, space.size):
-            if s not in table:
-                raise SchemaError(
-                    f"process.values: missing situation "
-                    f"{situation_to_text(space, s)!r} at depth {depth}")
-            row.append(table[s])
-        levels.append(tuple(row))
+    texts = []  # the depths whose situations are all present
+    for level in (situation_texts(space, depth) for depth in range(horizon + 1)):
+        if not all(map(values.__contains__, level)):
+            break
+        texts.append(level)
+    if len(texts) <= horizon or len(values) > sum(map(len, texts)):
+        for key in values:  # a situation is missing, or a key is none of these: read each in turn
+            try:
+                situation_from_text(space, key)
+            except ValueError as exc:
+                raise SchemaError(f"process.values[{key!r}]: {exc}") from None
+            decode_number(values[key], f"process.values[{key!r}]")
+    if len(texts) <= horizon:
+        missing = next(text for text in level if text not in values)
+        raise SchemaError(f"process.values: missing situation {missing!r} at depth {len(texts)}")
+    levels = [decode_table(list(map(values.__getitem__, level)),
+                           lambda i: f"process.values[{level[i]!r}]") for level in texts]
     cut = None
     if obj.get("terminal_cut") is not None:
         raw_cut = obj["terminal_cut"]
@@ -264,8 +267,8 @@ def load_process(path: str, space: StateSpace, rational: bool) -> Process:
 def dump_process(M: Process, space: StateSpace, rational: bool):
     values = {}
     for depth, level in enumerate(M.levels):
-        for s, v in zip(situations_at(depth, space.size), level):
-            values[situation_to_text(space, s)] = encode_number(v, rational)
+        for text, v in zip(situation_texts(space, depth), level):
+            values[text] = encode_number(v, rational)
     out = {"horizon": M.horizon, "values": values}
     if M.terminal_cut is not None:
         out["terminal_cut"] = [situation_to_text(space, m) for m in M.terminal_cut]

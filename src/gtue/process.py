@@ -28,8 +28,8 @@ from .errors import (
     SpaceMismatch,
 )
 from .tree import Cut, Situation, is_complete, rank, situations_at, subtree_block, unrank
-from .xreal import (NEG_INF, POS_INF, payload, raw_add, raw_le_within, raw_neg, raw_scale,
-                    to_text)
+from .xreal import (NEG_INF, POS_INF, payload, payload_table, raw_add, raw_le_within, raw_neg,
+                    raw_scale, to_text)
 
 
 
@@ -41,7 +41,7 @@ class Process:
     terminal_cut: Cut | None = None
 
     def __post_init__(self):
-        levels = tuple(tuple(map(payload, level)) for level in self.levels)
+        levels = tuple(map(payload_table, self.levels))
         object.__setattr__(self, "levels", levels)
         if len(levels) != self.horizon + 1:
             raise ValueError(f"expected {self.horizon + 1} levels, got {len(levels)}")
@@ -57,6 +57,10 @@ class Process:
         cut = self.terminal_cut
         if cut.max_depth() > self.horizon:
             raise ValueError("terminal cut lies beyond the horizon")
+        # One test of all states; subtree_block per member (5% of a certify-exact op) names one.
+        if not set().union(*cut.members) <= set(range(self.arity)):
+            for member in cut:
+                subtree_block(member, len(member), self.arity)
         if not is_complete(cut, self.arity):
             raise ValueError("terminal cut must be complete")
         for member in (m for m in cut if len(m) < self.horizon):  # nothing lies below the horizon
@@ -197,15 +201,9 @@ def path_liminf(M: Process, prefix: Situation):
 
 
 def min_tail(M: Process, s: Situation):
-    """Minimum tail value over terminal-cut members at or after s."""
+    """Minimum tail over the cut members comparable with s: one before it, or those after."""
     if M.terminal_cut is None:
         raise NotTerminal("tail values need a terminal process")
     s = tuple(s)
     subtree_block(s, len(s), M.arity)  # refuses a state off the tree
-    member = M.terminal_cut.member_before(s)
-    if member is not None:
-        return M.value_at(member)
-    tails = [M.value_at(u) for u in M.terminal_cut if u[:len(s)] == s]
-    if not tails:
-        raise ValueError(f"no terminal members follow {s}")
-    return min(tails)
+    return min(M.value_at(u) for u in M.terminal_cut if u[:len(s)] == s or s[:len(u)] == u)

@@ -12,13 +12,11 @@ them as they are.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import MonotonicityViolated
-from .xreal import NEG_INF, POS_INF, payload
+from .xreal import NEG_INF, POS_INF, payload, payload_table
 
 Situation = tuple[int, ...]
 
@@ -101,47 +99,6 @@ def is_complete(cut: Cut, arity: int) -> bool:
     return sum(arity ** (deepest - len(m)) for m in cut.members) == arity**deepest
 
 
-class Payloads(tuple):
-    """A tuple of canonical payloads, which FinitaryVariable takes without another pass.
-
-    Build one from cells that ``payload`` has read, or with ``plain_payloads``.
-    """
-
-    __slots__ = ()
-
-
-_PLAIN_KINDS = frozenset((int, float, Fraction, str))
-_FLOAT_KINDS = frozenset((float, str))
-
-
-def plain_payloads(values):
-    """The cells as payloads, in C-level passes with no ``payload`` call, or None.
-
-    Ints, Fractions and finite floats are payloads as they are, and the text
-    "inf" is POS_INF.  A table of only these is checked by the set of its
-    cell types, then the sum of its floats, which is finite only if every
-    float is; where it has text, one pass finds it.  Any other cell gives
-    None: a bool, a NaN or infinite float, other text or a non-number.
-    (A float table whose sum overflows gives None too; payload keeps it.)
-    """
-    kinds = set(map(type, values))
-    if not kinds <= _PLAIN_KINDS:
-        return None
-    cells = list(values)
-    texts = [i for i, v in enumerate(cells) if type(v) is str] if str in kinds else ()
-    for i in texts:
-        if cells[i] != "inf":
-            return None
-        cells[i] = 0.0  # a finite stand-in while the floats are summed
-    if float in kinds:
-        floats = cells if kinds <= _FLOAT_KINDS else filter(float.__instancecheck__, cells)
-        if not math.isfinite(sum(floats)):
-            return None
-    for i in texts:
-        cells[i] = POS_INF
-    return Payloads(cells)
-
-
 @dataclass(frozen=True)
 class FinitaryVariable:
     """A depth-n table over X^n, standing for an n-measurable global variable.
@@ -155,11 +112,7 @@ class FinitaryVariable:
     values: tuple
 
     def __post_init__(self):
-        values = self.values
-        if type(values) is not Payloads:
-            values = tuple(values)
-            values = plain_payloads(values) or Payloads(map(payload, values))
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", payload_table(self.values))
         if len(self.values) != self.arity**self.depth:
             raise ValueError(
                 f"table has {len(self.values)} entries, expected {self.arity ** self.depth}")

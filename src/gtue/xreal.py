@@ -17,7 +17,8 @@ always one of two float objects, ``POS_INF`` (``math.inf``) or
 ``NEG_INF``, so code on payloads can test for an infinity by identity.
 
 ``payload`` is the one place a number is normalised: it turns an int,
-Fraction, float or numeric text into its canonical payload.  The
+Fraction, float or numeric text into its canonical payload, and
+``payload_table`` does the same for a table of cells.  The
 ``raw_*`` functions are the one body of each convention and expect
 canonical payloads.  The public forms ``add``, ``neg``, ``scale``,
 ``le_within`` and ``close_within`` take any number ``payload`` reads, so
@@ -55,13 +56,59 @@ def payload(value):
         text = value.strip()
         # "inf" and "Infinity", either signed; Fraction reads any other text.
         if text.lstrip("+-") in ("inf", "Infinity"):
-            return payload(float(text))
+            return POS_INF if float(text) > 0 else NEG_INF
         return Fraction(text)
     if isinstance(value, bool):
         return int(value)
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"cannot build an extended real from {type(value).__name__}")
     return value
+
+
+class Payloads(tuple):
+    """A tuple of canonical payloads, which ``payload_table`` keeps as it is."""
+
+    __slots__ = ()
+
+
+_PLAIN_KINDS = frozenset((int, float, Fraction, str))
+_FLOAT_KINDS = frozenset((float, str))
+
+
+def plain_payloads(values):
+    """The cells as payloads, in C-level passes with no ``payload`` call, or None.
+
+    Ints, Fractions and finite floats are payloads as they are, and the text
+    "inf" is POS_INF.  A table of only these is checked by the set of its
+    cell types, then the sum of its floats, which is finite only if every
+    float is; where it has text, one pass finds it.  Any other cell gives
+    None: a bool, a NaN or infinite float, other text or a non-number.
+    (A float table whose sum overflows gives None too; payload keeps it.)
+    """
+    kinds = set(map(type, values))
+    if not kinds <= _PLAIN_KINDS:
+        return None
+    cells = list(values)
+    texts = [i for i, v in enumerate(cells) if type(v) is str] if str in kinds else ()
+    for i in texts:
+        if cells[i] != "inf":
+            return None
+        cells[i] = 0.0  # a finite stand-in while the floats are summed
+    if float in kinds:
+        floats = cells if kinds <= _FLOAT_KINDS else filter(float.__instancecheck__, cells)
+        if not math.isfinite(sum(floats)):
+            return None
+    for i in texts:
+        cells[i] = POS_INF
+    return Payloads(cells)
+
+
+def payload_table(cells) -> Payloads:
+    """The one table normaliser: a ``Payloads`` is kept, else ``plain_payloads`` or ``payload``."""
+    if type(cells) is Payloads:
+        return cells
+    cells = tuple(cells)
+    return plain_payloads(cells) or Payloads(map(payload, cells))
 
 
 def raw_add(a, b):

@@ -331,22 +331,24 @@ def test_point_spread_bonus_report_is_pinned():
         {"finite": 0, "divergent": 30})
 
 
-@pytest.mark.parametrize("masses, s, tol", [(None, (), 0), (float, (), 1e-9), (None, (1,), 0)],
-                         ids=["exact", "float", "depth-1-situation"])
-def test_the_global_operator_passes_every_axiom_exactly(masses, s, tol):
+@pytest.mark.parametrize("masses, s, tol, deeper", [
+    (None, (), 0, 0), (float, (), 1e-9, 0), (None, (1,), 0, 0), (None, (1, 0), 0, 2)],
+    ids=["exact", "float", "depth-1-situation", "depth-2-situation"])
+def test_the_global_operator_passes_every_axiom_exactly(masses, s, tol, deeper):
     # By the paper's results the global upper expectation satisfies E1-E10, so
     # h -> eval_finitary(tree, h, s) on the states of s's subtree in X^n passes every
     # audit, with h filling that subtree and 0 the rest of X^n.  Float masses pass
-    # within 1e-9.
+    # within 1e-9.  The trees are `deeper` levels deeper, so that a depth-2 s has
+    # a subtree of several levels.
     rng = random.Random(13)
-    trees = [random_tree(rng, 2, 2, kind="stationary"),
-             random_tree(rng, 2, 3, kind="by_depth"),
-             random_tree(rng, 3, 2, kind="table"),
-             random_tree(rng, 3, 2, kind="by_depth"),
+    trees = [random_tree(rng, 2, 2 + deeper, kind="stationary"),
+             random_tree(rng, 2, 3 + deeper, kind="by_depth"),
+             random_tree(rng, 3, 2 + deeper, kind="table"),
+             random_tree(rng, 3, 2 + deeper, kind="by_depth"),
              # Zero mass on one state at every point and depth: +inf cells behind it
              # have zero upper probability, so E10's finite branch runs.
-             random_tree(rng, 3, 2, kind="stationary", zero_state=0),
-             random_tree(rng, 2, 2, kind="table", zero_state=1)]
+             random_tree(rng, 3, 2 + deeper, kind="stationary", zero_state=0),
+             random_tree(rng, 2, 2 + deeper, kind="table", zero_state=1)]
     branches = {"finite": 0, "divergent": 0}
     for tree in trees:
         if masses is not None:
@@ -362,3 +364,12 @@ def test_the_global_operator_passes_every_axiom_exactly(masses, s, tol):
         for branch, count in report.e10_branches.items():
             branches[branch] += count
     assert branches["finite"] > 0 and branches["divergent"] > 0, branches
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: audit_axioms([vacuous_functional()], StateSpace(("0", "1")), trials=0),
+     "trials must be at least 1"),
+], ids=["no-trials"])
+def test_refuses_invalid_input(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-import gtue.tree
+import gtue.xreal
 from gtue import (
     CredalSet,
     FinitaryVariable,
@@ -287,6 +287,23 @@ class TestEvalCommand:
             code, report, err = run_cli(argv, capsys)
             assert (code, report) == (1, None)
             assert "usage" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "tree", "process", "--tol", "-1"], "tol must be non-negative"),
+    (["eval", "tree", "variable", "--oracle", "--lower"],
+     "--oracle cross-checks the upper expectation only"),
+    (["check", "tree"], "check needs a process file, --axioms, or both"),
+    (["levy-certificate", "tree", "sequence", "--a", "1", "--b", "2"],
+     "levy-certificate expects a finitary variable file"),
+], ids=["negative-tol", "oracle-lower", "check-nothing", "levy-sequence"])
+def test_refuses_invalid_input(files, capsys, argv, message):
+    paths = {"tree": files("t.json", TREE_A), "variable": files("f.json", INDICATOR_11),
+             "process": files("p.json", DOOB_PROCESS),
+             "sequence": files("s.json", {"kind": "clamp_above", "base": INDICATOR_11})}
+    code, report, err = run_cli([paths.get(arg, arg) for arg in argv], capsys)
+    assert (code, report) == (1, None)
+    assert message in err
 
 
 class TestCheckCommand:
@@ -617,7 +634,7 @@ class TestInputEdge:
             return payload(value)
 
         monkeypatch.setattr(jsonio, "payload", counting_payload)
-        monkeypatch.setattr(gtue.tree, "payload", counting_payload)
+        monkeypatch.setattr(gtue.xreal, "payload", counting_payload)
         f = jsonio.variable_from_obj(doc, tree.space)
         monkeypatch.undo()
         assert calls == doc["values"]
@@ -650,7 +667,7 @@ class TestInputEdge:
             return payload(value)
 
         monkeypatch.setattr(jsonio, "payload", counting_payload)
-        monkeypatch.setattr(gtue.tree, "payload", counting_payload)
+        monkeypatch.setattr(gtue.xreal, "payload", counting_payload)
         f = jsonio.variable_from_obj({"depth": 3, "values": values}, tree.space)
         monkeypatch.undo()
         assert calls == []

@@ -366,6 +366,10 @@ class TestCutSystem:
         assert cuts.chain_state((0, 0, 0)) == (1, True)
         assert cuts.chain_state((0, 0, 0, 0)) == (2, False)
 
+    def test_a_situation_off_the_root_has_no_chain(self):
+        cuts = CutSystem((0,), ())
+        assert (cuts.chain_state((1, 0)), cuts.hits_along((1,))) == (None, [])
+
 
 def right_copy_tree_model():
     return TreeModel.stationary(StateSpace(("0", "1")), CredalSet([(0, 1)]), 6)

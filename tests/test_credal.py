@@ -214,3 +214,11 @@ class TestCredalValidation:
         assert sp.index("b") == 1
         with pytest.raises(ValueError):
             sp.index("c")
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: CredalSet([(0.5, 0.5), (1, 0, 0)]), "extreme points must share one length"),
+], ids=["point-lengths"])
+def test_refuses_invalid_input(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()

@@ -18,6 +18,7 @@ from gtue import (
     clamp_above_sequence,
     clamp_below_sequence,
     constant,
+    constant_process,
     eval_finitary,
     eval_limit,
     eval_lower_finitary,
@@ -37,6 +38,7 @@ from gtue.errors import (
     NotASupermartingale,
     NotBoundedAbove,
     NotBoundedBelow,
+    NotTerminal,
     SpaceMismatch,
 )
 from gtue.constructions import doob_transform, levy_transform
@@ -693,3 +695,15 @@ class TestKernelEquivalence:
                            for got, want in zip(process.levels[d], reference[d])), (trial, d)
             assert same(eval_finitary(tree, f), reference[0][0])
         assert column_rows.count(True) > 60 and column_rows.count(False) > 10, column_rows
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda tree: certificate_bound(tree, constant_process(2, 2, 1), indicator(2, 2, [(1, 1)])),
+     NotTerminal, "certificates must be terminal processes"),
+    (lambda tree: certificate_bound(tree, constant_process(2, 1, 1, level_cut(2, 1)),
+                                    indicator(2, 2, [(1, 1)])),
+     ValueError, r"terminal member \(0,\) is shallower than the variable depth 2"),
+], ids=["certificate-not-terminal", "certificate-member-shallow"])
+def test_refuses_invalid_input(tree_a, refused, error, match):
+    with pytest.raises(error, match=match):
+        refused(tree_a)

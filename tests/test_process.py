@@ -329,6 +329,14 @@ class TestProcessValidation:
         with pytest.raises(ValueError):
             Process(2, 1, ((0,), (0, 0)), Cut(frozenset({(0,)})))
 
+    @pytest.mark.parametrize("members", [
+        {(0,), (2,)}, {(0, 0), (0, 1), (1, 0), (2, 0)}, {(0,), (1, -1), (1, 1)}],
+        ids=["short-member", "at-the-horizon", "negative-state"])
+    def test_terminal_cut_members_stay_on_the_tree(self, members):
+        # Each cut is complete by its measure, yet some member leaves the binary tree.
+        with pytest.raises(ValueError, match="leaves the tree"):
+            constant_process(2, 2, 1, Cut(frozenset(members)))
+
     def test_terminal_constancy_enforced(self):
         from gtue import Cut
 
@@ -339,8 +347,7 @@ class TestProcessValidation:
 
 
 _ONE = constant_process(2, 1, 1)
-# Complete by its measure, but the member (2,) leaves the binary tree, so no member
-# precedes or follows (1,).
+# Complete by its measure, but the member (2,) leaves the binary tree.
 _OFF_TREE_CUT = Cut(frozenset({(0,), (2,)}))
 
 
@@ -361,11 +368,11 @@ _OFF_TREE_CUT = Cut(frozenset({(0,), (2,)}))
     (lambda: path_liminf(constant_process(2, 2, 1, level_cut(2, 2)), (0,)), ValueError,
      "does not reach the terminal cut"),
     (lambda: min_tail(_ONE, ()), NotTerminal, "terminal process"),
-    (lambda: min_tail(constant_process(2, 1, 1, _OFF_TREE_CUT), (1,)), ValueError,
-     "no terminal members follow"),
+    (lambda: constant_process(2, 1, 1, _OFF_TREE_CUT), ValueError,
+     r"situation \(2,\) leaves the tree"),
 ], ids=["level-count", "level-length", "cut-past-horizon", "check-space", "truncate-inf",
         "shift-inf", "mix-lengths", "mix-empty", "mix-inf-weight", "mix-horizon",
-        "mix-space", "liminf-short-prefix", "tail-not-terminal", "tail-none-follows"])
+        "mix-space", "liminf-short-prefix", "tail-not-terminal", "cut-off-the-tree"])
 def test_refuses_invalid_input(refused, error, match):
     with pytest.raises(error, match=match):
         refused()

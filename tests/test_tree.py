@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-import gtue.tree
+import gtue.xreal
 from gtue import (
     NEG_INF,
     POS_INF,
@@ -157,7 +157,7 @@ class TestTables:
         floats = [-0.0] + [rng.uniform(-5, 5) for _ in range(4095)]
         mixed = [rng.choice((1.5, 2, "inf", Fraction(1, 3), 10**400)) for _ in range(81)]
         calls = []
-        monkeypatch.setattr(gtue.tree, "payload", lambda v: calls.append(v) or payload(v))
+        monkeypatch.setattr(gtue.xreal, "payload", lambda v: calls.append(v) or payload(v))
         f = FinitaryVariable(2, 12, floats)
         g = FinitaryVariable(3, 4, mixed)
         monkeypatch.undo()
@@ -186,3 +186,16 @@ class TestSequences:
         g = constant(2, 0)
         with pytest.raises(MonotonicityViolated):
             explicit_sequence([f, g], Monotonicity.NON_DECREASING)
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: FinitaryVariable(2, 1, (0,)), "table has 1 entries, expected 2"),
+    (lambda: FinitaryVariable(2, 2, (0,) * 4).value_at((0,)), "shallower than depth 2"),
+    (lambda: constant(2, 0).combine(constant(3, 0), max), "different state spaces"),
+    (lambda: lift(constant(2, 0, 2), 1), "greater or equal depth"),
+    (lambda: explicit_sequence([]), "at least one element"),
+], ids=["table-length", "value-too-shallow", "combine-spaces", "lift-shallower",
+        "explicit-empty"])
+def test_refuses_invalid_input(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()

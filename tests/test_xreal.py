@@ -192,3 +192,22 @@ def test_a_zero_tolerance_agrees_with_the_add_path(a, b, zero):
         # An int or Fraction zero compares a > b with no add: b + 0 is b.
         with mock.patch("gtue.xreal.raw_add", side_effect=AssertionError("added")):
             assert raw_le_within(a, b, zero) == expected
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: payload("--inf"), "could not convert"),
+], ids=["doubled-sign"])
+def test_refuses_invalid_input(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
+
+
+def test_a_subclass_of_int_or_fraction_is_kept():
+    class Count(int):
+        pass
+
+    class Exact(Fraction):
+        pass
+
+    for value in (Count(3), Exact(1, 3)):
+        assert payload(value) is value
