@@ -109,11 +109,10 @@ class CutSystem:
         """
         # ranks[depth][k]: V_{k+1}'s and U_{k+1}'s member ranks there; past the last pair, none.
         ranks = [[(set(), set()) for _ in self.pairs] + [((), ())] for _ in range(horizon + 1)]
-        on_tree = frozenset(range(arity))
         for k, pair in enumerate(self.pairs):
             for side, cut in enumerate(pair):
                 for m in cut.members:
-                    if len(m) <= horizon and on_tree.issuperset(m):
+                    if len(m) <= horizon:  # rank refuses a member off the tree
                         ranks[len(m)][k][side].add(rank(m, arity))
         states = [((), None)]  # across the subtree block, in rank order
         for depth in range(len(self.root), horizon + 1):
@@ -338,8 +337,7 @@ def levy_transform(tree: TreeModel, f: FinitaryVariable, s_prime: Situation,
     arity, horizon = f.arity, f.depth
     shifted = FinitaryVariable(arity, horizon, tuple(v - low + delta for v in exact))
 
-    block = subtree_block(s_prime, horizon, arity)
-    reachable = shifted.values[block.start:block.stop]
+    reachable = shifted.on_subtree(s_prime)
     lo = min(reachable)
     hi = max(reachable)
     if lo == hi:

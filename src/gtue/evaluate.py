@@ -139,7 +139,8 @@ class TreeModel:
     def local_model_at(self, s: Situation) -> CredalSet:
         s = tuple(s)
         level = self.level(len(s))
-        return level[0] if len(level) == 1 else level[rank(s, self.space.size)]
+        r = rank(s, self.space.size)  # refuses a state off the tree, on every level form
+        return level[0] if len(level) == 1 else level[r]
 
     def map_masses(self, fn) -> "TreeModel":
         """The same tree with fn applied to every PMF entry (e.g. Fraction or float).

@@ -37,6 +37,7 @@ from .tree import (
     clamp_above_sequence,
     clamp_below_sequence,
     explicit_sequence,
+    rank,
 )
 from .xreal import NEG_INF, POS_INF, Payloads, payload, plain_payloads, to_text
 
@@ -265,13 +266,12 @@ def load_process(path: str, space: StateSpace, rational: bool) -> Process:
 
 
 def dump_process(M: Process, space: StateSpace, rational: bool):
-    values = {}
-    for depth, level in enumerate(M.levels):
-        for text, v in zip(situation_texts(space, depth), level):
-            values[text] = encode_number(v, rational)
+    texts = [situation_texts(space, depth) for depth in range(M.horizon + 1)]
+    values = {text: encode_number(v, rational)
+              for level_texts, level in zip(texts, M.levels) for text, v in zip(level_texts, level)}
     out = {"horizon": M.horizon, "values": values}
     if M.terminal_cut is not None:
-        out["terminal_cut"] = [situation_to_text(space, m) for m in M.terminal_cut]
+        out["terminal_cut"] = [texts[len(m)][rank(m, M.arity)] for m in M.terminal_cut]
     return out
 
 

@@ -57,7 +57,7 @@ def _count(tree, n: int, s: Situation, cap) -> int:
     """The selection count, or with a ``cap`` a number above it once the product passes it
     (every factor is at least 1; a shared model's power stops at ``cap.bit_length() + 1``)."""
     arity = tree.space.size
-    subtree_block(s, len(s), arity)  # refuses a situation off the tree
+    rank(s, arity)  # refuses a situation off the tree
     total = 1
     for depth in range(len(s), n):  # TreeModel.level refuses a depth past max_depth
         for model, nodes in tree.models_at(depth, subtree_block(s, depth, arity)):

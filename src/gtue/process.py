@@ -27,7 +27,7 @@ from .errors import (
     NotTerminal,
     SpaceMismatch,
 )
-from .tree import Cut, Situation, is_complete, rank, situations_at, subtree_block, unrank
+from .tree import Cut, Situation, is_complete, rank, situations_at, unrank
 from .xreal import (NEG_INF, POS_INF, payload, payload_table, raw_add, raw_le_within, raw_neg,
                     raw_scale, to_text)
 
@@ -57,28 +57,25 @@ class Process:
         cut = self.terminal_cut
         if cut.max_depth() > self.horizon:
             raise ValueError("terminal cut lies beyond the horizon")
-        # One test of all states; subtree_block per member (5% of a certify-exact op) names one.
-        if not set().union(*cut.members) <= set(range(self.arity)):
-            for member in cut:
-                subtree_block(member, len(member), self.arity)
+        ranks = [rank(member, self.arity) for member in cut]  # refuses a state off the tree
         if not is_complete(cut, self.arity):
             raise ValueError("terminal cut must be complete")
-        for member in (m for m in cut if len(m) < self.horizon):  # nothing lies below the horizon
-            tail = self.levels[len(member)][rank(member, self.arity)]
-            for depth in range(len(member) + 1, self.horizon + 1):
-                block = subtree_block(member, depth, self.arity)
-                segment = self.levels[depth][block.start:block.stop]
+        for member, r in zip(cut, ranks):
+            tail = self.levels[len(member)][r]
+            for depth in range(len(member) + 1, self.horizon + 1):  # none for a member at it
+                width = self.arity ** (depth - len(member))
+                segment = self.levels[depth][r * width:(r + 1) * width]
                 if any(v != tail for v in segment):
                     raise ValueError(
                         f"process is not constant beyond terminal member {member}")
 
     def value_at(self, s: Situation):
-        block = subtree_block(s, len(s), self.arity)  # refuses a state off the tree
+        r = rank(s, self.arity)  # refuses a state off the tree, past the horizon too
         if len(s) > self.horizon:
             if self.terminal_cut is not None and self.terminal_cut.member_before(s) is not None:
                 return self.value_at(s[:self.horizon])
             raise ValueError(f"situation {s} lies beyond horizon {self.horizon}")
-        return self.levels[len(s)][block.start]
+        return self.levels[len(s)][r]
 
     def map(self, fn) -> "Process":
         """Apply fn to every payload; it may return any number ``payload`` reads."""
@@ -193,7 +190,7 @@ def path_liminf(M: Process, prefix: Situation):
     if M.terminal_cut is None:
         raise NotTerminal("path limits are only defined for terminal processes")
     prefix = tuple(prefix)
-    subtree_block(prefix, len(prefix), M.arity)  # refuses a state off the tree
+    rank(prefix, M.arity)  # refuses a state off the tree
     member = M.terminal_cut.member_before(prefix)
     if member is None:
         raise ValueError(f"prefix {prefix} does not reach the terminal cut")
@@ -205,5 +202,5 @@ def min_tail(M: Process, s: Situation):
     if M.terminal_cut is None:
         raise NotTerminal("tail values need a terminal process")
     s = tuple(s)
-    subtree_block(s, len(s), M.arity)  # refuses a state off the tree
+    rank(s, M.arity)  # refuses a state off the tree
     return min(M.value_at(u) for u in M.terminal_cut if u[:len(s)] == s or s[:len(u)] == u)

@@ -25,10 +25,10 @@ def rand_fraction(rng: random.Random, low, high, denominator: int = 20) -> Fract
 
 
 def random_pmf(rng: random.Random, size: int, rational: bool = True,
-               zero_state: int | None = None, grid: int = 20):
-    """A random PMF on a grid; optionally forced to zero at one state."""
+               zero_state: int | None = None):
+    """A random PMF on the 1/20 grid; optionally forced to zero at one state."""
     while True:
-        weights = [0 if i == zero_state else rng.randint(0, grid) for i in range(size)]
+        weights = [0 if i == zero_state else rng.randint(0, 20) for i in range(size)]
         total = sum(weights)
         if total > 0:
             break

@@ -3,10 +3,11 @@
 Situations are tuples of state indices (not labels); the empty tuple is
 the initial situation.  Tables over X^n are laid out lexicographically,
 so the descendants of a situation at any depth are one contiguous rank
-block (``subtree_block``) and lookups are pure index arithmetic.  A
-finitary variable's table holds raw payloads (``xreal.payload``), the
-form the backward kernel reads; ``value_at``, ``sup`` and ``inf`` return
-them as they are.
+block (``subtree_block``) and lookups are pure index arithmetic through
+``rank``, the one gate from a situation to an index, which refuses a state
+outside ``range(arity)``.  A finitary variable's table holds raw payloads
+(``xreal.payload``), the form the backward kernel reads; ``value_at``,
+``sup`` and ``inf`` return them as they are.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ ROOT: Situation = ()
 
 
 def rank(s: Situation, arity: int) -> int:
-    """Lexicographic index of a situation among those of its depth."""
+    """Lexicographic index of a situation among those of its depth; refuses a state off the tree."""
     r = 0
     for x in s:
+        if not 0 <= x < arity:
+            raise ValueError(f"situation {s} leaves the tree: states run from 0 to {arity - 1}")
         r = r * arity + x
     return r
 
@@ -43,8 +46,6 @@ def subtree_block(s: Situation, depth: int, arity: int) -> range:
     """The ranks, at depth, of s's descendants: one contiguous block."""
     if depth < len(s):
         raise ValueError(f"situation {s} is deeper than depth {depth}")
-    if not all(0 <= x < arity for x in s):
-        raise ValueError(f"situation {s} leaves the tree: states run from 0 to {arity - 1}")
     width = arity ** (depth - len(s))
     first = rank(s, arity) * width
     return range(first, first + width)
@@ -134,7 +135,7 @@ class FinitaryVariable:
         """Value on the cylinder of s; s must be at least depth long."""
         if len(s) < self.depth:
             raise ValueError(f"situation {s} is shallower than depth {self.depth}")
-        return self.values[subtree_block(s[:self.depth], self.depth, self.arity).start]
+        return self.values[rank(s, self.arity) // self.arity ** (len(s) - self.depth)]
 
     def sup(self):
         return max(self.values)
@@ -159,8 +160,11 @@ def constant(arity: int, value, depth: int = 0) -> FinitaryVariable:
 
 
 def indicator(arity: int, depth: int, cells) -> FinitaryVariable:
-    """Indicator of a set of depth-n cells, given as situations or ranks."""
-    hits = {c if isinstance(c, int) else rank(tuple(c), arity) for c in cells}
+    """Indicator of a set of depth-n cells, each given as a situation of that depth."""
+    cells = list(map(tuple, cells))
+    if any(len(cell) != depth for cell in cells):
+        raise ValueError(f"indicator cells must be situations of depth {depth}")
+    hits = {rank(cell, arity) for cell in cells}
     return FinitaryVariable(arity, depth, tuple(int(i in hits) for i in range(arity**depth)))
 
 

@@ -366,6 +366,14 @@ class TestCutSystem:
         assert cuts.chain_state((0, 0, 0)) == (1, True)
         assert cuts.chain_state((0, 0, 0, 0)) == (2, False)
 
+    def test_realized_refuses_a_member_off_the_tree(self):
+        from gtue import Cut
+
+        cuts = CutSystem((), ((Cut(frozenset({(0,)})), Cut(frozenset({(0, 5)}))),))
+        with pytest.raises(ValueError, match=r"situation \(0, 5\) leaves the tree"):
+            list(cuts.realized(2, 2))
+        assert len(list(cuts.realized(2, 1))) == 3  # a member past the horizon is skipped
+
     def test_a_situation_off_the_root_has_no_chain(self):
         cuts = CutSystem((0,), ())
         assert (cuts.chain_state((1, 0)), cuts.hits_along((1,))) == (None, [])

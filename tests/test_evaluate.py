@@ -45,7 +45,7 @@ from gtue.constructions import doob_transform, levy_transform
 from gtue.evaluate import backward_levels
 from gtue.oracle import brute_force_upper, selection_count
 from gtue.testing import random_finitary, random_gamble, random_tree
-from gtue.tree import unrank
+from gtue.tree import situations_at, unrank
 from tests.conftest import same, seeded
 
 F = Fraction
@@ -92,7 +92,7 @@ class TestEvalFinitary:
 
 
 class TestSituationsOffTheTree:
-    """Every subtree walk inherits subtree_block's refusal of a state >= arity or < 0."""
+    """Every subtree walk inherits rank's refusal of a state >= arity or < 0."""
 
     @pytest.mark.parametrize("s", [(0, 2), (0, 5), (-1,)])
     def test_every_walk_refuses(self, tree_a, s):
@@ -454,7 +454,7 @@ class TestHomogeneityAtInfinity:
             zero_state = 1 if rng.random() < 0.4 else None
             tree = random_tree(rng, 2, 3, zero_state=zero_state)
             depth = rng.randint(1, 2)
-            cells = [i for i in range(2**depth) if rng.random() < 0.45]
+            cells = [unrank(i, depth, 2) for i in range(2**depth) if rng.random() < 0.45]
             f = indicator(2, depth, cells)
             target = scale(POS_INF, eval_finitary(tree, f))
             blown = f.map(lambda v: scale(POS_INF, v))
@@ -547,6 +547,20 @@ class TestTreeLayout:
         with pytest.raises(DepthExceeded):
             tree.local_model_at((0, 0))
         assert TreeModel.by_depth(space2, [b, a, c], 2).distinct_models() == (b, a)
+
+    @pytest.mark.parametrize("kind, s", [("table", (0, 3)), ("table", (2,)),
+                                         ("stationary", (5,))],
+                             ids=["table-rank-of-1.1", "table-index-error", "stationary"])
+    def test_local_model_at_refuses_a_state_off_the_tree(self, space2, model_a, kind, s):
+        if kind == "table":
+            tree = TreeModel.table(space2, {u: CredalSet([(1, 0)]) if u == (1, 1) else model_a
+                                            for d in range(3) for u in situations_at(d, 2)}, 3)
+        else:
+            tree = TreeModel.stationary(space2, model_a, 3)
+        with pytest.raises(ValueError, match="leaves the tree: states run from 0 to 1"):
+            tree.local_model_at(s)
+        with pytest.raises(DepthExceeded):  # a situation too deep is refused by its depth first
+            tree.local_model_at(s + (7,) * 3)
 
     def test_models_at_pairs_each_model_with_its_node_count(self, space2, model_a):
         b = CredalSet([(1, 0)])

@@ -370,9 +370,14 @@ _OFF_TREE_CUT = Cut(frozenset({(0,), (2,)}))
     (lambda: min_tail(_ONE, ()), NotTerminal, "terminal process"),
     (lambda: constant_process(2, 1, 1, _OFF_TREE_CUT), ValueError,
      r"situation \(2,\) leaves the tree"),
+    (lambda: constant_process(2, 2, 1, Cut(frozenset({(2,), (0, 5)}))), ValueError,
+     r"situation \(0, 5\) leaves the tree"),
+    (lambda: constant_process(2, 1, 1, Cut(frozenset({(3,)}))), ValueError,
+     r"situation \(3,\) leaves the tree"),
 ], ids=["level-count", "level-length", "cut-past-horizon", "check-space", "truncate-inf",
         "shift-inf", "mix-lengths", "mix-empty", "mix-inf-weight", "mix-horizon",
-        "mix-space", "liminf-short-prefix", "tail-not-terminal", "cut-off-the-tree"])
+        "mix-space", "liminf-short-prefix", "tail-not-terminal", "cut-off-the-tree",
+        "cut-first-member-off-the-tree", "cut-off-the-tree-and-incomplete"])
 def test_refuses_invalid_input(refused, error, match):
     with pytest.raises(error, match=match):
         refused()

@@ -14,6 +14,7 @@ from gtue import (
     Monotonicity,
     constant,
     explicit_sequence,
+    indicator,
     is_complete,
     lift,
 )
@@ -180,6 +181,15 @@ class TestTables:
         assert g.values[1] is NEG_INF
 
 
+class TestIndicator:
+    def test_marks_its_cells(self):
+        assert indicator(2, 2, [(1, 0), [0, 1]]).values == (0, 1, 1, 0)
+
+    def test_a_rank_is_not_a_cell(self):
+        with pytest.raises(TypeError):
+            indicator(2, 2, [7])
+
+
 class TestSequences:
     def test_spot_check_catches_lies(self):
         f = constant(2, 1)
@@ -194,8 +204,17 @@ class TestSequences:
     (lambda: constant(2, 0).combine(constant(3, 0), max), "different state spaces"),
     (lambda: lift(constant(2, 0, 2), 1), "greater or equal depth"),
     (lambda: explicit_sequence([]), "at least one element"),
+    (lambda: rank((0, 2), 2), r"situation \(0, 2\) leaves the tree: states run from 0 to 1"),
+    (lambda: rank((-1,), 3), r"situation \(-1,\) leaves the tree: states run from 0 to 2"),
+    (lambda: rank((2, 0, 3), 3), r"situation \(2, 0, 3\) leaves the tree"),
+    (lambda: FinitaryVariable(2, 2, (0, 1, 2, 3)).value_at((1, 1, 7)), "leaves the tree"),
+    (lambda: indicator(2, 2, [(0, 3)]), r"situation \(0, 3\) leaves the tree"),
+    (lambda: indicator(2, 2, [(1,)]), "cells must be situations of depth 2"),
+    (lambda: indicator(2, 1, [(0, 1)]), "cells must be situations of depth 1"),
 ], ids=["table-length", "value-too-shallow", "combine-spaces", "lift-shallower",
-        "explicit-empty"])
+        "explicit-empty", "rank-state-at-arity", "rank-negative-state", "rank-deep-state",
+        "value-past-depth-off-tree", "indicator-off-tree", "indicator-shallow-cell",
+        "indicator-deep-cell"])
 def test_refuses_invalid_input(refused, match):
     with pytest.raises(ValueError, match=match):
         refused()
