@@ -6,9 +6,20 @@ that runs first alternates from pair to pair.  The result of a run is the
 JSON object on the last line of its stdout.  For every end-to-end metric
 the script prints each side's median and quartiles, the change's median
 as a ratio of the parent's, and how many pairs the change won in the
-direction ``BENCHMARK.json`` gives (a tie counts for neither side).  It
-reads the checkouts and writes nothing in them but the benchmark's own
-output.
+direction ``BENCHMARK.json`` gives (a tie counts for neither side).
+After the table it prints one verdict per metric, in this order:
+
+- ``gain``: the change won at least 9 of 10 pairs and its median beats
+  the parent's by more than the parent's interquartile range;
+- ``worse past bound``: the change's median is worse than the parent's
+  by more than the metric's ``bound``, a share of the parent's median;
+- ``unresolved``: the parent's interquartile range is wider than the
+  bound, unless every run of the change reads better than every run of
+  the parent;
+- ``within bound``: anything else.
+
+It reads the checkouts and writes nothing in them but the benchmark's
+own output.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W
                                      [--pairs 10] [--seconds 20] [--seed 1]
@@ -41,17 +52,30 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def summarise(pairs: list, better: dict) -> list:
-    """One row per metric: name, parent and change quartiles, ratio, wins."""
+def summarise(pairs: list, metrics: list) -> list:
+    """One row per end-to-end metric of ``BENCHMARK.json``: name, parent and change
+    quartiles, ratio of medians, wins and verdict."""
     rows = []
-    for name, direction in better.items():
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
         before = [parent["metrics"][name]["value"] for parent, _ in pairs]
         after = [change["metrics"][name]["value"] for _, change in pairs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
-        base = quartiles(before)
-        ratio = quartiles(after)[1] / base[1] if base[1] else float("nan")
-        rows.append((name, base, quartiles(after), ratio, wins))
+        base, new = quartiles(before), quartiles(after)
+        ratio = new[1] / base[1] if base[1] else float("nan")
+        gained = sign * (new[1] - base[1])  # > 0 when the change's median is better
+        spread = base[2] - base[0]
+        if wins >= 0.9 * len(pairs) and gained > spread:
+            verdict = "gain"
+        elif gained < -bound * abs(base[1]):
+            verdict = "worse past bound"
+        elif spread > bound * abs(base[1]) and \
+                not all(sign * (a - b) > 0 for a in after for b in before):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
+        rows.append((name, base, new, ratio, wins, verdict))
     return rows
 
 
@@ -66,7 +90,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = [os.path.abspath(args.parent), os.path.abspath(args.change)]
     with open(os.path.join(roots[0], "BENCHMARK.json"), encoding="utf-8") as handle:
-        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        metrics = json.load(handle)["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
 
     pairs = []
     for pair in range(args.pairs):
@@ -84,10 +109,13 @@ def main(argv=None) -> int:
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs; "
           f"median [q1, q3], change/parent ratio of medians, change wins")
-    for name, base, new, ratio, wins in summarise(pairs, better):
+    rows = summarise(pairs, metrics)
+    for name, base, new, ratio, wins, _ in rows:
         print(f"  {name:12s} parent {base[1]:.6g} [{base[0]:.6g}, {base[2]:.6g}]  "
               f"change {new[1]:.6g} [{new[0]:.6g}, {new[2]:.6g}]  "
               f"x{ratio:.3f}  wins {wins}/{len(pairs)} ({better[name]} is better)")
+    for name, *_, verdict in rows:
+        print(f"verdict {name}: {verdict}")
     return 0
 
 

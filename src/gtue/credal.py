@@ -11,15 +11,19 @@ conventions of ``gtue.xreal``: the sum runs over the non-zero masses
 only, so a zero-mass cell never contributes whatever the payoff there,
 and +inf absorbs any sum it enters.  Bounded-below variables with +inf
 entries are thus handled exactly.  The kernel has two bodies with the
-same operations in the same order: a row of many blocks runs column by
-column, and a single block, or a row with +inf in a column some point
-reads, runs the one-block loop.  ``TreeModel.upper_level`` applies it
-to one depth of a tree.  ``raw_upper`` is the one evaluator of a single
-local variable, a tuple of payloads: one loop over the model's points
-serves an exact model (ints over one denominator) and a float one (cells
-lifted to float once); any other model or cell goes to ``upper_row``.  It
-has ``upper_row``'s value and type.  ``local_upper`` and ``local_lower``
-are its front ends on any sequence of numbers ``payload`` reads.
+same operations in the same order.  A row of many blocks runs a function
+compiled once per support shape (each point's supported state indices)
+and cached; each model binds its masses to that code as the function's
+globals, on its first row, so the code holds no payload and nothing is
+compiled at import.  A single block, or a row with +inf in a column some
+point reads, runs the one-block loop, the kernel's reference in the
+tests.  ``TreeModel.upper_level`` applies it to one depth of a tree.
+``raw_upper`` is the one evaluator of a single local variable, a tuple of
+payloads: one loop over the model's points serves an exact model (ints
+over one denominator) and a float one (cells lifted to float once); any
+other model or cell goes to ``upper_row``.  It has ``upper_row``'s value
+and type.  ``local_upper`` and ``local_lower`` are its front ends on any
+sequence of numbers ``payload`` reads.
 
 Redundant (non-extreme) points are permitted: evaluation is a maximum,
 so they are harmless, and requiring minimality would drag in a convex
@@ -28,7 +32,9 @@ hull dependency for no benefit.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -78,7 +84,7 @@ class CredalSet:
     one by PMF_SUM_TOL.
     """
 
-    __slots__ = ("extreme_points", "support", "_forms")
+    __slots__ = ("extreme_points", "support", "_forms", "_kernel")
 
     def __init__(self, extreme_points):
         points = tuple(tuple(p) for p in extreme_points)
@@ -102,6 +108,7 @@ class CredalSet:
         self.support = tuple(tuple((i, mass) for i, mass in enumerate(p) if mass != 0)
                              for p in points)
         self._forms = None  # raw_upper's, built on its first call
+        self._kernel = None  # upper_row's, built on its first row of several blocks
 
     @property
     def size(self) -> int:
@@ -115,6 +122,9 @@ class CredalSet:
 
     def __repr__(self):
         return f"CredalSet({list(self.extreme_points)!r})"
+
+    def __reduce__(self):  # the compiled kernel does not pickle; it is rebuilt on demand
+        return CredalSet, (self.extreme_points,)
 
 
 def vacuous(size: int) -> CredalSet:
@@ -134,29 +144,21 @@ def upper_row(model: CredalSet, row) -> list:
     operations of ``xreal.raw_add`` and ``xreal.raw_scale`` in the same order,
     so exact inputs give exact results and floats the same bits.
 
-    A row of several blocks runs column by column when no supported column
-    holds +inf: the same operations in the same order, one comprehension
-    per (point, column).  A single block, or a row where +inf must end a
-    sum, runs the one-block loop, which never does arithmetic on +inf; a
-    block where some point reads +inf is +inf even if a product in it
-    overflows a float, whatever the state order.
+    A row of several blocks runs the model's kernel when no supported
+    column holds +inf: one comprehension over the blocks that does the same
+    operations in the same order, compiled once per support shape and
+    cached, with the model's masses bound as its globals.  A single block,
+    or a row where +inf must end a sum, runs the one-block loop, which never
+    does arithmetic on +inf; a block where some point reads +inf is +inf
+    even if a product in it overflows a float, whatever the state order.
     """
     size = model.size
     support = model.support
     if len(row) > size:
-        columns = _finite_columns(support, row, size)
+        cells, kernel = model._kernel or _build_kernel(model)
+        columns = _finite_columns(cells, row, size)
         if columns is not None:
-            best = None
-            for point in support:
-                sums = None
-                for i, mass in point:
-                    if sums is None:
-                        sums = [0 + mass * v for v in columns[i]]
-                    else:
-                        sums = [t + mass * v for t, v in zip(sums, columns[i])]
-                best = sums if best is None else \
-                    [t if t > b else b for t, b in zip(sums, best)]
-            return best
+            return kernel(zip(*columns))
     out = []
     for base in range(0, len(row), size):
         best = None
@@ -180,22 +182,51 @@ def upper_row(model: CredalSet, row) -> list:
     return out
 
 
-def _finite_columns(support, row, size):
-    """The row's supported columns by state index, or None if one holds +inf.
+def _finite_columns(cells, row, size):
+    """The row's columns at the state indices ``cells``, or None if one holds +inf.
 
     The test is by identity, so a Fraction cell costs no ``Fraction.__eq__``;
-    a float overflow's non-canonical inf stays in a column, where both
-    bodies do the same arithmetic on it.
+    a float overflow's non-canonical inf stays in a column, where the kernel
+    and the one-block loop do the same arithmetic on it.
     """
-    columns = {}
-    for point in support:
-        for i, _ in point:
-            if i not in columns:
-                column = row[i::size]
-                if any(map(is_, column, repeat(_INF))):
-                    return None
-                columns[i] = column
+    columns = []
+    for i in cells:
+        column = row[i::size]
+        if any(map(is_, column, repeat(_INF))):
+            return None
+        columns.append(column)
     return columns
+
+
+def _build_kernel(model: CredalSet) -> tuple:
+    """``upper_row``'s (supported cells, kernel) for a model, kept in ``_kernel``: the
+    shape's compiled code with the model's masses as its globals."""
+    shape = tuple(tuple(i for i, _ in point) for point in model.support)
+    cells, code = _kernel_code(shape)
+    masses = {f"m{k}_{i}": mass for k, point in enumerate(model.support) for i, mass in point}
+    model._kernel = cells, types.FunctionType(code, masses)
+    return model._kernel
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel_code(shape: tuple) -> tuple:
+    """(supported cells, code) of the row kernel for a shape, each point's supported
+    state indices.  Per zipped block of supported cells ``v{i}``, it binds each point's
+    sum ``0 + m{k}_{i} * v{i} + ...`` in turn and keeps ``s if s > b else b``; the
+    source holds only names built from indices, and the masses ``m{k}_{i}`` are globals.
+    """
+    cells = tuple(sorted({i for point in shape for i in point}))
+    sums = [" + ".join(["0"] + [f"m{k}_{i} * v{i}" for i in point])
+            for k, point in enumerate(shape)]
+    clauses = [f"for b in [{sums[0]}]"]
+    for total in sums[1:]:
+        clauses += [f"for s in [{total}]", "for b in [s if s > b else b]"]
+    source = (f"def kernel(blocks):\n"
+              f"    return [b for {''.join(f'v{i}, ' for i in cells)}in blocks "
+              f"{' '.join(clauses)}]\n")
+    namespace = {}
+    exec(compile(source, "<gtue.credal row kernel>", "exec"), namespace)
+    return cells, namespace["kernel"].__code__
 
 
 def raw_upper(model: CredalSet, h):
@@ -284,6 +315,6 @@ def local_upper(model: CredalSet, h):
 def local_lower(model: CredalSet, h):
     """Conjugate lower expectation of a bounded-above local variable."""
     h = tuple(map(payload, h))
-    if any(v is _INF for v in h):
+    if any(map(is_, h, repeat(_INF))):
         raise NotBoundedAbove("local lower expectation needs a bounded-above argument")
     return raw_neg(raw_upper(model, tuple(map(raw_neg, h))))

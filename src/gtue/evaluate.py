@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .credal import CredalSet, StateSpace, upper_row
 from .errors import (
@@ -101,13 +102,22 @@ class TreeModel:
 
     @classmethod
     def table(cls, space: StateSpace, models: dict, max_depth: int) -> "TreeModel":
+        """One model per situation above ``max_depth``: a key off the tree, a missing
+        situation and a key at or past ``max_depth`` are refused."""
         models = {tuple(k): v for k, v in models.items()}
+        for s in models:
+            rank(s, space.size)  # refuses a state off the tree
         try:
             levels = tuple(tuple(models[s] for s in situations_at(depth, space.size))
                            for depth in range(max_depth))
         except KeyError as exc:
             raise ValueError(f"table assignment misses situation {exc.args[0]}") from None
-        return cls(space, max_depth, levels, models.values())
+        tree = cls(space, max_depth, levels, models.values())
+        for s in models:
+            if len(s) >= max_depth:
+                raise ValueError(f"table assignment has situation {s} at or past "
+                                 f"max_depth {max_depth}")
+        return tree
 
     def level(self, depth: int) -> tuple[CredalSet, ...]:
         """A depth's models in rank order, or the 1-tuple of the model it shares."""
@@ -190,7 +200,7 @@ def backward_levels(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT) -
     s = tuple(s)
     levels: list = [None] * (f.depth + 1)
     levels[f.depth] = list(f.on_subtree(s))
-    if any(v is NEG_INF for v in levels[f.depth]):
+    if any(map(operator.is_, levels[f.depth], repeat(NEG_INF))):
         raise NotBoundedBelow("the upper expectation needs a bounded-below variable")
     for depth in range(f.depth - 1, len(s) - 1, -1):
         first = subtree_block(s, depth, f.arity).start
@@ -212,7 +222,7 @@ def eval_process(tree: TreeModel, f: FinitaryVariable) -> Process:
 
 def eval_lower_finitary(tree: TreeModel, f: FinitaryVariable, s: Situation = ROOT):
     """Conjugate lower expectation of a finitary variable bounded above on s's subtree."""
-    if any(v is POS_INF for v in f.on_subtree(tuple(s))):
+    if any(map(operator.is_, f.on_subtree(tuple(s)), repeat(POS_INF))):
         raise NotBoundedAbove("the lower expectation needs a bounded-above variable")
     return raw_neg(eval_finitary(tree, f.map(operator.neg), s))
 

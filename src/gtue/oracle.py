@@ -23,6 +23,9 @@ oracle exists to check.  The sums run on raw payloads through
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_
+
 from .errors import CapExceeded, NotBoundedBelow
 from .evaluate import _check_variable
 from .tree import FinitaryVariable, ROOT, Situation, rank, subtree_block
@@ -45,7 +48,7 @@ def brute_force_upper(tree, f: FinitaryVariable, s: Situation = ROOT,
     """
     _check_variable(tree, f)
     s = tuple(s)
-    if any(v is NEG_INF for v in f.on_subtree(s)):
+    if any(map(is_, f.on_subtree(s), repeat(NEG_INF))):
         raise NotBoundedBelow("the oracle needs a bounded-below variable")
     count = _count(tree, f.depth, s, cap)
     if count > cap:

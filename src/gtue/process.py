@@ -20,6 +20,8 @@ applies.  ``truncate``, ``shift`` and ``mix`` use the ``raw_*`` forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_
 
 from .errors import (
     HorizonMismatch,
@@ -48,7 +50,7 @@ class Process:
         for depth, level in enumerate(levels):
             if len(level) != self.arity**depth:
                 raise ValueError(f"level {depth} has {len(level)} entries")
-            if any(v is NEG_INF for v in level):
+            if any(map(is_, level, repeat(NEG_INF))):
                 raise ValueError("processes must be bounded below: -inf value found")
         if self.terminal_cut is not None:
             self._check_terminal()

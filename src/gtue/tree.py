@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import is_
 
 from .errors import MonotonicityViolated
 from .xreal import NEG_INF, POS_INF, payload, payload_table
@@ -120,11 +121,11 @@ class FinitaryVariable:
 
     @property
     def bounded_below(self) -> bool:
-        return all(v is not NEG_INF for v in self.values)
+        return not any(map(is_, self.values, itertools.repeat(NEG_INF)))
 
     @property
     def bounded_above(self) -> bool:
-        return all(v is not POS_INF for v in self.values)
+        return not any(map(is_, self.values, itertools.repeat(POS_INF)))
 
     def on_subtree(self, s: Situation) -> tuple:
         """The values at s's descendants of the variable's depth, in rank order."""

@@ -590,6 +590,16 @@ class TestInputEdge:
         assert (code, report) == (1, None)
         assert f"tree.states[{bad}]" in err
 
+    def test_a_table_entry_the_tree_never_reads_is_input_error(self, files, capsys):
+        pmf = [[0.5, 0.5]]
+        tree = files("t.json", {"states": ["0", "1"], "max_depth": 1, "model": {
+            "type": "table", "entries": {"": pmf, "0": pmf, "0.0.0": pmf}}})
+        code, report, err = run_cli(
+            ["eval", tree, files("f.json", {"depth": 1, "values": [0, 1]})], capsys)
+        assert (code, report) == (1, None)
+        assert "input error: tree.model: table assignment has situation (0,) at or past " \
+               "max_depth 1" in err
+
     @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
     def test_overflowing_variable_literal_is_input_error(self, files, tmp_path, capsys,
                                                          literal):

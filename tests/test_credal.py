@@ -1,3 +1,4 @@
+import pickle
 import sys
 from fractions import Fraction
 
@@ -30,9 +31,9 @@ _CELLS = st.one_of(
 
 @st.composite
 def _points(draw, arity):
-    """1-3 extreme points: degenerate ints, Fractions or floats, often with zero masses."""
+    """1-5 extreme points: degenerate ints, Fractions or floats, often with zero masses."""
     points = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(("int", "fraction", "float")))
         if kind == "int":
             state = draw(st.integers(0, arity - 1))
@@ -54,7 +55,7 @@ def _points(draw, arity):
 
 @st.composite
 def _rows(draw):
-    arity = draw(st.integers(2, 4))
+    arity = draw(st.integers(2, 5))
     model = draw(_points(arity))
     size = arity * draw(st.integers(1, 40))
     row = draw(st.lists(_CELLS, min_size=size, max_size=size))
@@ -133,6 +134,17 @@ class TestRowKernel:
     @example((CredalSet([(1, 0, 0), (0.5, 0.5, 0)]), [1, 2, POS_INF] * 5))
     @example((CredalSet([(1, 0), (Fraction(1, 2), Fraction(1, 2))]), [1, 2, 3, POS_INF, 5, 6]))
     @example((CredalSet([(0.5, 0.5 + 4e-13)]), [_MAX, _MAX, 1.0, 2.0]))
+    # Four one-cell points; arity five.
+    @example((vacuous(4), [1, 2.5, Fraction(1, 3), -2, 0, -1, 2, 2.0]))
+    @example((CredalSet([(0.2,) * 5, (0, 0, 1, 0, 0)]), list(range(-4, 6))))
+    # A tie between an int and a float sum keeps the first point's type.
+    @example((CredalSet([(1, 0), (1.0, 0.0)]), [2, 5, 3, 7]))
+    @example((CredalSet([(1.0, 0.0), (1, 0)]), [2, 5, 3, 7]))
+    # Every product is -0.0, and 0 + (-0.0) is 0.0.
+    @example((CredalSet([(0.5, 0.5), (1, 0)]), [-0.0, -0.0] * 3))
+    # Fraction masses on int cells give integral Fractions.
+    @example((CredalSet([(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))]),
+              [1, 3, 3, 3, 0, 6]))
     def test_a_row_matches_the_one_block_loop(self, case):
         model, row = case
         try:
@@ -150,6 +162,20 @@ class TestRowKernel:
         for block, (g, w) in enumerate(zip(got, want)):
             assert same(g, w), (block, g, w)
             assert (g is POS_INF) == (w is POS_INF), block
+
+
+    def test_models_of_one_shape_share_the_code_not_the_masses(self):
+        a, b = CredalSet([(0.25, 0.75), (1, 0)]), CredalSet([(0.5, 0.5), (1, 0)])
+        row = [4, 8, 0, 2]
+        assert upper_row(a, row) == [7.0, 1.5]
+        assert upper_row(b, row) == [6.0, 1.0]
+        assert a._kernel[1].__code__ is b._kernel[1].__code__
+
+    def test_a_model_pickles_after_a_row(self):
+        model = CredalSet([(0.5, 0.5), (1, 0)])
+        assert upper_row(model, [1, 2, 3, 4]) == [1.5, 3.5]
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model and upper_row(copy, [1, 2, 3, 4]) == [1.5, 3.5]
 
 
 class TestOverflowBesidePlusInf:

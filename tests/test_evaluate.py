@@ -541,12 +541,22 @@ class TestTreeLayout:
     def test_local_models_and_distinct_models_in_rank_order(self, space2, model_a):
         a, b = model_a, CredalSet([(1, 0)])
         c = CredalSet([(0, 1)])
-        tree = TreeModel.table(space2, {(1,): a, (0,): b, (): c, (0, 0): a}, 2)
+        tree = TreeModel.table(space2, {(1,): a, (0,): b, (): c}, 2)
         assert [tree.local_model_at(s) for s in ((), (0,), (1,))] == [c, b, a]
         assert tree.distinct_models() == (c, b, a)
         with pytest.raises(DepthExceeded):
             tree.local_model_at((0, 0))
         assert TreeModel.by_depth(space2, [b, a, c], 2).distinct_models() == (b, a)
+
+    @pytest.mark.parametrize("extra, message", [
+        (((5,), (0, 0, 0)), r"situation \(5,\) leaves the tree: states run from 0 to 1"),
+        (((0, 0),), r"table assignment has situation \(0, 0\) at or past max_depth 2"),
+        (((1, 0, 1),), r"table assignment has situation \(1, 0, 1\) at or past max_depth 2"),
+    ], ids=["off-the-tree", "at-max-depth", "past-max-depth"])
+    def test_table_refuses_a_key_it_would_not_read(self, space2, model_a, extra, message):
+        models = {(): model_a, (0,): model_a, (1,): model_a} | dict.fromkeys(extra, model_a)
+        with pytest.raises(ValueError, match=message):
+            TreeModel.table(space2, models, 2)
 
     @pytest.mark.parametrize("kind, s", [("table", (0, 3)), ("table", (2,)),
                                          ("stationary", (5,))],

@@ -43,12 +43,13 @@ def test_a_single_fault_is_named(values, message):
     # A situation is missing, or a key names none: every key is read in file order first.
     ({"": 1, "ab": "x", "c": 2}, "process.values['ab']: cannot parse 'x' as a number"),
     ({"": "x", "ab": 1, "c": 2}, "process.values['']: cannot parse 'x' as a number"),
+    ({"": "x"}, "process.values['']: cannot parse 'x' as a number"),
     (VALUES | {"ab": "x", "zz": 1}, "process.values['ab']: cannot parse 'x' as a number"),
     ({"": 1, "zz": 1, "ab": 1, "c": 2}, "process.values['zz']: unknown state label 'zz'"),
     # Every key names a situation up to the horizon: bad values are found in rank order.
     ({"": 1, "d": "y", "ab": 1, "c": "x"}, "process.values['c']: cannot parse 'x' as a number"),
-], ids=["bad-value-and-missing", "bad-root-and-missing", "bad-value-and-unknown-key",
-        "unknown-key-and-missing", "two-bad-values"])
+], ids=["bad-value-and-missing", "bad-root-and-missing", "bad-root-alone-and-missing",
+        "bad-value-and-unknown-key", "unknown-key-and-missing", "two-bad-values"])
 def test_the_first_of_two_faults_is_named_in_the_documented_order(values, message):
     with pytest.raises(SchemaError) as refused:
         _decode(values)

@@ -96,8 +96,12 @@ class TestBruteForce:
         assert brute_force_upper(tree_a, f, (0,)) == 0
 
     def test_cap_refusal(self, tree_a):
+        f = indicator(2, 2, [(1, 1)])
         with pytest.raises(CapExceeded):
-            brute_force_upper(tree_a, indicator(2, 2, [(1, 1)]), cap=7)
+            brute_force_upper(tree_a, f, cap=7)
+        assert selection_count(tree_a, 2) == 8
+        # A cap equal to the count runs.
+        assert brute_force_upper(tree_a, f, cap=8) == eval_finitary(tree_a, f)
 
     def test_refusal_stops_counting_past_the_cap(self, space2):
         """At depth 40 the exact count 3**(2**40 - 1) would take about 2 * 10**12 bits."""

@@ -41,6 +41,33 @@ def test_bench_pairs_compares_a_checkout_with_itself():
     assert sum(line.startswith("pair 0 ") for line in result.stdout.splitlines()) == 2
 
 
+def test_bench_pairs_gives_one_verdict_per_metric():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parent = list(range(100, 110))  # median 104.5, interquartile range 4.5
+    runs = {  # metric: (parent runs, change runs), pair by pair
+        "gain": (parent, [v + 10 for v in parent]),
+        "gain_lower": (parent, [v - 10 for v in parent]),
+        "wins_within_spread": (parent, [v + 3 for v in parent]),
+        "eight_wins": (parent, [v + 10 for v in parent[:8]] + parent[8:]),
+        "worse": (parent, [v - 30 for v in parent]),
+        "noisy": ([50, 150] * 5, [60, 140] * 5),
+        # Wide parent spread, but every change run beats every parent run.
+        "all_better": ([0] * 3 + [100] * 5 + [101] * 2, [102] * 10),
+    }
+    metrics = [{"name": name, "better": "lower" if name == "gain_lower" else "higher",
+                "bound": 0.25} for name in runs]
+    pairs = [tuple({"metrics": {name: {"value": sides[side][i]} for name, sides in runs.items()}}
+                   for side in (0, 1)) for i in range(10)]
+    verdicts = {row[0]: (row[4], row[5]) for row in script.summarise(pairs, metrics)}
+    assert verdicts == {"gain": (10, "gain"), "gain_lower": (10, "gain"),
+                        "wins_within_spread": (10, "within bound"),
+                        "eight_wins": (8, "within bound"), "worse": (0, "worse past bound"),
+                        "noisy": (5, "unresolved"), "all_better": (10, "within bound")}
+
+
 def test_ab_ops_compares_a_checkout_with_itself():
     result = subprocess.run(
         [sys.executable, os.path.join("scripts", "ab_ops.py"), ROOT, ROOT,
