@@ -11,7 +11,10 @@ A functional maps a tuple of raw payloads (``xreal.payload``'s forms),
 one per state, to a number, normalised with ``payload``.  Probes hold
 int, Fraction and +inf cells, so exact functionals are audited exactly.
 Each draw is the int numerator k of a cell k/100, or +inf: the harness
-sums, orders and clamps these ints, and builds each cell's Fraction once.
+sums, orders, clamps and scales these ints.  A cell k/100 is built once;
+a finite cell of a product (by 1/2, 2 or a drawn factor) or of E9's noise
+is one ``Fraction`` of two ints, of ``raw_scale``'s or ``raw_add``'s value
+and type.  The tolerance must be finite and non-negative.
 
 Covered properties, named as in the report:
 
@@ -44,11 +47,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .credal import CredalSet, StateSpace, raw_upper
-from .xreal import (NEG_INF, POS_INF, payload, raw_add, raw_close_within, raw_le_within,
-                    raw_neg, raw_scale, to_text)
+from .xreal import (NEG_INF, POS_INF, check_tol, payload, raw_add, raw_close_within,
+                    raw_le_within, raw_neg, raw_scale, to_text)
 
 INF_CELL_PROBABILITY = 0.1
 GAMBLE_LOW, GAMBLE_HIGH = -10, 10
+_FINITE = 100 * (GAMBLE_HIGH - GAMBLE_LOW) + 1  # the numerators _rand_finite can give
+_FINITE_BITS = _FINITE.bit_length()
 
 
 @dataclass
@@ -103,7 +108,7 @@ def audit_axioms(functionals, space: StateSpace, trials: int = 500,
                 AuditReport({name: AxiomResult(name) for name in AXIOM_NAMES},
                             trials=trials, seed=seed, tol=tol))
                for functional in functionals]
-    tol = payload(tol)
+    tol = check_tol(tol)
     groups = [(random.Random(seed), members)]
     for _ in range(trials):
         groups = [split for rng, group in groups
@@ -129,24 +134,48 @@ def _cells(ks) -> tuple:
 
 
 def _sum(a, b) -> tuple:
-    return tuple(POS_INF if x is POS_INF or y is POS_INF else x + y for x, y in zip(a, b))
+    return tuple([POS_INF if x is POS_INF or y is POS_INF else x + y for x, y in zip(a, b)])
+
+
+def _scaled(lam, ks) -> tuple:
+    """The cells ``raw_scale(lam, k/100)`` for the numerators ``ks``, from ints: ``lam`` is
+    0, +inf (every k >= 0) or a positive int or Fraction (a Fraction per finite cell)."""
+    if lam is POS_INF:
+        return tuple([0 if k == 0 else POS_INF for k in ks])
+    if not lam:
+        return (0,) * len(ks)
+    num, den = lam.as_integer_ratio()
+    if den == 1:  # the factor 2 on h's numerators, |2k| <= 2000: cells of the cache
+        return _cells([k if k is POS_INF else num * k for k in ks])
+    return tuple([POS_INF if k is POS_INF else Fraction(num * k, 100 * den) for k in ks])
+
+
+def _noisy(ks, j: int, signs) -> tuple:
+    """The cells ``raw_add(k/100, sign/2^j)`` for the finite numerators ``ks``, sign -1
+    or 1: one ``Fraction`` (k 2^j + 100 sign) / (100 2^j) each."""
+    return tuple([Fraction(k * 2**j + 100 * sign, 100 * 2**j) for k, sign in zip(ks, signs)])
 
 
 def _rand_finite(rng):
-    return rng.randint(GAMBLE_LOW * 100, GAMBLE_HIGH * 100)
+    """``rng.randint(100 * GAMBLE_LOW, 100 * GAMBLE_HIGH)`` draw for draw, in one frame:
+    CPython's randint draws getrandbits of the width's bit length until one is below it."""
+    r = rng.getrandbits(_FINITE_BITS)
+    while r >= _FINITE:
+        r = rng.getrandbits(_FINITE_BITS)
+    return r + 100 * GAMBLE_LOW
 
 
 def _gamble(rng, n) -> tuple:
-    return tuple(_rand_finite(rng) for _ in range(n))
+    return tuple([_rand_finite(rng) for _ in range(n)])
 
 
 def _bounded_below(rng, n) -> tuple:
-    return tuple(POS_INF if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
-                 for _ in range(n))
+    return tuple([POS_INF if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
+                  for _ in range(n)])
 
 
 def _nonnegative(rng, n) -> tuple:
-    return tuple(k if k is POS_INF else abs(k) for k in _bounded_below(rng, n))
+    return tuple([k if k is POS_INF else abs(k) for k in _bounded_below(rng, n)])
 
 
 def _fmt(h: tuple) -> str:
@@ -156,7 +185,7 @@ def _fmt(h: tuple) -> str:
 def _clamp(ks: tuple, level) -> tuple:
     """min(h, level) on the numerators ``ks`` of h: a cell below ``level``, else ``level``."""
     cut = 100 * level
-    return tuple(_cell(k) if k is not POS_INF and k < cut else level for k in ks)
+    return tuple([_cell(k) if k is not POS_INF and k < cut else level for k in ks])
 
 
 def _probe_once(rng, members, n, tol) -> list:
@@ -168,25 +197,24 @@ def _probe_once(rng, members, n, tol) -> list:
     """
     c = _cell(_rand_finite(rng))
     f, g = _bounded_below(rng, n), _bounded_below(rng, n)
-    h = _cells(_nonnegative(rng, n))
+    hk = _nonnegative(rng, n)
     base = _bounded_below(rng, n)
     upper = _cells(_sum(base, _nonnegative(rng, n)))
-    probe = _bounded_below(rng, n)
+    pk = _bounded_below(rng, n)
     mu = POS_INF if rng.random() < INF_CELL_PROBABILITY else _rand_finite(rng)
     lam7 = _cell(abs(_rand_finite(rng))) if rng.random() < 0.8 else 0
     gf, gg = _gamble(rng, n), _gamble(rng, n)
-    target = _cells(_gamble(rng, n))
+    tk = _gamble(rng, n)
 
-    # Sums, negations and bounds on the numerators; the products leave the 1/100 grid.
-    f_plus_g, f, g, base = _cells(_sum(f, g)), _cells(f), _cells(g), _cells(base)
-    scaled_h = [(lam, tuple(raw_scale(lam, v) for v in h))
-                for lam in (0, Fraction(1, 2), 2, POS_INF)]
-    shifted = _cells(_sum(probe, (mu,) * n))
-    low, high, mu, probe = _cell(min(probe)), _cell(max(probe)), _cell(mu), _cells(probe)
-    scaled7 = tuple(raw_scale(lam7, v) for v in probe)
+    # Sums, negations and bounds on the numerators; each product cell is one Fraction.
+    f_plus_g, f, g, base, h = _cells(_sum(f, g)), _cells(f), _cells(g), _cells(base), _cells(hk)
+    scaled_h = [(lam, _scaled(lam, hk)) for lam in (0, Fraction(1, 2), 2, POS_INF)]
+    shifted = _cells(_sum(pk, (mu,) * n))
+    low, high, mu, probe = _cell(min(pk)), _cell(max(pk)), _cell(mu), _cells(pk)
+    scaled7 = _scaled(lam7, pk)
     total = _sum(gf, gg)
-    neg_total, neg_gg = _cells(-k for k in total), _cells(-k for k in gg)
-    total, gf, gg = _cells(total), _cells(gf), _cells(gg)
+    neg_total, neg_gg = _cells([-k for k in total]), _cells([-k for k in gg])
+    total, gf, gg, target = _cells(total), _cells(gf), _cells(gg), _cells(tk)
     live = []
     for F, report in members:
         res = report.results
@@ -240,11 +268,12 @@ def _probe_once(rng, members, n, tol) -> list:
     groups = []
     for j in (2, 5, 9):
         eps = Fraction(1, 2**j)
-        noisy = tuple(raw_add(v, eps * rng.choice((-1, 1))) for v in target)
+        noisy = _noisy(tk, j, [rng.choice((-1, 1)) for _ in tk])
+        # |F(f) - F(f_n)| <= eps, within tol; unequal infinities differ by +inf.
+        within = raw_add(eps, tol)
         going, failed = [], []
         for F, report, value in live:
-            # |F(f) - F(f_n)| <= eps, within tol; unequal infinities differ by +inf.
-            if raw_close_within(F(noisy), value, raw_add(eps, tol)):
+            if raw_close_within(F(noisy), value, within):
                 going.append((F, report, value))
             else:
                 report.results["E9"].fail(f"f={_fmt(target)}, sup|f-f_n|={eps}: "
@@ -264,9 +293,9 @@ def _probe_once(rng, members, n, tol) -> list:
             h = (POS_INF,) + h[1:]
         cg, cf, cgg = [_gamble(stream, n) for _ in range(3)]
         cg_high, cf_plus_cgg = _cell(max(cg)), _cells(_sum(cf, cgg))
+        lam_c = _cell(stream.randint(1, 400))
+        scaled_cf = _scaled(lam_c, cf)
         cg, cf, cgg = _cells(cg), _cells(cf), _cells(cgg)
-        lam_c = Fraction(stream.randint(1, 400), 100)
-        scaled_cf = tuple(raw_scale(lam_c, v) for v in cf)
         terms = [_nonnegative(stream, n) for _ in range(4)]
         partials = list(map(_cells, itertools.accumulate(terms, _sum)))
         terms = list(map(_cells, terms))

@@ -47,7 +47,7 @@ from .evaluate import STATUS_EXACT, eval_finitary, eval_limit, eval_lower_finita
 from .oracle import DEFAULT_CAP, brute_force_upper, selection_count
 from .process import check_supermartingale
 from .tree import FinitarySequence, FinitaryVariable
-from .xreal import NEG_INF, POS_INF, close_within, payload
+from .xreal import check_tol, close_within
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -61,13 +61,7 @@ def _settings(args) -> tuple:
         return rational, 0 if rational else 1e-9
     # Exact inputs get an exact tolerance; a float would make every
     # comparison against it inexact.
-    tol = payload(Fraction(args.tol) if rational else float(args.tol))
-    if tol is POS_INF or tol is NEG_INF:
-        # An infinite tolerance would pass every verification.
-        raise ValueError("tol must be finite")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    return rational, tol
+    return rational, check_tol(Fraction(args.tol) if rational else float(args.tol))
 
 
 def _emit(document):

@@ -235,35 +235,44 @@ def raw_upper(model: CredalSet, h):
     A wrong length (ValueError) and a -inf cell, which only a float can be,
     are refused before any arithmetic.  The result is ``upper_row``'s value
     and type, by the model's form.  Exact model, with int or Fraction finite
-    supported cells: the sums run in ints over one denominator for the
-    masses and one for the cells; a +inf ends a sum, strict ``>`` keeps the
-    first maximiser, and the winner is an int when its masses and cells are.
-    Float model: Python multiplies a float mass by ``float(v)`` anyway, so
-    the supported cells are lifted once, unless one is too large for a float,
-    and the same loop does the one-block operations of ``upper_row`` on them.
+    supported cells: one pass puts the cells over their running lcm, and the
+    sums run in ints over it and the masses' denominator; a +inf ends a sum,
+    strict ``>`` keeps the first maximiser, and the winner is an int when its
+    masses and cells are.  Float model: Python multiplies a float mass by
+    ``float(v)`` anyway, so the supported cells are lifted once, unless one is
+    too large for a float, and the same loop does the one-block operations of
+    ``upper_row`` on them.
     """
-    if len(h) != model.size:
+    size, cells, scale, points = model._forms or _build_forms(model)
+    if len(h) != size:
         raise ValueError("variable length does not match the credal set")
     for v in h:
         if isinstance(v, float) and v == _NEG:
             raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
-    cells, scale, points = model._forms or _build_forms(model)
     if points is None:
         return upper_row(model, h)[0]
     row = list(h)
     if scale is not None:
-        finite = [i for i in cells if h[i] is not _INF]
-        if not all(type(h[i]) is Fraction or isinstance(h[i], int) for i in finite):
-            return upper_row(model, h)[0]
-        den = math.lcm(*(h[i].denominator for i in finite))
-        for i in finite:
-            row[i] = h[i].numerator * (den // h[i].denominator)
+        den, parts = 1, []
+        for i in cells:
+            v = h[i]
+            if v is _INF:
+                continue
+            if type(v) is not Fraction and not isinstance(v, int):
+                return upper_row(model, h)[0]
+            num, d = v.as_integer_ratio()
+            if den % d:
+                den = math.lcm(den, d)
+            parts.append((i, num, d))
+        for i, num, d in parts:
+            row[i] = num * (den // d)
     else:
         try:
             for i in cells:
                 v = row[i]
                 if type(v) is Fraction:  # the int true division Fraction's float() runs
-                    row[i] = v.numerator / v.denominator
+                    num, d = v.as_integer_ratio()
+                    row[i] = num / d
                 elif not isinstance(v, float):
                     row[i] = float(v)
         except OverflowError:
@@ -280,13 +289,14 @@ def raw_upper(model: CredalSet, h):
             best, winner, int_winner = total, point, int_masses
     if scale is None or best is _INF:
         return best
-    if int_winner and all(isinstance(h[i], int) for i, _ in winner):
+    # An exact point of int masses has one supported cell, of mass 1.
+    if int_winner and isinstance(h[winner[0][0]], int):
         return best // (scale * den)
     return Fraction(best, scale * den)
 
 
 def _build_forms(model: CredalSet) -> tuple:
-    """``raw_upper``'s (supported cells, scale, points) for a model, kept in ``_forms``.
+    """``raw_upper``'s (size, supported cells, scale, points) for a model, kept in ``_forms``.
 
     Points are (all masses int, (index, mass) pairs).  An exact model gets its mass
     denominator and int-scaled pairs; a float model no scale and its support's
@@ -303,7 +313,7 @@ def _build_forms(model: CredalSet) -> tuple:
                   for point in support]
     elif all(type(mass) is float for mass in masses):
         points = [(False, point) for point in support]
-    model._forms = cells, scale, points
+    model._forms = model.size, cells, scale, points
     return model._forms
 
 

@@ -30,8 +30,8 @@ from .errors import (
     SpaceMismatch,
 )
 from .tree import Cut, Situation, is_complete, rank, situations_at, unrank
-from .xreal import (NEG_INF, POS_INF, payload, payload_table, raw_add, raw_le_within, raw_neg,
-                    raw_scale, to_text)
+from .xreal import (NEG_INF, POS_INF, check_tol, payload, payload_table, raw_add,
+                    raw_le_within, raw_neg, raw_scale, to_text)
 
 
 
@@ -114,14 +114,15 @@ def check_supermartingale(tree, M: Process, tol=0) -> SupermartingaleVerdict:
 
     The comparison is order-based (Q <= M(s) + tol) rather than a
     subtraction test, so nodes where both sides are +inf verify
-    correctly under the +inf - inf = +inf convention.
+    correctly under the +inf - inf = +inf convention.  ``tol`` must be
+    finite and non-negative (``xreal.check_tol``).
     """
     if tree.space.size != M.arity:
         raise SpaceMismatch("process and tree disagree on the state space")
     if M.horizon > tree.max_depth:
         raise HorizonMismatch(
             f"process horizon {M.horizon} exceeds tree depth {tree.max_depth}")
-    tol = payload(tol)
+    tol = check_tol(tol)
     worst = None  # (depth, rank, raw gap); strict > keeps the first of equal gaps
     for depth in range(M.horizon):
         uppers = tree.upper_level(depth, M.levels[depth + 1])

@@ -154,10 +154,25 @@ def raw_scale(lam, a):
 
 
 def raw_le_within(a, b, tol) -> bool:
-    """True iff a <= b + tol (order-based, safe at infinities)."""
-    if not tol and type(tol) is not float:  # b + 0 is b; a float 0.0 would make an exact b inexact
+    """True iff a <= b + tol (order-based, safe at infinities).  An int or Fraction zero
+    tol compares ``a > b``, as a float 0.0 would make an exact b inexact; past a +inf b
+    or tol, tested by identity, ``b + tol`` is ``raw_add(b, tol)`` in value."""
+    if not tol and type(tol) is not float:
         return not (a > b)
-    return not (a > raw_add(b, tol))
+    if b is POS_INF or tol is POS_INF:
+        return True
+    return not (a > b + tol)
+
+
+def check_tol(tol):
+    """The tolerance as a payload; ValueError unless it is finite and non-negative:
+    an infinite one would pass every comparison, a negative one fail exact ones."""
+    tol = payload(tol)
+    if tol is POS_INF or tol is NEG_INF:
+        raise ValueError("tol must be finite")
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    return tol
 
 
 def raw_close_within(a, b, tol) -> bool:

@@ -9,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from gtue import CredalSet, FinitaryVariable, StateSpace, eval_finitary
 from gtue.audit import (
+    _cell,
+    _noisy,
+    _rand_finite,
+    _scaled,
     audit_axioms,
     broken_point_spread_bonus,
     broken_sup_plus_one,
@@ -19,7 +23,7 @@ from gtue.credal import raw_upper, upper_row
 from gtue.errors import NotBoundedBelow
 from gtue.testing import random_tree
 from gtue.tree import subtree_block
-from gtue.xreal import raw_add, raw_scale
+from gtue.xreal import POS_INF, raw_add, raw_scale
 
 
 def test_credal_functional_passes_everything():
@@ -159,6 +163,9 @@ def test_report_shape():
                                    "countable_subadditivity"}
     assert report.trials == 40
     assert report.failures() == []
+    # One trial is the fewest the audit runs.
+    [once] = audit_axioms([upper_envelope(model)], space, trials=1, seed=0)
+    assert once.trials == 1 and once.all_passed
 
 
 def test_tiny_charge_on_the_inf_cells_is_audited_exactly():
@@ -366,10 +373,54 @@ def test_the_global_operator_passes_every_axiom_exactly(masses, s, tol, deeper):
     assert branches["finite"] > 0 and branches["divergent"] > 0, branches
 
 
+# Probe numerators: the audit's |k| <= 4000 with 0 and +inf drawn often.
+_NUMERATORS = st.one_of(st.just(0), st.just(POS_INF), st.integers(-4000, 4000))
+
+
+def _typed(cells):
+    return [(type(v), v) for v in cells]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ks=st.lists(_NUMERATORS, max_size=5), j=st.integers(0, 1000),
+       lam=st.sampled_from((0, Fraction(1, 2), 2, POS_INF, "j/100", "int 0")))
+def test_int_built_products_are_raw_scales_cells(ks, j, lam):
+    # E3 scales a non-negative h by 0, 1/2, 2 and +inf; E7 and C3 scale by j/100, and
+    # E7's factor may be the int 0.
+    lam = {"j/100": _cell(j), "int 0": 0}.get(lam, lam)
+    if lam is POS_INF:
+        ks = [k if k is POS_INF else abs(k) for k in ks]
+    want = [raw_scale(lam, _cell(k)) for k in ks]
+    assert _typed(_scaled(lam, ks)) == _typed(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ks=st.lists(st.one_of(st.just(0), st.integers(-1000, 1000)), max_size=5),
+       j=st.sampled_from((2, 5, 9)), data=st.data())
+def test_int_built_noise_is_raw_adds_cells(ks, j, data):
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(ks), max_size=len(ks)))
+    want = [raw_add(_cell(k), Fraction(1, 2**j) * sign) for k, sign in zip(ks, signs)]
+    assert _typed(_noisy(ks, j, signs)) == _typed(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 9001, 2**40 + 3])
+def test_rand_finite_is_randint_draw_for_draw(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3000):
+        assert _rand_finite(ours) == theirs.randint(-1000, 1000)
+        # The streams stay in step for the draws that follow.
+        assert ours.random() == theirs.random()
+    assert ours.getstate() == theirs.getstate()
+
+
 @pytest.mark.parametrize("refused, match", [
     (lambda: audit_axioms([vacuous_functional()], StateSpace(("0", "1")), trials=0),
      "trials must be at least 1"),
-], ids=["no-trials"])
+    (lambda: audit_axioms([vacuous_functional()], StateSpace(("0", "1")), tol=math.inf),
+     "tol must be finite"),
+    (lambda: audit_axioms([vacuous_functional()], StateSpace(("0", "1")), tol=-1),
+     "tol must be non-negative"),
+], ids=["no-trials", "tol-inf", "tol-negative"])
 def test_refuses_invalid_input(refused, match):
     with pytest.raises(ValueError, match=match):
         refused()

@@ -10,6 +10,7 @@ from gtue import (
     POS_INF,
     CredalSet,
     Cut,
+    FinitaryVariable,
     Process,
     StateSpace,
     TreeModel,
@@ -347,6 +348,10 @@ class TestProcessValidation:
 
 
 _ONE = constant_process(2, 1, 1)
+# M(root) = 0 lies 5 below the expectation of its children under masses 1/2, 1/2.
+_HALVES = TreeModel.stationary(StateSpace(("0", "1")),
+                               CredalSet([(Fraction(1, 2), Fraction(1, 2))]), 1)
+_RISING = Process(2, 1, ((0,), (5, 5)), level_cut(2, 1))
 # Complete by its measure, but the member (2,) leaves the binary tree.
 _OFF_TREE_CUT = Cut(frozenset({(0,), (2,)}))
 
@@ -374,10 +379,17 @@ _OFF_TREE_CUT = Cut(frozenset({(0,), (2,)}))
      r"situation \(0, 5\) leaves the tree"),
     (lambda: constant_process(2, 1, 1, Cut(frozenset({(3,)}))), ValueError,
      r"situation \(3,\) leaves the tree"),
+    (lambda: check_supermartingale(_HALVES, _RISING, tol=POS_INF), ValueError,
+     "tol must be finite"),
+    (lambda: certificate_bound(_HALVES, _RISING, FinitaryVariable(2, 1, (5, 5)), tol=math.inf),
+     ValueError, "tol must be finite"),
+    (lambda: check_supermartingale(_HALVES, _ONE, tol=-1), ValueError,
+     "tol must be non-negative"),
 ], ids=["level-count", "level-length", "cut-past-horizon", "check-space", "truncate-inf",
         "shift-inf", "mix-lengths", "mix-empty", "mix-inf-weight", "mix-horizon",
         "mix-space", "liminf-short-prefix", "tail-not-terminal", "cut-off-the-tree",
-        "cut-first-member-off-the-tree", "cut-off-the-tree-and-incomplete"])
+        "cut-first-member-off-the-tree", "cut-off-the-tree-and-incomplete",
+        "check-tol-inf", "certificate-tol-inf", "check-tol-negative"])
 def test_refuses_invalid_input(refused, error, match):
     with pytest.raises(error, match=match):
         refused()

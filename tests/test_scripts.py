@@ -123,3 +123,30 @@ def test_line_coverage_counts_one_test_file():
     assert unreached[audit] == totals[audit]
     # Hypothesis draws the same examples each run, so the count repeats.
     assert run().stdout.splitlines()[-1] == lines[-1]
+
+
+def test_mutation_score_kills_and_keeps_mutants_in_a_copy(tmp_path):
+    # A toy checkout: the test pins the sum but not the sign test's boundary at 0.
+    (tmp_path / "src" / "gtue").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "pyproject.toml").write_text("")
+    (tmp_path / "src" / "gtue" / "__init__.py").write_text("")
+    toy = tmp_path / "src" / "gtue" / "toy.py"
+    toy.write_text("def add(a, b):\n    return a + b\n\n\n"
+                   "def is_negative(a):\n    return a < 0\n")
+    (tmp_path / "tests" / "test_toy.py").write_text(
+        "from gtue.toy import add, is_negative\n\n\n"
+        "def test_toy():\n    assert add(2, 3) == 5\n"
+        "    assert is_negative(-1) and not is_negative(1)\n")
+    before = sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*"))
+    result = subprocess.run(
+        [sys.executable, os.path.join("scripts", "mutation_score.py"), "--root", str(tmp_path),
+         "--module", "toy", "--tests", "tests/test_toy.py", "--timeout", "60"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "toy.py:2: + -> -: killed (failed): return a + b",
+        "toy.py:6: < -> <=: survived: return a < 0",
+        "toy: 1 of 2 mutants killed"]
+    assert toy.read_text().endswith("return a < 0\n")
+    assert sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*")) == before

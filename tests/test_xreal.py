@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from gtue import NEG_INF, POS_INF, add, neg, payload, scale, to_text
 from gtue.errors import UndefinedProduct
 from gtue.xreal import (
+    check_tol,
     close_within,
     le_within,
     raw_add,
@@ -194,9 +195,30 @@ def test_a_zero_tolerance_agrees_with_the_add_path(a, b, zero):
             assert raw_le_within(a, b, zero) == expected
 
 
+@given(a=payloads, b=payloads, tol=payloads.filter(lambda t: t or isinstance(t, float)))
+def test_any_other_tolerance_agrees_with_the_add_path(a, b, tol):
+    # Past the identity tests for +inf, b + tol has raw_add's value, for an infinite
+    # tol too, so no raw_add runs.
+    expected = not a > raw_add(b, tol)
+    with mock.patch("gtue.xreal.raw_add", side_effect=AssertionError("added")):
+        assert raw_le_within(a, b, tol) == expected
+
+
+@pytest.mark.parametrize("tol", [0, Fraction(0), 0.0, 1e-9, Fraction(1, 3), 10**400])
+def test_check_tol_keeps_a_finite_non_negative_payload(tol):
+    assert check_tol(tol) is tol
+
+
 @pytest.mark.parametrize("refused, match", [
     (lambda: payload("--inf"), "could not convert"),
-], ids=["doubled-sign"])
+    (lambda: check_tol(POS_INF), "tol must be finite"),
+    (lambda: check_tol(float("-inf")), "tol must be finite"),
+    (lambda: check_tol("inf"), "tol must be finite"),
+    (lambda: check_tol(-1), "tol must be non-negative"),
+    (lambda: check_tol(Fraction(-1, 10**30)), "tol must be non-negative"),
+    (lambda: check_tol(float("nan")), "NaN"),
+], ids=["doubled-sign", "tol-inf", "tol-neg-inf", "tol-inf-text", "tol-negative",
+        "tol-tiny-negative", "tol-nan"])
 def test_refuses_invalid_input(refused, match):
     with pytest.raises(ValueError, match=match):
         refused()
