@@ -9,12 +9,11 @@ written with ``ast.unparse`` into a temporary copy of the checkout's
 ``src/`` and ``tests/``, and the module's tests run there with ``-x``,
 Hypothesis derandomized and without its example database, and the cache
 off; the checkout itself is only read.  A mutant is killed when the tests
-fail or run past ``--timeout`` seconds, and survives when they pass.  The
+fail or run past ``TIMEOUT`` seconds, and survives when they pass.  The
 unmutated module, unparsed the same way, must pass first.
 
 Usage: python scripts/mutation_score.py [--root DIR] [--module audit ...]
                                         [--tests tests/test_x.py ...]
-                                        [--limit N] [--timeout 300]
 
 Without ``--module`` it scores audit, credal and xreal, each against its
 own test files (``TESTS``); ``--tests`` replaces them for every module.
@@ -30,6 +29,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT = 300  # seconds; a test run past it kills its mutant
 TESTS = {
     "audit": ["tests/test_audit.py", "tests/test_audit_golden.py"],
     "credal": ["tests/test_credal.py", "tests/test_audit.py"],
@@ -77,27 +77,25 @@ def mutant(source: str, index: int) -> tuple:
     return ast.unparse(tree), f"{SYMBOLS[old]} -> {SYMBOLS[SWAPS[old]]}", line
 
 
-def run_tests(work: str, tests: list, timeout: float) -> str:
+def run_tests(work: str, tests: list) -> str:
     """'passed', 'failed' or 'timeout' for the tests in the copy at ``work``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(work, "src"), work]),
                PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             "-p", "mutation_profile", *tests]
     try:
-        done = subprocess.run(argv, cwd=work, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(argv, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if done.returncode == 0 else "failed"
 
 
-def score(root: str, module: str, tests: list, limit, timeout: float) -> tuple:
+def score(root: str, module: str, tests: list) -> tuple:
     """(killed, total) for the module's mutants, printing one line per mutant."""
     with open(os.path.join(root, "src", "gtue", f"{module}.py"), encoding="utf-8") as handle:
         source = handle.read()
     lines = source.splitlines()
     count = len(sites(ast.parse(source)))
-    if limit is not None:
-        count = min(count, limit)
     with tempfile.TemporaryDirectory(prefix="mutation-") as work:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for part in ("src", "tests"):
@@ -112,13 +110,13 @@ def score(root: str, module: str, tests: list, limit, timeout: float) -> tuple:
                 handle.write(text)
 
         write(ast.unparse(ast.parse(source)))
-        if run_tests(work, tests, timeout) != "passed":
+        if run_tests(work, tests) != "passed":
             sys.exit(f"{module}: the tests fail on the unmutated module")
         killed = 0
         for index in range(count):
             text, change, line = mutant(source, index)
             write(text)
-            outcome = run_tests(work, tests, timeout)
+            outcome = run_tests(work, tests)
             killed += outcome != "passed"
             verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
             print(f"{module}.py:{line}: {change}: {verdict}: {lines[line - 1].strip()}",
@@ -131,17 +129,13 @@ def main(argv=None) -> int:
     parser.add_argument("--root", default=ROOT, help="the checkout (default: this one)")
     parser.add_argument("--module", action="append", help="a module of src/gtue, repeatable")
     parser.add_argument("--tests", nargs="+", help="test files, relative to the root")
-    parser.add_argument("--limit", type=int, help="score only the first N sites per module")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a test run counts as killing its mutant")
     args = parser.parse_args(argv)
     scores = {}
     for module in args.module or list(TESTS):
         tests = args.tests or TESTS.get(module)
         if not tests:
             parser.error(f"no test files known for {module}: give --tests")
-        scores[module] = score(os.path.abspath(args.root), module, tests, args.limit,
-                               args.timeout)
+        scores[module] = score(os.path.abspath(args.root), module, tests)
     for module, (killed, total) in scores.items():
         print(f"{module}: {killed} of {total} mutants killed")
     return 0

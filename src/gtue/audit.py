@@ -144,9 +144,9 @@ def _scaled(lam, ks) -> tuple:
         return tuple([0 if k == 0 else POS_INF for k in ks])
     if not lam:
         return (0,) * len(ks)
+    if lam == 2:  # E3's factor, or a drawn one: |2k| <= 2000, cells of the cache
+        return _cells([k if k is POS_INF else 2 * k for k in ks])
     num, den = lam.as_integer_ratio()
-    if den == 1:  # the factor 2 on h's numerators, |2k| <= 2000: cells of the cache
-        return _cells([k if k is POS_INF else num * k for k in ks])
     return tuple([POS_INF if k is POS_INF else Fraction(num * k, 100 * den) for k in ks])
 
 

@@ -141,7 +141,7 @@ def test_mutation_score_kills_and_keeps_mutants_in_a_copy(tmp_path):
     before = sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*"))
     result = subprocess.run(
         [sys.executable, os.path.join("scripts", "mutation_score.py"), "--root", str(tmp_path),
-         "--module", "toy", "--tests", "tests/test_toy.py", "--timeout", "60"],
+         "--module", "toy", "--tests", "tests/test_toy.py"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
