@@ -32,7 +32,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .audit import audit_axioms, upper_envelope
@@ -47,7 +46,7 @@ from .evaluate import STATUS_EXACT, eval_finitary, eval_limit, eval_lower_finita
 from .oracle import DEFAULT_CAP, brute_force_upper, selection_count
 from .process import check_supermartingale
 from .tree import FinitarySequence, FinitaryVariable
-from .xreal import check_tol, close_within
+from .xreal import check_tol, close_within, payload
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -59,9 +58,15 @@ def _settings(args) -> tuple:
     rational = os.environ.get("GTUE_RATIONAL", "") == "1" or args.rational
     if args.tol is None:
         return rational, 0 if rational else 1e-9
-    # Exact inputs get an exact tolerance; a float would make every
-    # comparison against it inexact.
-    return rational, check_tol(Fraction(args.tol) if rational else float(args.tol))
+    if not rational:
+        return rational, check_tol(float(args.tol))
+    # Exact inputs get an exact tolerance, read by the one number grammar;
+    # a float would make every comparison against it inexact.
+    try:
+        tol = payload(args.tol)
+    except ValueError:
+        raise SchemaError(f"--tol: cannot parse {args.tol!r} as a number") from None
+    return rational, check_tol(tol)
 
 
 def _emit(document):

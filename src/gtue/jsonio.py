@@ -5,17 +5,20 @@ payloads (``xreal.payload``), and ``encode_number`` writes payloads
 back with ``xreal.to_text`` or as JSON floats.  Infinities
 are the strings "inf" and "-inf"; the tokens Infinity and -Infinity read
 as those strings, and a float-mode literal too large for a float is
-refused.  In rational mode every numeric literal is parsed exactly (the
-raw decimal text goes straight into a Fraction) and values are emitted
-as exact decimal strings, or "p/q" when the value has no finite decimal
-expansion, so round trips are bit-exact.
+refused.  In rational mode every numeric literal is parsed exactly (its
+raw decimal text goes to ``xreal.fraction_from_text``, the one number
+grammar, which also reads numbers given as strings) and values are
+emitted as exact decimal strings, or "p/q" when the value has no finite
+decimal expansion, so round trips are bit-exact.
 
 Situations are dot-separated state labels; the empty string is the
 initial situation.  A state label is therefore non-empty and contains
 no ".".  Each table (a variable's values, a PMF, one depth of a process)
-decodes through ``decode_table``.  Process values are read and written by
-the rank-order texts of each depth's situations; if one is missing or a
-key names none, every key and its value is first read in file order.
+decodes through ``decode_table``.  Process values and terminal-cut
+members are read and written by the rank-order texts of each depth's
+situations; if a situation is missing or a key names none, every key and
+its value is first read in file order, and a cut member is parsed only
+when it matches no text.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from .tree import (
     clamp_below_sequence,
     explicit_sequence,
     rank,
+    situations_at,
 )
-from .xreal import NEG_INF, POS_INF, Payloads, payload, plain_payloads, to_text
+from .xreal import (NEG_INF, POS_INF, Payloads, fraction_from_text, payload, plain_payloads,
+                    to_text)
 
 # json's non-standard constants.  The infinities read as their strings, so a
 # float infinity reaching decode_number comes from an overflowed literal.
@@ -49,7 +54,7 @@ _INFINITIES = (math.inf, -math.inf)
 
 def load_json(path: str, rational: bool):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_float=Fraction if rational else None,
+        return json.load(handle, parse_float=fraction_from_text if rational else None,
                          parse_constant=_CONSTANTS.__getitem__)
 
 
@@ -77,7 +82,7 @@ def decode_number(raw, where: str):
         raise SchemaError(f"{where}: literal overflows a float (infinities are \"inf\", \"-inf\")")
     try:
         return payload(raw)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise SchemaError(f"{where}: cannot parse {raw!r} as a number") from None
 
 
@@ -251,8 +256,16 @@ def process_from_obj(obj, space: StateSpace) -> Process:
         raw_cut = obj["terminal_cut"]
         if not isinstance(raw_cut, list):
             raise SchemaError("process.terminal_cut: expected an array of situations")
+        known = {}  # text -> situation, for every depth up to the horizon
+        for depth, level in enumerate(texts):
+            known.update(zip(level, situations_at(depth, space.size)))
         try:
-            cut = Cut(frozenset(situation_from_text(space, item) for item in raw_cut))
+            members = frozenset(map(known.__getitem__, raw_cut))
+        except (KeyError, TypeError):  # some member is no text of these depths
+            members = frozenset(_cut_member(space, known, i, item)
+                                for i, item in enumerate(raw_cut))
+        try:
+            cut = Cut(members)
         except ValueError as exc:
             raise SchemaError(f"process.terminal_cut: {exc}") from None
     try:
@@ -261,8 +274,29 @@ def process_from_obj(obj, space: StateSpace) -> Process:
         raise SchemaError(f"process: {exc}") from None
 
 
+def _cut_member(space: StateSpace, known: dict, i: int, item) -> Situation:
+    """Terminal-cut member ``i``: a text of ``known``, else parsed, which names a bad label."""
+    if not isinstance(item, str):
+        raise SchemaError(f"process.terminal_cut[{i}]: expected a situation string, "
+                          f"got {type(item).__name__}")
+    if item in known:
+        return known[item]
+    try:
+        return situation_from_text(space, item)
+    except ValueError as exc:
+        raise SchemaError(f"process.terminal_cut: {exc}") from None
+
+
 def load_process(path: str, space: StateSpace, rational: bool) -> Process:
     return process_from_obj(load_json(path, rational), space)
+
+
+def _member_texts(cut: Cut, texts: list, arity: int) -> list:
+    """A cut's members in its order, read from ``texts``, the rank-order texts of each depth."""
+    depths = set(map(len, cut.members))
+    if len(depths) == 1 and len(cut) == arity ** (depth := depths.pop()):
+        return texts[depth]  # a whole level: its rank order is the cut's order
+    return [texts[len(m)][rank(m, arity)] for m in cut]
 
 
 def dump_process(M: Process, space: StateSpace, rational: bool):
@@ -271,12 +305,14 @@ def dump_process(M: Process, space: StateSpace, rational: bool):
               for level_texts, level in zip(texts, M.levels) for text, v in zip(level_texts, level)}
     out = {"horizon": M.horizon, "values": values}
     if M.terminal_cut is not None:
-        out["terminal_cut"] = [texts[len(m)][rank(m, M.arity)] for m in M.terminal_cut]
+        out["terminal_cut"] = _member_texts(M.terminal_cut, texts, M.arity)
     return out
 
 
 def dump_cuts(cuts, space: StateSpace):
+    deepest = max((cut.max_depth() for pair in cuts.pairs for cut in pair), default=0)
+    texts = [situation_texts(space, depth) for depth in range(deepest + 1)]
     return {"root": situation_to_text(space, cuts.root),
-            "pairs": [{"V": [situation_to_text(space, m) for m in v_cut],
-                       "U": [situation_to_text(space, m) for m in u_cut]}
+            "pairs": [{"V": _member_texts(v_cut, texts, space.size),
+                       "U": _member_texts(u_cut, texts, space.size)}
                       for v_cut, u_cut in cuts.pairs]}

@@ -20,7 +20,7 @@ applies.  ``truncate``, ``shift`` and ``mix`` use the ``raw_*`` forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import is_
 
 from .errors import (
@@ -56,16 +56,20 @@ class Process:
             self._check_terminal()
 
     def _check_terminal(self):
-        cut = self.terminal_cut
-        if cut.max_depth() > self.horizon:
+        cut, arity, horizon = self.terminal_cut, self.arity, self.horizon
+        if cut.max_depth() > horizon:
             raise ValueError("terminal cut lies beyond the horizon")
-        ranks = [rank(member, self.arity) for member in cut]  # refuses a state off the tree
-        if not is_complete(cut, self.arity):
+        if not set(chain.from_iterable(cut.members)) <= set(range(arity)):
+            for member in cut:  # rank refuses the first member, in order, off the tree
+                rank(member, arity)
+        if not is_complete(cut, arity):
             raise ValueError("terminal cut must be complete")
-        for member, r in zip(cut, ranks):
+        # A member at the horizon has no tail to check, so a level cut there needs no sort.
+        for member in sorted(m for m in cut.members if len(m) < horizon):
+            r = rank(member, arity)
             tail = self.levels[len(member)][r]
-            for depth in range(len(member) + 1, self.horizon + 1):  # none for a member at it
-                width = self.arity ** (depth - len(member))
+            for depth in range(len(member) + 1, horizon + 1):
+                width = arity ** (depth - len(member))
                 segment = self.levels[depth][r * width:(r + 1) * width]
                 if any(v != tail for v in segment):
                     raise ValueError(

@@ -12,6 +12,7 @@ outside ``range(arity)``.  A finitary variable's table holds raw payloads
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -59,20 +60,28 @@ def situations_at(depth: int, arity: int):
 
 @dataclass(frozen=True)
 class Cut:
-    """A finite set of pairwise incomparable situations."""
+    """A finite set of pairwise incomparable situations, iterated in lexicographic order.
+
+    The members are sorted on the first ordered use (iteration, or the check of a
+    cut across depths), not at construction.
+    """
 
     members: frozenset[Situation]
 
     def __post_init__(self):
         members = frozenset(map(tuple, self.members))
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_ordered", tuple(sorted(members)))
         if len(set(map(len, members))) > 1:
             # Distinct situations of one depth are never comparable; across depths,
             # lexicographic neighbours are the only candidate prefix pairs.
-            for a, b in zip(self._ordered, self._ordered[1:]):
+            ordered = self._ordered
+            for a, b in zip(ordered, ordered[1:]):
                 if b[:len(a)] == a:
                     raise ValueError(f"cut members {a} and {b} are comparable")
+
+    @functools.cached_property
+    def _ordered(self) -> tuple:
+        return tuple(sorted(self.members))
 
     def __iter__(self):
         return iter(self._ordered)

@@ -17,7 +17,8 @@ always one of two float objects, ``POS_INF`` (``math.inf``) or
 ``NEG_INF``, so code on payloads can test for an infinity by identity.
 
 ``payload`` is the one place a number is normalised: it turns an int,
-Fraction, float or numeric text into its canonical payload, and
+Fraction, float or numeric text into its canonical payload (text through
+``fraction_from_text``, the one number grammar), and
 ``payload_table`` does the same for a table of cells.  The
 ``raw_*`` functions are the one body of each convention and expect
 canonical payloads.  The public forms ``add``, ``neg``, ``scale``,
@@ -54,15 +55,55 @@ def payload(value):
         return POS_INF if value == POS_INF else NEG_INF if value == NEG_INF else value
     if isinstance(value, str):
         text = value.strip()
-        # "inf" and "Infinity", either signed; Fraction reads any other text.
+        # "inf" and "Infinity", either signed; fraction_from_text reads any other text.
         if text.lstrip("+-") in ("inf", "Infinity"):
             return POS_INF if float(text) > 0 else NEG_INF
-        return Fraction(text)
+        return fraction_from_text(text)
     if isinstance(value, bool):
         return int(value)
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"cannot build an extended real from {type(value).__name__}")
     return value
+
+
+# int() reads this many digits under any sys.set_int_max_str_digits limit (640 or more, or 0).
+_SAFE_DIGITS = 640
+
+
+def fraction_from_text(text: str) -> Fraction:
+    """The exact value of number text, the one grammar of numbers in text.
+
+    An optional sign, then either ``p/q`` or digits with an optional
+    ``.digits`` part and an optional exponent (``e`` or ``E``, optionally
+    signed), where every digit is ASCII: ``-2.5e-3``, ``.5``, ``5.``,
+    ``+007``, ``-1/3``.  The value and type are what ``Fraction(text)``
+    gives, but underscores, spaces and non-ASCII digits are refused on every
+    interpreter, while ``Fraction``'s grammar for them changed across
+    versions.  Anything else raises ValueError, and so does ``q = 0``, where
+    ``Fraction`` raises ZeroDivisionError.
+    """
+    sign = text[:1]
+    body = text[1:] if sign == "-" or sign == "+" else text
+    if body.isascii():  # on ASCII text, isdigit() is true only of 0-9
+        num, slash, den = body.partition("/")
+        if slash:
+            if num.isdigit() and den.isdigit() and den.strip("0"):  # q = 0 is refused
+                n = int(num)
+                return Fraction(-n if sign == "-" else n, int(den))
+        else:
+            mantissa, e, exp = body.lower().partition("e")
+            whole, _, frac = mantissa.partition(".")
+            digits = whole + frac
+            power = exp[1:] if exp[:1] in ("+", "-") else exp
+            if digits.isdigit() and (power.isdigit() or not e):
+                # Joined digits may pass the int() limit where Fraction reads each part.
+                n = int(digits) if len(digits) <= _SAFE_DIGITS else \
+                    int(whole or "0") * 10**len(frac) + int(frac or "0")
+                if sign == "-":
+                    n = -n
+                shift = len(frac) - int(exp) if e else len(frac)
+                return Fraction(n, 10**shift) if shift > 0 else Fraction(n * 10**-shift)
+    raise ValueError(f"cannot parse {text!r} as a number")
 
 
 class Payloads(tuple):
@@ -188,10 +229,8 @@ def _fraction_text(f: Fraction) -> str:
     den = f.denominator
     if den == 1:
         return str(f.numerator)
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
     fives = 0
     while den % 5 == 0:
         den //= 5
@@ -203,8 +242,6 @@ def _fraction_text(f: Fraction) -> str:
     sign = "-" if scaled < 0 else ""
     body = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{body[:-digits]}.{body[-digits:]}" if digits else f"{sign}{body}"
-
-
 
 
 def to_text(value) -> str:

@@ -621,6 +621,29 @@ class TestInputEdge:
         assert "process.values['']" in err and "overflows" in err
 
     @pytest.mark.parametrize("flags", [[], ["--rational"]])
+    def test_number_text_outside_the_grammar_is_input_error(self, files, capsys, flags):
+        # Fraction("1_0") is 10 from Python 3.11 on; the grammar refuses it on every version.
+        process = files("p.json", {"horizon": 0, "values": {"": "1_0"}})
+        code, report, err = run_cli(["check", files("t.json", TREE_HALF), process] + flags,
+                                    capsys)
+        assert (code, report) == (1, None)
+        assert err == "input error: process.values['']: cannot parse '1_0' as a number\n"
+
+    @pytest.mark.parametrize("tol", ["1_0", "1 /2", "1/0", "٣"])
+    def test_rational_tol_outside_the_grammar_is_input_error(self, files, capsys, tol):
+        argv = ["check", files("t.json", TREE_HALF), files("p.json", RISING), "--rational"]
+        code, report, err = run_cli(argv + ["--tol", tol], capsys)
+        assert (code, report) == (1, None)
+        assert err == f"input error: --tol: cannot parse {tol!r} as a number\n"
+
+    def test_a_terminal_cut_member_that_is_not_text_is_input_error(self, files, capsys):
+        process = files("p.json", RISING | {"terminal_cut": [0, 1]})
+        code, report, err = run_cli(["check", files("t.json", TREE_HALF), process], capsys)
+        assert (code, report) == (1, None)
+        assert err.startswith("input error: process.terminal_cut"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [[], ["--rational"]])
     def test_infinity_tokens_read_as_the_documented_strings(self, files, tmp_path, capsys,
                                                             flags):
         variable = tmp_path / "f.json"

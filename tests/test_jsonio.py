@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import gtue.xreal
-from gtue import POS_INF, StateSpace, from_values, jsonio, level_cut
+from gtue import POS_INF, Cut, StateSpace, from_values, jsonio, level_cut
+from gtue.constructions import CutSystem
 from gtue.errors import SchemaError
 from gtue.tree import situations_at
 from gtue.xreal import payload
@@ -31,8 +32,15 @@ def _decode(values, horizon=1):
      "process.values['c']: literal overflows a float (infinities are \"inf\", \"-inf\")"),
     (VALUES | {"ab.c": "x"}, "process.values['ab.c']: cannot parse 'x' as a number"),
     (VALUES | {"c": "-inf"}, "process: processes must be bounded below: -inf value found"),
+    # One number grammar on every interpreter: Fraction("1_0") is 10 from Python 3.11 on,
+    # Fraction("1 /2") is 1/2 from 3.12 on, and Fraction("٣") is 3.
+    (VALUES | {"c": "1_0"}, "process.values['c']: cannot parse '1_0' as a number"),
+    (VALUES | {"c": "1 /2"}, "process.values['c']: cannot parse '1 /2' as a number"),
+    (VALUES | {"c": "٣"}, "process.values['c']: cannot parse '٣' as a number"),
+    (VALUES | {"c": "1/0"}, "process.values['c']: cannot parse '1/0' as a number"),
 ], ids=["unknown-label", "mistyped-key", "missing-situation", "bool", "non-number", "text",
-        "overflow", "bad-value-past-horizon", "neg-inf"])
+        "overflow", "bad-value-past-horizon", "neg-inf", "underscore", "inner-space",
+        "non-ascii-digit", "zero-denominator"])
 def test_a_single_fault_is_named(values, message):
     with pytest.raises(SchemaError) as refused:
         _decode(values)
@@ -120,6 +128,36 @@ def _tree_with(**model):
     return jsonio.tree_from_obj(_TREE | {"model": _TREE["model"] | model})
 
 
+# A horizon-2 process on a space whose label order is not the text order.
+_YX = StateSpace(("y", "x"))
+_CUT_TEXT = """{
+  "horizon": 2,
+  "values": {
+    "": "2.5",
+    "y": "inf",
+    "x": "0.125",
+    "y.y": "inf",
+    "y.x": "inf",
+    "x.y": "-3",
+    "x.x": "1/3"
+  },
+  "terminal_cut": [
+    "y",
+    "x.y",
+    "x.x"
+  ]
+}"""
+
+
+def _with_cut(members):
+    return json.loads(_CUT_TEXT) | {"terminal_cut": members}
+
+
+def test_a_tree_reads_exact_and_float_masses():
+    tree = _tree_with(extreme_points=[["1/4", 0.75]])
+    assert [model.extreme_points for model in tree.distinct_models()] == [((F(1, 4), 0.75),)]
+
+
 @pytest.mark.parametrize("refused, match", [
     (lambda: _tree_with(extreme_points=[["inf", 0]]),
      r"extreme_points\[0\]\[0\]: probability masses must be finite"),
@@ -152,11 +190,52 @@ def _tree_with(**model):
      "process.terminal_cut: expected an array of situations"),
     (lambda: jsonio.process_from_obj(_PROCESS | {"terminal_cut": ["0", "2"]}, _BINARY),
      "process.terminal_cut: unknown state label '2'"),
+    (lambda: jsonio.process_from_obj(_PROCESS | {"terminal_cut": [0, 1]}, _BINARY),
+     r"process.terminal_cut\[0\]: expected a situation string, got int"),
+    (lambda: jsonio.process_from_obj(_PROCESS | {"terminal_cut": ["0", ["1"]]}, _BINARY),
+     r"process.terminal_cut\[1\]: expected a situation string, got list"),
+    # Members are read in file order: the first bad one is named.
+    (lambda: jsonio.process_from_obj(_with_cut(["y", "x.z", "x.q"]), _YX),
+     "process.terminal_cut: unknown state label 'z'"),
+    (lambda: jsonio.process_from_obj(_with_cut(["x.y", "q", 7]), _YX),
+     "process.terminal_cut: unknown state label 'q'"),
+    (lambda: jsonio.process_from_obj(_with_cut(["y", 7, "q"]), _YX),
+     r"process.terminal_cut\[1\]: expected a situation string, got int"),
+    (lambda: jsonio.process_from_obj(_with_cut(["y", "x.y.y", "x.y.x", "x.x"]), _YX),
+     "process: terminal cut lies beyond the horizon"),
+    (lambda: jsonio.process_from_obj(_with_cut(["y", "y.x", "x"]), _YX),
+     r"process.terminal_cut: cut members \(0,\) and \(0, 1\) are comparable"),
+    (lambda: jsonio.process_from_obj(_with_cut(["y", "x.y"]), _YX),
+     "process: terminal cut must be complete"),
 ], ids=["infinite-mass", "no-points", "point-not-array", "states-not-text", "states-repeat",
         "levels-not-array", "entries-not-object", "entry-unknown-label", "unknown-model",
         "values-not-array", "values-length", "sequence-not-object", "items-empty",
         "unknown-monotonicity", "unknown-template", "process-values-not-object",
-        "cut-not-array", "cut-unknown-label"])
+        "cut-not-array", "cut-unknown-label", "cut-member-not-text", "cut-member-unhashable",
+        "cut-first-unknown-label", "cut-unknown-label-before-non-text", "cut-non-text-first",
+        "cut-past-horizon", "cut-comparable", "cut-incomplete"])
 def test_refuses_invalid_input(refused, match):
     with pytest.raises(SchemaError, match=match):
         refused()
+
+
+def test_a_rational_process_file_survives_a_round_trip_byte_for_byte(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(_CUT_TEXT)
+    M = jsonio.load_process(str(path), _YX, rational=True)
+    assert M.levels == ((F(5, 2),), (POS_INF, F(1, 8)), (POS_INF, POS_INF, -3, F(1, 3)))
+    assert M.terminal_cut.members == {(0,), (1, 0), (1, 1)}
+    assert json.dumps(jsonio.dump_process(M, _YX, rational=True), indent=2) == _CUT_TEXT
+
+
+def test_a_cut_across_depths_dumps_in_order_whatever_its_file_order():
+    M = jsonio.process_from_obj(_with_cut(["x.x", "y", "x.y"]), _YX)
+    assert jsonio.dump_process(M, _YX, rational=True)["terminal_cut"] == ["y", "x.y", "x.x"]
+
+
+def test_cuts_dump_each_member_in_order_from_the_depth_texts():
+    cuts = CutSystem((), ((Cut(frozenset({(1, 0), (0,)})), Cut(frozenset({(1, 0, 1), (0, 1)}))),
+                          (Cut(frozenset({(0, 1, 1)})), Cut(frozenset({(0, 1, 1, 0)})))))
+    assert jsonio.dump_cuts(cuts, _YX) == {
+        "root": "", "pairs": [{"V": ["y", "x.y"], "U": ["y.x", "x.y.x"]},
+                              {"V": ["y.x.x"], "U": ["y.x.x.y"]}]}

@@ -379,6 +379,11 @@ _OFF_TREE_CUT = Cut(frozenset({(0,), (2,)}))
      r"situation \(0, 5\) leaves the tree"),
     (lambda: constant_process(2, 1, 1, Cut(frozenset({(3,)}))), ValueError,
      r"situation \(3,\) leaves the tree"),
+    # Not constant past either shallow member: the first in order is named.
+    (lambda: Process(2, 2, ((0,), (0, 0), (0, 1, 2, 3)), Cut(frozenset({(1,), (0,)}))),
+     ValueError, r"not constant beyond terminal member \(0,\)$"),
+    (lambda: Process(2, 2, ((0,), (0, 0), (0, 0, 2, 3)), Cut(frozenset({(1,), (0,)}))),
+     ValueError, r"not constant beyond terminal member \(1,\)$"),
     (lambda: check_supermartingale(_HALVES, _RISING, tol=POS_INF), ValueError,
      "tol must be finite"),
     (lambda: certificate_bound(_HALVES, _RISING, FinitaryVariable(2, 1, (5, 5)), tol=math.inf),
@@ -389,7 +394,8 @@ _OFF_TREE_CUT = Cut(frozenset({(0,), (2,)}))
         "shift-inf", "mix-lengths", "mix-empty", "mix-inf-weight", "mix-horizon",
         "mix-space", "liminf-short-prefix", "tail-not-terminal", "cut-off-the-tree",
         "cut-first-member-off-the-tree", "cut-off-the-tree-and-incomplete",
-        "check-tol-inf", "certificate-tol-inf", "check-tol-negative"])
+        "cut-first-member-not-constant", "cut-second-member-not-constant", "check-tol-inf",
+        "certificate-tol-inf", "check-tol-negative"])
 def test_refuses_invalid_input(refused, error, match):
     with pytest.raises(error, match=match):
         refused()

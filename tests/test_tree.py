@@ -13,6 +13,7 @@ from gtue import (
     FinitaryVariable,
     Monotonicity,
     constant,
+    constant_process,
     explicit_sequence,
     indicator,
     is_complete,
@@ -91,6 +92,15 @@ class TestCuts:
     def test_comparable_members_rejected(self):
         with pytest.raises(ValueError):
             Cut(frozenset({(0,), (0, 1)}))
+
+    def test_a_cut_is_sorted_on_its_first_ordered_use(self):
+        level = Cut(frozenset(situations_at(3, 2)))
+        # Neither the cut nor a process's check of a cut at its horizon sorts the members.
+        constant_process(2, 3, 1, level)
+        assert "_ordered" not in vars(level)
+        assert list(level) == list(situations_at(3, 2))
+        mixed = Cut(frozenset({(1, 1), (0,), (1, 0)}))
+        assert list(mixed) == [(0,), (1, 0), (1, 1)] and len(mixed) == 3
 
     def test_member_before(self):
         cut = Cut(frozenset({(0,), (1, 0), (1, 1)}))

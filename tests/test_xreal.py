@@ -1,4 +1,6 @@
+import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +12,7 @@ from gtue.errors import UndefinedProduct
 from gtue.xreal import (
     check_tol,
     close_within,
+    fraction_from_text,
     le_within,
     raw_add,
     raw_close_within,
@@ -116,6 +119,15 @@ def test_text_infinities_and_ratios():
     assert to_text(Fraction(1, 3)) == "1/3"
     assert payload("1/3") == Fraction(1, 3)
     assert to_text(Fraction(49, 100)) == "0.49"
+    assert [to_text(Fraction(n, d)) for n, d in ((1, 5), (-3, 250), (7, 8), (-5, 2), (9, 3))] \
+        == ["0.2", "-0.012", "0.875", "-2.5", "3"]
+
+
+@given(n=st.integers(-10**6, 10**6), twos=st.integers(0, 80), fives=st.integers(0, 80))
+def test_a_finite_decimal_is_written_as_one(n, twos, fives):
+    value = Fraction(n, 2**twos * 5**fives)
+    text = to_text(value)
+    assert "/" not in text and fraction_from_text(text) == value
 
 
 def test_neg_is_involutive():
@@ -233,3 +245,84 @@ def test_a_subclass_of_int_or_fraction_is_kept():
 
     for value in (Count(3), Exact(1, 3)):
         assert payload(value) is value
+
+
+# The number grammar: an optional sign, then p/q or digits with an optional
+# .digits part and an optional exponent; every digit ASCII.
+_digits = st.text("0123456789", max_size=30)
+_signs = st.sampled_from(("", "+", "-"))
+
+
+@st.composite
+def _decimal_texts(draw):
+    whole = draw(_digits)
+    frac = draw(st.one_of(st.none(), _digits))  # None: no ".", "": "5."
+    if not whole and not frac:
+        whole = draw(_digits.filter(bool))
+    mantissa = whole if frac is None else f"{whole}.{frac}"
+    exponent = ""
+    if draw(st.booleans()):
+        power = draw(st.integers(-400, 400))
+        sign = "-" if power < 0 else draw(st.sampled_from(("", "+")))
+        zeros = "0" * draw(st.integers(0, 2))
+        exponent = f"{draw(st.sampled_from('eE'))}{sign}{zeros}{abs(power)}"
+    return draw(_signs) + mantissa + exponent
+
+
+@st.composite
+def _ratio_texts(draw):
+    p = str(draw(st.integers(0, 10**40))).zfill(draw(st.integers(1, 4)))
+    q = str(draw(st.integers(1, 10**40))).zfill(draw(st.integers(1, 4)))
+    return f"{draw(_signs)}{p}/{q}"
+
+
+@given(text=st.one_of(_decimal_texts(), _ratio_texts(),
+                      st.sampled_from(("0", "-0", ".5", "5.", "+.5e-3", "007", "1E5", "-0/7"))))
+def test_number_text_reads_as_fraction_reads_it(text):
+    got, want = fraction_from_text(text), Fraction(text)
+    assert (type(got), got) == (type(want), want)
+    assert (type(payload(f" {text}\n")), payload(text)) == (Fraction, want)
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "1__0", "1_0.5", "1e1_0", "1/2_0", "1 /2", "1/ 2", "1 2", "- 1", "+-1", "--1", "",
+    ".", "-", "e5", ".e5", "1e", "1e+", "1e-", "1e++5", "1.2.3", "1/2/3", "1/-2", "1/+2",
+    "/2", "1/", "1.5/2", "1/2e3", "1e5/2", "0x10", "1/0", "-3/000", "٣", "١/٢", "1e٣", "½",
+    "²", "inf", "nan", "Infinity", "1.5j",
+])
+def test_number_text_outside_the_grammar_is_refused(text):
+    with pytest.raises(ValueError, match="cannot parse"):
+        fraction_from_text(text)
+    if text not in ("inf", "Infinity"):
+        with pytest.raises(ValueError):
+            payload(text)
+
+
+def test_a_long_mantissa_reads_as_fraction_reads_it():
+    # int() refuses more than 4,300 digits by default; Fraction reads the whole and the
+    # fractional part apart, so 3,000 + 3,000 digits read while 5,000 whole digits do not.
+    for whole, frac in (("1" * 3000, "2" * 3000), ("", "3" * 2000), ("4" * 2000, "")):
+        text = f"-{whole}.{frac}e-5"
+        assert fraction_from_text(text) == Fraction(text)
+    for text in ("5" * 5000 + ".5", "1." + "5" * 5000):
+        with pytest.raises(ValueError):
+            Fraction(text)
+        with pytest.raises(ValueError):
+            fraction_from_text(text)
+
+
+@given(value=st.one_of(
+    st.decimals(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(Decimal)))
+def test_json_numbers_read_back_exactly(value):
+    # A Decimal's text is a JSON number literal; rational mode reads it with the parser.
+    text = str(value)
+    back = json.loads(f"[{text}]", parse_float=fraction_from_text)[0]
+    assert back == Fraction(value)
+    assert type(back) is (int if text.lstrip("-").isdigit() else Fraction)
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_json_floats_read_back_exactly(x):
+    back = json.loads(json.dumps([x]), parse_float=fraction_from_text)[0]
+    assert back == Fraction(repr(x)) and float(back) == x
