@@ -15,8 +15,9 @@ unmutated module, unparsed the same way, must pass first.
 Usage: python scripts/mutation_score.py [--root DIR] [--module audit ...]
                                         [--tests tests/test_x.py ...]
 
-Without ``--module`` it scores audit, credal and xreal, each against its
-own test files (``TESTS``); ``--tests`` replaces them for every module.
+Without ``--module`` it scores audit, credal, oracle and xreal, each
+against its own test files (``TESTS``); ``--tests`` replaces them for
+every module.
 It prints one line per mutant, then each module's score.
 """
 
@@ -33,6 +34,7 @@ TIMEOUT = 300  # seconds; a test run past it kills its mutant
 TESTS = {
     "audit": ["tests/test_audit.py", "tests/test_audit_golden.py"],
     "credal": ["tests/test_credal.py", "tests/test_audit.py"],
+    "oracle": ["tests/test_oracle.py", "tests/test_cli.py"],
     # Variables, processes and JSON tables reach xreal's table normaliser.
     "xreal": ["tests/test_xreal.py", "tests/test_canonical_results.py",
               "tests/test_audit_golden.py", "tests/test_tree.py", "tests/test_process.py",

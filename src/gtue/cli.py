@@ -62,11 +62,16 @@ def _settings(args) -> tuple:
         return rational, check_tol(float(args.tol))
     # Exact inputs get an exact tolerance, read by the one number grammar;
     # a float would make every comparison against it inexact.
+    return rational, check_tol(_number_option("--tol", args.tol))
+
+
+def _number_option(option: str, text: str):
+    """The payload of an option's number text, by the one number grammar; text outside
+    it is an input error that names the option."""
     try:
-        tol = payload(args.tol)
-    except ValueError:
-        raise SchemaError(f"--tol: cannot parse {args.tol!r} as a number") from None
-    return rational, check_tol(tol)
+        return payload(text)
+    except ValueError as exc:
+        raise SchemaError(f"{option}: {exc}") from None
 
 
 def _emit(document):
@@ -145,7 +150,8 @@ def cmd_certify(args, tree, rational, tol) -> tuple:
 
     if args.kind == "doob":
         process = jsonio.load_process(args.subject, space, rational)
-        transform = doob_transform(tree, process, root, args.a, args.b)
+        transform = doob_transform(tree, process, root, _number_option("--a", args.a),
+                                   _number_option("--b", args.b))
         checks = doob_gain_checks(process, transform)
         check_rows = [{"situation": jsonio.situation_to_text(space, c.situation),
                        "upcrossings": c.upcrossings,
@@ -155,7 +161,9 @@ def cmd_certify(args, tree, rational, tol) -> tuple:
         variable = jsonio.load_variable_or_sequence(args.subject, space, rational)
         if not isinstance(variable, FinitaryVariable):
             raise SchemaError("levy-certificate expects a finitary variable file")
-        transform = levy_transform(tree, variable, root, args.a, args.b, args.delta)
+        transform = levy_transform(tree, variable, root, _number_option("--a", args.a),
+                                   _number_option("--b", args.b),
+                                   _number_option("--delta", args.delta))
         checks = levy_bound_checks(transform)
         check_rows = [{"situation": jsonio.situation_to_text(space, c.situation),
                        "upcrossings": c.upcrossings,

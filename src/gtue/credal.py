@@ -12,18 +12,22 @@ only, so a zero-mass cell never contributes whatever the payoff there,
 and +inf absorbs any sum it enters.  Bounded-below variables with +inf
 entries are thus handled exactly.  The kernel has two bodies with the
 same operations in the same order.  A row of many blocks runs a function
-compiled once per support shape (each point's supported state indices)
-and cached; each model binds its masses to that code as the function's
+compiled once per support shape (each point's supported state indices,
+and whether its masses are all floats: such a point's sums start at
+``0.0``, which gives the bits of the loop's int ``0``) and cached; each model binds its masses to that code as the function's
 globals, on its first row, so the code holds no payload and nothing is
 compiled at import.  A single block, or a row with +inf in a column some
 point reads, runs the one-block loop, the kernel's reference in the
 tests.  ``TreeModel.upper_level`` applies it to one depth of a tree.
 ``raw_upper`` is the one evaluator of a single local variable, a tuple of
-payloads: one loop over the model's points serves an exact model (ints
-over one denominator) and a float one (cells lifted to float once); any
-other model or cell goes to ``upper_row``.  It has ``upper_row``'s value
-and type.  ``local_upper`` and ``local_lower`` are its front ends on any
-sequence of numbers ``payload`` reads.
+payloads, with ``upper_row``'s value and type.  An exact or a float model
+runs its block form: one straight-line function per size and support
+shape, compiled by the same means, that checks the variable, scales the
+supported cells to ints over one denominator (exact) or lifts them to
+float (float), and takes the maximum over the points' sums; any other
+model or cell goes to ``upper_row``.  ``local_upper`` and
+``local_lower`` are its front ends on any sequence of numbers
+``payload`` reads.
 
 Redundant (non-extreme) points are permitted: evaluation is a maximum,
 so they are harmless, and requiring minimality would drag in a convex
@@ -84,7 +88,7 @@ class CredalSet:
     one by PMF_SUM_TOL.
     """
 
-    __slots__ = ("extreme_points", "support", "_forms", "_kernel")
+    __slots__ = ("extreme_points", "support", "_upper", "_kernel")
 
     def __init__(self, extreme_points):
         points = tuple(tuple(p) for p in extreme_points)
@@ -107,7 +111,7 @@ class CredalSet:
         # skipping the zero masses is how 0 * inf = 0 holds in upper_row.
         self.support = tuple(tuple((i, mass) for i, mass in enumerate(p) if mass != 0)
                              for p in points)
-        self._forms = None  # raw_upper's, built on its first call
+        self._upper = None  # raw_upper's block form, built on its first call
         self._kernel = None  # upper_row's, built on its first row of several blocks
 
     @property
@@ -123,7 +127,7 @@ class CredalSet:
     def __repr__(self):
         return f"CredalSet({list(self.extreme_points)!r})"
 
-    def __reduce__(self):  # the compiled kernel does not pickle; it is rebuilt on demand
+    def __reduce__(self):  # the compiled forms do not pickle; they are rebuilt on demand
         return CredalSet, (self.extreme_points,)
 
 
@@ -146,8 +150,9 @@ def upper_row(model: CredalSet, row) -> list:
 
     A row of several blocks runs the model's kernel when no supported
     column holds +inf: one comprehension over the blocks that does the same
-    operations in the same order, compiled once per support shape and
-    cached, with the model's masses bound as its globals.  A single block,
+    operations in the same order (a point of float masses starts at ``0.0``,
+    with the same bits), compiled once per support shape and cached, with
+    the model's masses bound as its globals.  A single block,
     or a row where +inf must end a sum, runs the one-block loop, which never
     does arithmetic on +inf; a block where some point reads +inf is +inf
     even if a product in it overflows a float, whatever the state order.
@@ -202,22 +207,25 @@ def _build_kernel(model: CredalSet) -> tuple:
     """``upper_row``'s (supported cells, kernel) for a model, kept in ``_kernel``: the
     shape's compiled code with the model's masses as its globals."""
     shape = tuple(tuple(i for i, _ in point) for point in model.support)
-    cells, code = _kernel_code(shape)
+    floats = tuple(all(type(mass) is float for _, mass in point) for point in model.support)
+    cells, code = _kernel_code(shape, floats)
     masses = {f"m{k}_{i}": mass for k, point in enumerate(model.support) for i, mass in point}
     model._kernel = cells, types.FunctionType(code, masses)
     return model._kernel
 
 
 @functools.lru_cache(maxsize=256)
-def _kernel_code(shape: tuple) -> tuple:
+def _kernel_code(shape: tuple, floats: tuple) -> tuple:
     """(supported cells, code) of the row kernel for a shape, each point's supported
-    state indices.  Per zipped block of supported cells ``v{i}``, it binds each point's
-    sum ``0 + m{k}_{i} * v{i} + ...`` in turn and keeps ``s if s > b else b``; the
-    source holds only names built from indices, and the masses ``m{k}_{i}`` are globals.
+    state indices, and a flag per point whose masses are all floats.  Per zipped block
+    of supported cells ``v{i}``, it binds each point's sum ``0 + m{k}_{i} * v{i} + ...``
+    in turn and keeps ``s if s > b else b``; the source holds only names built from
+    indices, and the masses ``m{k}_{i}`` are globals.  A float point's products are
+    floats, so its sum starts at ``0.0``, which gives the bits of ``0`` faster.
     """
     cells = tuple(sorted({i for point in shape for i in point}))
-    sums = [" + ".join(["0"] + [f"m{k}_{i} * v{i}" for i in point])
-            for k, point in enumerate(shape)]
+    sums = [" + ".join(["0.0" if is_float else "0"] + [f"m{k}_{i} * v{i}" for i in point])
+            for k, (point, is_float) in enumerate(zip(shape, floats))]
     clauses = [f"for b in [{sums[0]}]"]
     for total in sums[1:]:
         clauses += [f"for s in [{total}]", "for b in [s if s > b else b]"]
@@ -234,87 +242,124 @@ def raw_upper(model: CredalSet, h):
 
     A wrong length (ValueError) and a -inf cell, which only a float can be,
     are refused before any arithmetic.  The result is ``upper_row``'s value
-    and type, by the model's form.  Exact model, with int or Fraction finite
-    supported cells: one pass puts the cells over their running lcm, and the
-    sums run in ints over it and the masses' denominator; a +inf ends a sum,
-    strict ``>`` keeps the first maximiser, and the winner is an int when its
-    masses and cells are.  Float model: Python multiplies a float mass by
-    ``float(v)`` anyway, so the supported cells are lifted once, unless one is
-    too large for a float, and the same loop does the one-block operations of
-    ``upper_row`` on them.
+    and type.  An exact or float model runs its block form (``_upper_code``);
+    whatever that form leaves, and any other model, runs ``upper_row``.
     """
-    size, cells, scale, points = model._forms or _build_forms(model)
-    if len(h) != size:
-        raise ValueError("variable length does not match the credal set")
-    for v in h:
-        if isinstance(v, float) and v == _NEG:
-            raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
-    if points is None:
-        return upper_row(model, h)[0]
-    row = list(h)
-    if scale is not None:
-        den, parts = 1, []
-        for i in cells:
-            v = h[i]
-            if v is _INF:
-                continue
-            if type(v) is not Fraction and not isinstance(v, int):
-                return upper_row(model, h)[0]
-            num, d = v.as_integer_ratio()
-            if den % d:
-                den = math.lcm(den, d)
-            parts.append((i, num, d))
-        for i, num, d in parts:
-            row[i] = num * (den // d)
-    else:
-        try:
-            for i in cells:
-                v = row[i]
-                if type(v) is Fraction:  # the int true division Fraction's float() runs
-                    num, d = v.as_integer_ratio()
-                    row[i] = num / d
-                elif not isinstance(v, float):
-                    row[i] = float(v)
-        except OverflowError:
-            return upper_row(model, h)[0]
-    best = None
-    for int_masses, point in points:
-        total = 0
-        for i, mass in point:
-            if row[i] is _INF:
-                total = _INF
-                break
-            total += mass * row[i]
-        if best is None or total > best:
-            best, winner, int_winner = total, point, int_masses
-    if scale is None or best is _INF:
-        return best
-    # An exact point of int masses has one supported cell, of mass 1.
-    if int_winner and isinstance(h[winner[0][0]], int):
-        return best // (scale * den)
-    return Fraction(best, scale * den)
+    value = (model._upper or _build_upper(model))(h)
+    if value is None:
+        if len(h) != model.size:
+            raise ValueError("variable length does not match the credal set")
+        for v in h:
+            if isinstance(v, float) and v == _NEG:
+                raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
+        value = upper_row(model, h)[0]
+    return value
 
 
-def _build_forms(model: CredalSet) -> tuple:
-    """``raw_upper``'s (size, supported cells, scale, points) for a model, kept in ``_forms``.
+def _no_form(h):
+    """The block form of a model neither exact nor float: every variable runs ``upper_row``."""
+    return None
 
-    Points are (all masses int, (index, mass) pairs).  An exact model gets its mass
-    denominator and int-scaled pairs; a float model no scale and its support's
-    pairs; a model neither exact nor float no points.
-    """
+
+def _build_upper(model: CredalSet):
+    """``raw_upper``'s block form for a model, kept in ``_upper``: the shape's compiled code
+    with the model's masses as its globals, int-scaled over one denominator ``D`` for an
+    exact model and floats for a float model."""
     support = model.support
+    shape = tuple(tuple(i for i, _ in point) for point in support)
     masses = [mass for point in support for _, mass in point]
-    cells = sorted({i for point in support for i, _ in point})
-    scale = points = None
     if all(isinstance(mass, (int, Fraction)) for mass in masses):
         scale = math.lcm(*(mass.denominator for mass in masses))
-        points = [(all(isinstance(mass, int) for _, mass in point),
-                   tuple((i, mass.numerator * (scale // mass.denominator)) for i, mass in point))
-                  for point in support]
+        ints = tuple(all(isinstance(mass, int) for _, mass in point) for point in support)
+        names = {f"m{k}_{i}": mass.numerator * (scale // mass.denominator)
+                 for k, point in enumerate(support) for i, mass in point}
+        names["D"] = scale
     elif all(type(mass) is float for mass in masses):
-        points = [(False, point) for point in support]
-    model._forms = model.size, cells, scale, points
-    return model._forms
+        ints = None
+        names = {f"m{k}_{i}": mass for k, point in enumerate(support) for i, mass in point}
+    else:
+        model._upper = _no_form
+        return _no_form
+    names.update(_BLOCK_NAMES)
+    model._upper = types.FunctionType(_upper_code(model.size, shape, ints), names)
+    return model._upper
+
+
+_BLOCK_NAMES = {"INF": _INF, "NEG": _NEG, "Fraction": Fraction, "lcm": math.lcm}
+
+
+@functools.lru_cache(maxsize=256)
+def _upper_code(size: int, shape: tuple, ints) -> types.CodeType:
+    """The block form of ``raw_upper`` for a model of ``size`` states and support shape
+    ``shape``, exact when ``ints`` flags each point whose masses are ints, float when it
+    is None.  The function returns None, for ``raw_upper`` to run ``upper_row``, on a wrong
+    length, a -inf cell, a cell of another class than int, ``Fraction`` and float (and
+    ``+inf`` for a float model), and a supported cell too large for a float.
+
+    Exact form: each supported cell is ``n{i}`` over ``d{i}``, a +inf one marked
+    ``d{i} = 0``, which makes the common denominator ``den`` 0 and the result +inf; with
+    the cells scaled to ints ``x{i}`` over ``den``, each point's sum ``m{k}_{i} * x{i} + ...``
+    runs in ints over ``D * den``.  A point of int masses has one supported cell,
+    of mass 1, so where it wins, the result is that cell itself, int or ``Fraction``.
+    Float form: each supported cell is lifted to ``x{i}`` as Python's own float product
+    would lift it, and each point's sum starts at ``0.0``; with a +inf cell, a point that
+    reads one is +inf.  Both keep the first maximiser with a strict ``>``, in point order.
+    """
+    cells = sorted({i for point in shape for i in point})
+    lines = [f"if len(h) != {size}:", "    return None",
+             f"{''.join(f'v{i}, ' for i in range(size))}= h"]
+    lines += [line for i in range(size) if i not in cells
+              for line in (f"if isinstance(v{i}, float) and v{i} == NEG:", "    return None")]
+    if ints is not None:
+        for i in cells:
+            lines += [f"c = v{i}.__class__",
+                      "if c is Fraction:", f"    n{i}, d{i} = v{i}.as_integer_ratio()",
+                      "elif c is int:", f"    n{i} = v{i}", f"    d{i} = 1",
+                      f"elif v{i} is INF:", f"    d{i} = 0",
+                      "else:", "    return None"]
+        lines += [f"den = lcm({', '.join(f'd{i}' for i in cells)})",
+                  "if not den:", "    return INF"]
+        lines += [f"x{i} = n{i} * (den // d{i})" for i in cells]
+        winners = [f"v{point[0]}" if is_int else "None" for is_int, point in zip(ints, shape)]
+        lines += _maximum([" + ".join(f"m{k}_{i} * x{i}" for i in point)
+                           for k, point in enumerate(shape)], winners if any(ints) else None)
+        lines.append("return Fraction(b, D * den)" if not any(ints) else
+                     "return Fraction(b, D * den) if r is None else r")
+    else:
+        lines.append("try:")
+        for i in cells:
+            lines += [f"    c = v{i}.__class__",
+                      "    if c is float:", f"        if v{i} == NEG:", "            return None",
+                      f"        x{i} = v{i}",
+                      "    elif c is Fraction:", f"        n, d = v{i}.as_integer_ratio()",
+                      f"        x{i} = n / d",
+                      "    elif c is int:", f"        x{i} = float(v{i})",
+                      "    else:", "        return None"]
+        lines += ["except OverflowError:", "    return None"]
+        sums = [" + ".join(["0.0"] + [f"m{k}_{i} * x{i}" for i in point]) for k, point in
+                enumerate(shape)]
+        reads = [" or ".join(f"x{i} is INF" for i in point) for point in shape]
+        lines.append(f"if {' or '.join(f'x{i} is INF' for i in cells)}:")
+        lines += ["    " + line for line in _maximum(
+            [f"INF if {read} else {total}" for read, total in zip(reads, sums)])]
+        lines.append("    return b")
+        lines += _maximum(sums)
+        lines.append("return b")
+    source = "def upper(h):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {}
+    exec(compile(source, "<gtue.credal block form>", "exec"), namespace)
+    return namespace["upper"].__code__
+
+
+def _maximum(sums, winners=None) -> list:
+    """Lines binding ``b`` to the first maximal sum by a strict ``>``, and with ``winners``,
+    ``r`` to the winner's entry."""
+    lines = [f"b = {sums[0]}"] + ([f"r = {winners[0]}"] if winners else [])
+    for k, total in enumerate(sums[1:], 1):
+        lines += [f"s = {total}", "if s > b:", "    b = s"]
+        if winners:
+            lines.append(f"    r = {winners[k]}")
+    return lines
 
 
 def local_upper(model: CredalSet, h):

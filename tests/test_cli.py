@@ -636,6 +636,22 @@ class TestInputEdge:
         assert (code, report) == (1, None)
         assert err == f"input error: --tol: cannot parse {tol!r} as a number\n"
 
+    @pytest.mark.parametrize("kind, option, others", [
+        ("doob", "--a", ["--b", "2"]),
+        ("doob", "--b", ["--a", "1"]),
+        ("levy", "--a", ["--b", "8/5"]),
+        ("levy", "--b", ["--a", "6/5"]),
+        ("levy", "--delta", ["--a", "6/5", "--b", "8/5"]),
+    ])
+    def test_certificate_number_outside_the_grammar_names_its_option(self, files, capsys,
+                                                                      kind, option, others):
+        subject = files("p.json", DOOB_PROCESS) if kind == "doob" else \
+            files("f.json", INDICATOR_11)
+        argv = [f"{kind}-certificate", files("t.json", TREE_RIGHT), subject, option, "1_0"]
+        code, report, err = run_cli(argv + others + ["--rational"], capsys)
+        assert (code, report) == (1, None)
+        assert err == f"input error: {option}: cannot parse '1_0' as a number\n"
+
     def test_a_terminal_cut_member_that_is_not_text_is_input_error(self, files, capsys):
         process = files("p.json", RISING | {"terminal_cut": [0, 1]})
         code, report, err = run_cli(["check", files("t.json", TREE_HALF), process], capsys)

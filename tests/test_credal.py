@@ -15,6 +15,7 @@ from gtue import (
     upper_row,
     vacuous,
 )
+from gtue.credal import raw_upper
 from gtue.errors import NotBoundedAbove, NotBoundedBelow
 from tests.conftest import same, seeded
 
@@ -198,6 +199,105 @@ class TestOverflowBesidePlusInf:
                 upper_row(model, list(h))
             with pytest.raises(OverflowError):
                 local_upper(model, h)
+
+
+def _checked_loop(model, h):
+    """``raw_upper``'s contract: refuse a wrong length, then a -inf cell, then run
+    ``upper_row``'s one-block loop."""
+    if len(h) != model.size:
+        raise ValueError("variable length does not match the credal set")
+    if any(isinstance(v, float) and v == NEG_INF for v in h):
+        raise NotBoundedBelow("local upper expectation needs a bounded-below argument")
+    return upper_row(model, h)[0]
+
+
+def _result(evaluate, model, h):
+    """Type, exact value (a float by its bits) and whether it is the canonical +inf;
+    or the exception's type and message."""
+    try:
+        value = evaluate(model, h)
+    except (ArithmeticError, ValueError, NotBoundedBelow) as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else value, value is POS_INF
+
+
+_BLOCK_CELLS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    st.floats(-5, 5),
+    st.sampled_from((-0.0, POS_INF, NEG_INF, -2 * _MAX, _MAX, -_MAX, 2 * _MAX, 10**400,
+                     Fraction(10**400, 3))))
+
+
+@st.composite
+def _block_cases(draw):
+    """A variable on an exact, float or mixed credal set, often with zero masses (int or
+    float zeros in a float point), degenerate points of an int or a Fraction mass 1, and
+    sometimes a repeated point, of the other type of mass 1 where it is degenerate: a tie."""
+    arity = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("exact", "float", "mixed")))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(st.integers(0, 4), min_size=arity, max_size=arity)
+                       .filter(any))
+        total = sum(weights)
+        point_kind = kind if kind != "mixed" else draw(st.sampled_from(("exact", "float")))
+        if point_kind == "float":
+            zero = draw(st.sampled_from((0, 0.0)))
+            masses = [w / total if w else zero for w in weights]
+            if draw(st.booleans()):
+                # Inside PMF_SUM_TOL: two _MAX cells now overflow the sum.
+                masses[masses.index(max(masses))] += 4e-13
+            points.append(tuple(masses))
+        elif draw(st.booleans()):
+            one = draw(st.sampled_from((1, Fraction(1))))
+            points.append(tuple(one if i == weights.index(max(weights)) else 0
+                                for i in range(arity)))
+        else:
+            points.append(tuple(Fraction(w, total) for w in weights))
+    if draw(st.booleans()):
+        tie = draw(st.sampled_from(points))
+        points.append(tuple(Fraction(m) if m == 1 and type(m) is int else
+                            1 if m == 1 and type(m) is Fraction else m for m in tie))
+    # Mostly the model's length; one more or one fewer cell now and then.
+    size = arity + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+    return CredalSet(points), tuple(draw(st.lists(_BLOCK_CELLS, min_size=size, max_size=size)))
+
+
+class TestBlockForm:
+    """``raw_upper``'s compiled block form against its reference, ``upper_row``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_block_cases())
+    # The first maximiser wins a tie, and its type with it.
+    @example((CredalSet([(1, 0), (Fraction(1), 0)]), (2, 5)))
+    @example((CredalSet([(Fraction(1), 0), (1, 0)]), (2, 5)))
+    # An overflowing float sum ties the +inf a later point reads, and is kept.
+    @example((CredalSet([(0.5 + 4e-13, 0.5, 0), (0, 0, 1.0)]), (_MAX, _MAX, POS_INF)))
+    def test_matches_upper_row(self, case):
+        model, h = case
+        assert _result(raw_upper, model, h) == _result(_checked_loop, model, h)
+
+    @pytest.mark.parametrize("model, h, want", [
+        # The int-result rule: an int-mass winner on an int cell is an int.
+        (CredalSet([(1, 0), (Fraction(1, 2), Fraction(1, 2))]), (3, 1), 3),
+        (CredalSet([(1, 0), (Fraction(1, 2), Fraction(1, 2))]), (Fraction(3), 1), Fraction(3)),
+        (CredalSet([(1, 0), (Fraction(1, 2), Fraction(1, 2))]), (1, 3), Fraction(2)),
+        (CredalSet([(1, 0), (Fraction(1), 0)]), (2, 5), 2),
+        (CredalSet([(Fraction(1), 0), (1, 0)]), (2, 5), Fraction(2)),
+        (CredalSet([(Fraction(1, 3), Fraction(2, 3), 0)]), (Fraction(1, 2), 2, -7),
+         Fraction(3, 2)),
+        (CredalSet([(Fraction(1, 3), Fraction(2, 3))]), (POS_INF, Fraction(1, 2)), POS_INF),
+        (CredalSet([(0.25, 0.75), (1.0, 0.0)]), (4, Fraction(1, 2)), 4.0),
+        (CredalSet([(0.25, 0.75, 0.0)]), (-0.0, -0.0, -_MAX), 0.0),
+        (CredalSet([(0.25, 0.75), (1.0, 0.0)]), (8, POS_INF), POS_INF),
+        (CredalSet([(Fraction(1),)]), (3,), Fraction(3)),
+        (CredalSet([(1.0,)]), (Fraction(1, 2),), 0.5),
+    ])
+    def test_the_block_form_runs_without_upper_row(self, model, h, want, monkeypatch):
+        monkeypatch.setattr("gtue.credal.upper_row", None)
+        got = raw_upper(model, h)
+        assert same(got, want) and (got is POS_INF) == (want is POS_INF)
 
 
 class TestCredalValidation:

@@ -720,6 +720,24 @@ class TestKernelEquivalence:
             assert same(eval_finitary(tree, f), reference[0][0])
         assert column_rows.count(True) > 60 and column_rows.count(False) > 10, column_rows
 
+    def test_negative_zeros_and_fractions_under_float_masses(self):
+        """A float point's sums start at 0.0 in the kernel, where the formula starts at the
+        int 0: -0.0 payoffs (and products that underflow to -0.0) must still sum to 0.0,
+        and Fraction cells times float masses must give the formula's bits."""
+        rng = seeded(227)
+        for trial in range(24):
+            arity = rng.choice((2, 3))
+            depth = rng.randint(2, 5)
+            tree = _mixed_tree(rng, arity, depth, ("stationary", "by_depth", "table")[trial % 3])
+            values = tuple(rng.choice((-0.0, -0.0, -5e-324, F(rng.randint(-9, 9), 7)))
+                           for _ in range(arity**depth))
+            f = FinitaryVariable(arity, depth, values)
+            reference = _reference_levels(tree, f)
+            process = eval_process(tree, f)
+            for d in range(depth + 1):
+                assert all(same(got, want)
+                           for got, want in zip(process.levels[d], reference[d])), (trial, d)
+
 
 @pytest.mark.parametrize("refused, error, match", [
     (lambda tree: certificate_bound(tree, constant_process(2, 2, 1), indicator(2, 2, [(1, 1)])),

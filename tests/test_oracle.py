@@ -1,6 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gtue import (
     CredalSet,
@@ -16,7 +18,8 @@ from gtue import (
 )
 from gtue.errors import CapExceeded, DepthExceeded, SpaceMismatch
 from gtue.testing import random_finitary, random_tree
-from gtue.tree import situations_at
+from gtue.tree import rank, situations_at, unrank
+from gtue.xreal import raw_add, raw_scale
 from tests.conftest import seeded
 
 F = Fraction
@@ -137,6 +140,24 @@ class TestBruteForce:
             with pytest.raises(error):
                 brute_force_upper(tree, f)
 
+    def test_a_query_at_the_leaves_is_the_cell_itself(self, tree_a):
+        f = FinitaryVariable(2, 2, (1, F(5, 2), 3, POS_INF))
+        for s, want in (((1, 0), 3), ((0, 1), F(5, 2)), ((1, 1), POS_INF)):
+            got = brute_force_upper(tree_a, f, s)
+            assert (type(got), got) == (type(want), want)
+
+    def test_safe_float_sums_run_in_plain_arithmetic(self, tree_a, monkeypatch):
+        def refused(*args):
+            raise AssertionError("raw_add or raw_scale ran")
+
+        f = FinitaryVariable(2, 2, (0.5, -0.0, POS_INF, 2.0**999))
+        for tree in (tree_a.map_masses(float), tree_a):
+            want = _outcome(_reference_upper, tree, f)
+            with monkeypatch.context() as patch:
+                patch.setattr("gtue.oracle.raw_add", refused)
+                patch.setattr("gtue.oracle.raw_scale", refused)
+                assert _outcome(brute_force_upper, tree, f) == want
+
     def test_zero_probability_infinity(self, tree_b):
         f = constant(2, 0, 1).combine(indicator(2, 1, [(1,)]),
                                       lambda a, b: POS_INF if b == 1 else a)
@@ -163,3 +184,98 @@ class TestBruteForce:
             tree_big = TreeModel.stationary(space, big, 2)
             f = random_finitary(rng, 2, 2, inf_probability=0.1)
             assert brute_force_upper(tree_small, f) <= brute_force_upper(tree_big, f)
+
+
+def _reference_upper(tree, f):
+    """The enumeration through ``raw_scale`` and ``raw_add`` from the int 0, at the root:
+    the reference for every form of ``brute_force_upper``'s sums."""
+
+    def expectations(s):
+        if len(s) == f.depth:
+            return [f.values[rank(s, f.arity)]]
+        child_tables = [expectations(s + (x,)) for x in range(f.arity)]
+        out = []
+        for p in tree.local_model_at(s).extreme_points:
+            partial = [0]
+            for mass, table in zip(p, child_tables):
+                scaled = [raw_scale(mass, v) for v in table]
+                partial = [raw_add(acc, sv) for acc in partial for sv in scaled]
+            out.extend(partial)
+        return out
+
+    return max(expectations(()))
+
+
+def _outcome(upper, tree, f):
+    """Type, exact value (a float by its bits) and whether it is the canonical +inf;
+    or the exception's type and message."""
+    try:
+        value = upper(tree, f)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else value, value is POS_INF
+
+
+_MAX = sys.float_info.max
+# Near the float range a sum can overflow, and a huge exact cell cannot meet a float.
+_HUGE = (_MAX, -_MAX, 10**400, Fraction(-10**400, 3), 2.0**999, -(2**1000 - 1))
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A table tree of exact, float or mixed credal sets, often with zero masses, and a
+    variable of the same mode with +inf cells (and -0.0 ones in float mode), sometimes
+    one near the float range."""
+    arity = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 3 if arity < 3 else 2))
+    rational = draw(st.booleans())
+    mixed = draw(st.integers(0, 3)) == 0
+
+    def pmf():
+        weights = draw(st.lists(st.integers(0, 3), min_size=arity, max_size=arity).filter(any))
+        total = sum(weights)
+        if rational != (mixed and draw(st.booleans())):
+            if draw(st.integers(0, 5)) == 0:  # an int mass 1: int sums where cells are ints
+                return tuple(int(x == weights.index(max(weights))) for x in range(arity))
+            return tuple(Fraction(w, total) if w else draw(st.sampled_from((0, Fraction(0))))
+                         for w in weights)
+        masses = [w / total if w else draw(st.sampled_from((0, 0.0))) for w in weights]
+        if draw(st.integers(0, 3)) == 0:
+            masses[masses.index(max(masses))] += 4e-13  # inside PMF_SUM_TOL
+        return tuple(masses)
+
+    models = {unrank(i, d, arity): CredalSet([pmf() for _ in range(draw(st.integers(1, 2)))])
+              for d in range(depth) for i in range(arity**d)}
+    tree = TreeModel.table(StateSpace(tuple(str(x) for x in range(arity))), models, depth)
+    if rational:
+        cell = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                         st.integers(-3, 3), st.just(POS_INF))
+    else:
+        finite = st.floats(-5, 5, allow_nan=False)
+        cell = st.one_of(finite, finite, st.just(POS_INF), st.just(-0.0))
+    values = draw(st.lists(cell, min_size=arity**depth, max_size=arity**depth))
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(_HUGE))
+    return tree, FinitaryVariable(arity, depth, values)
+
+
+def _halves_tree(float_node):
+    """Exact halves at the root; under it, state 0 has ``float_node`` and state 1 a point mass."""
+    space = StateSpace(("0", "1"))
+    return TreeModel.table(space, {(): CredalSet([(Fraction(1, 2), Fraction(1, 2))]),
+                                   (0,): float_node, (1,): CredalSet([(1, 0)])}, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_cases())
+# A float sum overflows to +inf beside a 10**400 exact cell: +inf, not OverflowError.
+@example((_halves_tree(CredalSet([(0.5 + 4e-13, 0.5)])),
+          FinitaryVariable(2, 2, (_MAX, _MAX, 10**400, 0))))
+# The same float node below the bound, and -0.0 cells that sum to 0.0.
+@example((_halves_tree(CredalSet([(0.5 + 4e-13, 0.5)])),
+          FinitaryVariable(2, 2, (2.0**999, 2.0**999, -0.0, 0))))
+@example((_halves_tree(CredalSet([(0.5, 0.5), (0.0, 1.0)])),
+          FinitaryVariable(2, 2, (-0.0, -0.0, -0.0, POS_INF))))
+def test_brute_force_matches_the_raw_enumeration(case):
+    tree, f = case
+    assert _outcome(brute_force_upper, tree, f) == _outcome(_reference_upper, tree, f)
